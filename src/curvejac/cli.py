@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .cones import Region, classify, nef_decomposition
 from .heights import height_curve, height_point, standard_polarization
 from .lattice import NSClass, pair_theta_power, pullback_theta, top_intersect
-from .minima import cone_minimum, witness_sequence, zhang_audit
+from .minima import ZhangAudit, cone_minimum, witness_sequence, zhang_audit
 
 __all__ = ["main"]
 
@@ -269,8 +269,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return _emit(args, record, [line])
 
 
-def _audit_record(genus: int, L: NSClass) -> dict:
-    audit = zhang_audit(L)
+def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> dict:
     mean = (audit.e1 + audit.e2) / 2
     return {
         "genus": genus,
@@ -290,11 +289,12 @@ def _audit_record(genus: int, L: NSClass) -> dict:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     L = _bundle_from(args)
-    record = _audit_record(args.genus, L)
+    audit = zhang_audit(L)
+    record = _audit_record(args.genus, L, audit)
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",
         f"e1 = {record['e1']} (~{record['e1_dec']})",
-        f"e2 = {record['e2']} (~{record['e1_dec']})",
+        f"e2 = {record['e2']} (~{decimal_str(audit.e2)})",
         f"curve height = {record['h']} (~{record['h_dec']})",
         f"mean of minima = {record['mean']}",
     ]
@@ -314,7 +314,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _table_rows(g_min: int, g_max: int) -> list[dict]:
     rows = []
     for g in range(g_min, g_max + 1):
-        record = _audit_record(g, standard_polarization(g))
+        L = standard_polarization(g)
+        record = _audit_record(g, L, zhang_audit(L))
         rows.append(
             {
                 "g": g,

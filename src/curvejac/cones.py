@@ -12,7 +12,6 @@ quadric wall.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -134,10 +133,6 @@ class SqrtWitness:
         """The represented value as an exact rational, when one exists."""
         root = rational_sqrt(self.square)
         return None if root is None else self.sign * root
-
-    def approx(self) -> float:
-        """Float approximation, for display only."""
-        return self.sign * math.sqrt(float(self.square))
 
 
 def boundary_witness(x: NSClass) -> tuple[SqrtWitness, SqrtWitness]:

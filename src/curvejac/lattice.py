@@ -20,8 +20,9 @@ concentrated in two monomials,
     Q^2 . theta2^(g-1)     = -2 g!
 
 and every other degree-(g+1) monomial vanishes; see ``MonomialTable``.
-``top_intersect`` contracts an arbitrary product of g+1 classes against the
-table after a truncated trivariate polynomial expansion.
+``top_intersect`` evaluates an arbitrary product of g+1 classes by a linear
+recurrence on the few expansion coefficients that can meet those two
+monomials, in O(g) integer operations.
 """
 
 from __future__ import annotations
@@ -219,10 +220,15 @@ def monomial_table(g: int) -> MonomialTable:
 def top_intersect(classes: Sequence[NSClass]) -> Fraction:
     """Exact top intersection number of g+1 classes of common genus g.
 
-    Expands the product by iterated truncated polynomial multiplication in
-    the three basis symbols, dropping every term whose alpha1 exponent
-    reaches 2 or whose total degree exceeds g+1, then contracts the result
-    against the monomial table.  Symmetric and multilinear in its arguments.
+    Only ``alpha1 . theta2^g`` and ``Q^2 . theta2^(g-1)`` are nonzero (see
+    ``MonomialTable``), so the product is expanded only up to the six
+    coefficients ``s_ik`` of ``alpha1^i Q^k`` with i <= 1 and k <= 2; the
+    theta2 exponent is fixed by the degree.  Each factor (a, b, c) updates
+    them as ``s_ik <- b s_ik + a s_(i-1)k + c s_i(k-1)``, dropping a term
+    whose index falls below zero: a fixed handful of integer operations per
+    factor, so a call costs O(g) of them.  ``s_11`` and ``s_12`` feed
+    neither result monomial nor any coefficient that does, so only the other
+    four are kept.  Symmetric and multilinear in its arguments.
     """
     classes = list(classes)
     if not classes:
@@ -236,43 +242,33 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
             f"got {len(classes)}"
         )
 
-    # Clear denominators so the expansion runs on plain ints; multilinearity
-    # restores the combined scale at the end.
+    # Clear each factor's denominators so the recurrence runs on plain ints;
+    # multilinearity restores the combined scale at the end.
     scale = 1
-    factors: list[tuple[int, int, int]] = []
+    s00, s01, s02, s10 = 1, 0, 0, 0
     for cls in classes:
-        den = lcm(cls.a.denominator, cls.b.denominator, cls.c.denominator)
+        a, b, c = cls.a, cls.b, cls.c
+        den = lcm(a.denominator, b.denominator, c.denominator)
         scale *= den
-        factors.append((int(cls.a * den), int(cls.b * den), int(cls.c * den)))
-
-    top = g + 1
-    poly: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    for xa, xb, xc in factors:
-        product: dict[tuple[int, int, int], int] = {}
-        for (i, j, k), coeff in poly.items():
-            if i + j + k >= top:
-                continue
-            if xa and i == 0:
-                key = (1, j, k)
-                product[key] = product.get(key, 0) + coeff * xa
-            if xb:
-                key = (i, j + 1, k)
-                product[key] = product.get(key, 0) + coeff * xb
-            if xc:
-                key = (i, j, k + 1)
-                product[key] = product.get(key, 0) + coeff * xc
-        poly = {key: coeff for key, coeff in product.items() if coeff}
-
-    table = monomial_table(g)
-    total = 0
-    for (i, j, k), coeff in poly.items():
-        if i + j + k == top:
-            total += coeff * table._int_value(i, j, k)
-    return Fraction(total, scale)
+        xa = a.numerator * (den // a.denominator)
+        xb = b.numerator * (den // b.denominator)
+        xc = c.numerator * (den // c.denominator)
+        s00, s01, s02, s10 = (
+            xb * s00,
+            xb * s01 + xc * s00,
+            xb * s02 + xc * s01,
+            xb * s10 + xa * s00,
+        )
+    total = s10 + POINCARE_SQUARE_COEFF * s02
+    return Fraction(monomial_table(g).g_factorial * total, scale)
 
 
 def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
-    """The pairing X . Y . theta2^(g-1), through the full expansion engine."""
+    """The pairing X . Y . theta2^(g-1), through ``top_intersect``.
+
+    The g-1 theta2 factors go through the same recurrence as any other
+    class, so the pairing costs O(g) integer operations.
+    """
     _check_same_genus(x, y)
     g = x.genus
     return top_intersect([x, y] + [theta2(g)] * (g - 1))

@@ -181,6 +181,40 @@ def test_engine_scale():
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
+@criterion("genus-1000 top intersection of dense random classes: under 5 s, exact")
+def test_engine_linear_scale():
+    rng = random.Random(17320508)
+    g = 1000
+
+    def nonzero():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    triples = [(nonzero(), nonzero(), nonzero()) for _ in range(g + 1)]
+    classes = [NSClass(g, a, b, c) for a, b, c in triples]
+    start = time.monotonic()
+    value = top_intersect(classes)
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+    # g! [sum_i a_i prod_{j!=i} b_j - 2 sum_{i<j} c_i c_j prod_{k!=i,j} b_k]
+    # from prefix and suffix products of the b's.  Every b is nonzero, so
+    # prod_{k!=i,j} b_k = prefix[j] suffix[j+1] / b_i for i < j.
+    bs = [b for _, b, _ in triples]
+    prefix, suffix = [Fraction(1)], [Fraction(1)]
+    for b in bs:
+        prefix.append(prefix[-1] * b)
+    for b in reversed(bs):
+        suffix.append(suffix[-1] * b)
+    suffix.reverse()
+    linear = quadratic = running = Fraction(0)
+    for j, (a, b, c) in enumerate(triples):
+        outside = prefix[j] * suffix[j + 1]
+        linear += a * outside
+        quadratic += c * outside * running
+        running += c / b
+    assert value == factorial(g) * (linear - 2 * quadratic)
+
+
 @criterion("CLI golden outputs: csv table byte-exact, audit strings present")
 def test_cli_golden(capsys):
     from curvejac.cli import main

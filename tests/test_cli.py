@@ -10,7 +10,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
+from curvejac.minima import ZhangAudit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +129,27 @@ class TestAudit:
         code, out, _ = run_cli(capsys, "audit", "-g", "2", "-L", "8,1,2")
         assert code == 0
         assert "e1 = 3/2" in out
+
+    def test_e2_line_shows_e2_decimal(self, capsys, monkeypatch):
+        # Every real audit has e1 == e2, so force them apart to see which
+        # value the e2 line annotates.
+        def distinct_minima(L):
+            return ZhangAudit(
+                e1=Fraction(3, 2),
+                e2=Fraction(7, 4),
+                h_curve=Fraction(1),
+                first_inequality_holds=True,
+                second_inequality_holds=False,
+                violation_margin=Fraction(5, 8),
+                minima_attained=True,
+            )
+
+        monkeypatch.setattr(cli, "zhang_audit", distinct_minima)
+        code, out, _ = run_cli(capsys, "audit", "-g", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "e1 = 3/2 (~1.500000)"
+        assert lines[2] == "e2 = 7/4 (~1.750000)"
 
 
 class TestClassify:

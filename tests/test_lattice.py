@@ -4,7 +4,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -45,6 +45,44 @@ def naive_top_intersect(classes):
         if coeff:
             total += coeff * table.value(*counts)
     return total
+
+
+def dict_top_intersect(classes):
+    # Reference engine: iterated truncated polynomial multiplication in the
+    # three basis symbols, dropping every term whose alpha1 exponent reaches
+    # 2 or whose total degree exceeds g+1, then contraction against the
+    # table.  O(g) terms per factor, so O(g^2) per call.
+    g = classes[0].genus
+    top = g + 1
+    scale = 1
+    factors = []
+    for cls in classes:
+        den = lcm(cls.a.denominator, cls.b.denominator, cls.c.denominator)
+        scale *= den
+        factors.append((int(cls.a * den), int(cls.b * den), int(cls.c * den)))
+    poly = {(0, 0, 0): 1}
+    for xa, xb, xc in factors:
+        expanded = {}
+        for (i, j, k), coeff in poly.items():
+            if i + j + k >= top:
+                continue
+            if xa and i == 0:
+                key = (1, j, k)
+                expanded[key] = expanded.get(key, 0) + coeff * xa
+            if xb:
+                key = (i, j + 1, k)
+                expanded[key] = expanded.get(key, 0) + coeff * xb
+            if xc:
+                key = (i, j, k + 1)
+                expanded[key] = expanded.get(key, 0) + coeff * xc
+        poly = {key: coeff for key, coeff in expanded.items() if coeff}
+    table = monomial_table(g)
+    total = sum(
+        coeff * table.value(i, j, k)
+        for (i, j, k), coeff in poly.items()
+        if i + j + k == top
+    )
+    return Fraction(total) / scale
 
 
 class TestRationalRepresentation:
@@ -203,6 +241,30 @@ class TestTopIntersect:
                 for _ in range(g + 1)
             ]
             assert top_intersect(classes) == naive_top_intersect(classes)
+
+    @pytest.mark.parametrize("g", [2, 3, 5, 12, 50, 100])
+    def test_matches_dict_expansion(self, g):
+        # Zero coefficients, integer-only classes, denominators up to 10^6,
+        # and the pairing shape [x, y] + [theta2] * (g - 1).
+        rng = random.Random(4100 + g)
+
+        def coeff(max_den):
+            if rng.random() < 0.2:
+                return Fraction(0)
+            return Fraction(rng.randint(-99, 99), rng.randint(1, max_den))
+
+        def cls(max_den):
+            return NSClass(g, coeff(max_den), coeff(max_den), coeff(max_den))
+
+        cases = [
+            [cls(1) for _ in range(g + 1)],
+            [cls(10**6) for _ in range(g + 1)],
+            [cls(rng.choice((1, 9, 10**6))) for _ in range(g + 1)],
+            [cls(10**6), cls(1)] + [theta2(g)] * (g - 1),
+            [cls(9), cls(10**6)] + [theta2(g)] * (g - 1),
+        ]
+        for classes in cases:
+            assert top_intersect(classes) == dict_top_intersect(classes)
 
     @given(st.data(), st.integers(min_value=2, max_value=5))
     @settings(max_examples=60)
