@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
@@ -74,6 +75,14 @@ def _annotated(x: Fraction) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes only '-<digits>' and '-<decimal>' for negative
+        # numbers and any other leading '-' for an option, which would
+        # swallow '-1/2' and '-1,1,0'.  No option here starts with a digit,
+        # so every '-<digit>' token is a value.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse's default error handler prints usage plus the message; fold
     # everything into the single-line diagnostic channel instead.
     def error(self, message: str):  # noqa: D102
@@ -474,14 +483,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so ``main`` builds it on its first
+    # call and reuses it; not at import, which would tax every import.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command; return its exit status (0, or 2 after a diagnostic).
+
+    Output is exact at every genus: CPython's digit limit on int/str
+    conversion is lifted while the command runs, so input literals of any
+    length are accepted too, and the caller's limit is restored on return.
+    The limit is process-wide, so concurrent calls from several threads
+    would see each other's setting.
+    """
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.handler(args)
     except (CLIError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

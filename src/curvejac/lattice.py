@@ -22,7 +22,9 @@ concentrated in two monomials,
 and every other degree-(g+1) monomial vanishes; see ``MonomialTable``.
 ``top_intersect`` evaluates an arbitrary product of g+1 classes by a linear
 recurrence on the few expansion coefficients that can meet those two
-monomials, in O(g) integer operations.
+monomials, in O(g) integer operations.  A ``theta2`` factor maps that
+recurrence state to itself, so ``pair_theta_power`` runs it on its two
+classes alone, in O(1) integer operations.
 """
 
 from __future__ import annotations
@@ -71,8 +73,11 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Accepts ints, ``Fraction``s and strings like ``"3/4"``.  Floats are
     refused: a float's binary expansion is almost never the rational the
-    caller meant, and this module promises exactness.
+    caller meant, and this module promises exactness.  A plain ``Fraction``
+    is immutable and comes back as it is; a subclass is converted.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "inexact float rejected; pass an int, Fraction, or 'p/q' string"
@@ -241,7 +246,14 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
             f"top_intersect at genus {g} needs exactly {g + 1} classes, "
             f"got {len(classes)}"
         )
+    return _recurrence(g, classes)
 
+
+def _recurrence(g: int, classes: Sequence[NSClass]) -> Fraction:
+    """Run the ``top_intersect`` recurrence over ``classes`` at genus g.
+
+    No argument checks: the callers make them.
+    """
     # Clear each factor's denominators so the recurrence runs on plain ints;
     # multilinearity restores the combined scale at the end.
     scale = 1
@@ -264,14 +276,14 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
 
 
 def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
-    """The pairing X . Y . theta2^(g-1), through ``top_intersect``.
+    """The pairing X . Y . theta2^(g-1), by the ``top_intersect`` recurrence.
 
-    The g-1 theta2 factors go through the same recurrence as any other
-    class, so the pairing costs O(g) integer operations.
+    A theta2 factor (0, 1, 0) clears no denominator and maps every
+    recurrence coefficient to itself, so the g-1 of them are left out and
+    the recurrence runs on x and y alone: O(1) integer operations.
     """
     _check_same_genus(x, y)
-    g = x.genus
-    return top_intersect([x, y] + [theta2(g)] * (g - 1))
+    return _recurrence(x.genus, (x, y))
 
 
 def pair_theta_power_closed(x: NSClass, y: NSClass) -> Fraction:

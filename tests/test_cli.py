@@ -1,5 +1,6 @@
 """Command-line interface: parsing, rendering, formats, exit codes."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from hypothesis import given
 
 from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
-from curvejac.minima import ZhangAudit
+from curvejac.heights import standard_polarization
+from curvejac.minima import ZhangAudit, zhang_audit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,6 +175,17 @@ class TestClassify:
         assert code == 0
         assert out.startswith("outside")
 
+    def test_negative_rational_after_short_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "classify", "-g", "2", "-a", "1", "-b", "1", "-c", "-1/2"
+        )
+        assert (code, err) == (0, "")
+        assert out.strip() == "interior (ample and big), defect 1/2"
+        # The '--c=-1/2' form reads the same.
+        assert run_cli(
+            capsys, "classify", "-g", "2", "-a", "1", "-b", "1", "--c=-1/2"
+        ) == (code, out, err)
+
     def test_json_record(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "-g", "2", "-a", "2", "-b", "1", "-c", "1",
@@ -196,6 +209,20 @@ class TestValueCommands:
         assert code == 0
         assert out.strip() == "-12 (~-12.000000)"
 
+    def test_pair_negative_class_literal(self, capsys):
+        code, out, err = run_cli(capsys, "pair", "-g", "2", "-1,1,0", "1,1,1")
+        assert (code, err) == (0, "")
+        assert out.strip() == "0 (~0.000000)"
+        code, out, _ = run_cli(capsys, "pair", "-g", "2", "-1,1,0", "-1/2,1,1")
+        assert out.strip() == "-3 (~-3.000000)"
+
+    def test_negative_literals_after_separator(self, capsys):
+        code, out, err = run_cli(
+            capsys, "intersect", "-g", "2", "--", "-1,1,0", "1,1,1", "0,1,0"
+        )
+        assert (code, err) == (0, "")
+        assert out.strip() == "0 (~0.000000)"
+
     def test_intersect(self, capsys):
         code, out, _ = run_cli(capsys, "intersect", "-g", "2", "0,1,0", "0,1,0", "0,1,0")
         assert code == 0
@@ -213,6 +240,11 @@ class TestValueCommands:
         assert out.strip() == "(12,25,10)"
         code, out, _ = run_cli(capsys, "pullback", "-g", "2", "-m", "0", "-n", "1")
         assert out.strip() == "(0,1,0)"
+
+    def test_pullback_negative_rational(self, capsys):
+        code, out, err = run_cli(capsys, "pullback", "-g", "2", "-m", "-1/2", "-n", "1")
+        assert (code, err) == (0, "")
+        assert out.strip() == "(1/2,1,-1/2)"
 
     def test_pullback_rational_json(self, capsys):
         code, out, _ = run_cli(
@@ -273,6 +305,88 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+
+class TestRepeatedCalls:
+    def test_format_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "audit", "-g", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["e1"] == "16/3"
+        code, out, _ = run_cli(capsys, "audit", "-g", "3")
+        assert code == 0
+        assert out.splitlines()[1] == "e1 = 16/3 (~5.333333)"
+
+    def test_parse_error_leaves_next_call_unchanged(self, capsys):
+        argv = ["pair", "-g", "2", "1,1,1", "2,1,1", "--format", "json"]
+        cli._shared_parser.cache_clear()
+        fresh = run_cli(capsys, *argv)
+        assert run_cli(capsys, "pair", "-g", "2", "--bogus", "1,1,1")[0] == 2
+        assert run_cli(capsys, *argv) == fresh
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Run the block under the given int/str digit limit (0: none)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestLargeGenus:
+    """CLI output stays exact past CPython's default 4300-digit limit."""
+
+    def test_audit_json(self, capsys):
+        with digit_limit(4300):
+            code, out, err = run_cli(capsys, "audit", "-g", "2000", "--format", "json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        audit = zhang_audit(standard_polarization(2000))
+        with digit_limit(0):
+            assert len(record["e1"]) > 5000
+            assert record["e1"] == str(audit.e1)
+            assert record["e2"] == str(audit.e2)
+            assert record["h"] == str(audit.h_curve)
+            assert record["mean"] == str((audit.e1 + audit.e2) / 2)
+            assert record["margin"] == str(audit.violation_margin)
+            assert record["e1_dec"] == decimal_str(audit.e1)
+            assert record["h_dec"] == decimal_str(audit.h_curve)
+
+    def test_table_csv(self, capsys):
+        with digit_limit(4300):
+            code, out, err = run_cli(capsys, "table", "1998", "2000", "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1998", "1999", "2000"]
+        with digit_limit(0):
+            for row in rows:
+                audit = zhang_audit(standard_polarization(int(row[0])))
+                mean = (audit.e1 + audit.e2) / 2
+                assert row[1:] == [
+                    str(audit.e1), str(audit.e2), str(audit.h_curve), str(mean),
+                    str(audit.violation_margin), decimal_str(audit.e1),
+                    decimal_str(audit.h_curve),
+                ]
+
+    @pytest.mark.parametrize(
+        "argv", [["curve-height", "-g", "2000"], ["pair", "-g", "2", "1,1", "1,1,1"]]
+    )
+    def test_caller_limit_restored(self, capsys, argv):
+        with digit_limit(5000):
+            run_cli(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 5000
+
+    def test_long_input_literal(self, capsys):
+        big = "9" * 6000
+        with digit_limit(4300):
+            code, out, err = run_cli(capsys, "pair", "-g", "2", f"{big},0,0", "0,1,0")
+            # Outside main the interpreter's limit still holds.
+            with pytest.raises(ValueError):
+                parse_rational(big)
+        assert (code, err) == (0, "")
+        with digit_limit(0):
+            assert out.split()[0] == str(2 * int(big))
 
 
 def test_module_entry_point():

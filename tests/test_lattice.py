@@ -99,6 +99,17 @@ class TestRationalRepresentation:
         with pytest.raises(TypeError):
             as_fraction(0.5)
 
+    def test_fraction_passes_through(self):
+        x = Fraction(-7, 3)
+        assert as_fraction(x) is x
+
+    def test_fraction_subclass_becomes_plain_fraction(self):
+        class Tagged(Fraction):
+            pass
+
+        x = as_fraction(Tagged(3, 4))
+        assert type(x) is Fraction and x == Fraction(3, 4)
+
 
 class TestNSClass:
     def test_rejects_low_genus(self):
@@ -314,6 +325,23 @@ class TestPairing:
         x, y = draw_cls(), draw_cls()
         assert pair_theta_power(x, y) == pair_theta_power_closed(x, y)
         assert pair_theta_power(x, y) == pair_theta_power(y, x)
+
+    @pytest.mark.parametrize("g", [2, 3, 12, 100, 400])
+    def test_matches_full_theta_product(self, g):
+        # The pairing leaves out the g-1 theta2 factors; the full product
+        # through top_intersect is the reference.
+        rng = random.Random(7300 + g)
+
+        def coeff():
+            if rng.random() < 0.2:
+                return Fraction(0)
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 10**4))
+
+        for _ in range(10):
+            x = NSClass(g, coeff(), coeff(), coeff())
+            y = NSClass(g, coeff(), coeff(), coeff())
+            full = top_intersect([x, y] + [theta2(g)] * (g - 1))
+            assert pair_theta_power(x, y) == full
 
     def test_genus_mismatch_rejected(self):
         with pytest.raises(ValueError):
