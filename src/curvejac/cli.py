@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
@@ -483,13 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _shared_parser() -> argparse.ArgumentParser:
-    # Parsing leaves the parser unchanged, so ``main`` builds it on its first
-    # call and reuses it; not at import, which would tax every import.
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status (0, or 2 after a diagnostic).
 
@@ -499,10 +491,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     The limit is process-wide, so concurrent calls from several threads
     would see each other's setting.
     """
+    parser = build_parser()
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _shared_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         return args.handler(args)
     except (CLIError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

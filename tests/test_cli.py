@@ -317,7 +317,6 @@ class TestRepeatedCalls:
 
     def test_parse_error_leaves_next_call_unchanged(self, capsys):
         argv = ["pair", "-g", "2", "1,1,1", "2,1,1", "--format", "json"]
-        cli._shared_parser.cache_clear()
         fresh = run_cli(capsys, *argv)
         assert run_cli(capsys, "pair", "-g", "2", "--bogus", "1,1,1")[0] == 2
         assert run_cli(capsys, *argv) == fresh
