@@ -1,6 +1,7 @@
 """Command-line interface: parsing, rendering, formats, exit codes."""
 
 import contextlib
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import given
 from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
-from curvejac.minima import ZhangAudit, zhang_audit
+from curvejac.minima import ZhangAudit, cone_minimum, zhang_audit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -396,3 +397,83 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "2 (~2.000000)"
+
+
+def unattained_minimum(L):
+    """cone_minimum with the witness dropped: the branch no real class reaches."""
+    return dataclasses.replace(cone_minimum(L), attained_by_witness=False, witness=None)
+
+
+def unattained_audit(L):
+    """zhang_audit with the flags flipped, to reach the other audit lines."""
+    return dataclasses.replace(
+        zhang_audit(L),
+        first_inequality_holds=False,
+        second_inequality_holds=True,
+        minima_attained=False,
+    )
+
+
+# Golden stdout: name -> (argv, patches of cli globals).  Each runs in text
+# and JSON; golden/cli/<name>.txt and <name>.json hold the bytes.  Together
+# they reach every text branch of every command.
+GOLDEN_RUNS = {
+    "classify_interior": (["classify", "-g", "2", "-a", "3", "-b", "1", "-c", "1"], {}),
+    "classify_boundary": (["classify", "-g", "2", "-a", "2", "-b", "1", "-c", "1"], {}),
+    "classify_apex": (["classify", "-g", "2", "-a", "0", "-b", "0", "-c", "0"], {}),
+    "classify_outside": (["classify", "-g", "2", "-a", "1", "-b", "1", "-c", "1"], {}),
+    "pair": (["pair", "-g", "3", "1/2,1,-1", "2,1,1"], {}),
+    "intersect": (["intersect", "-g", "2", "2,1,1", "2,1,1", "0,1,0"], {}),
+    "pullback": (["pullback", "-g", "3", "-m", "2", "-n", "-5/3"], {}),
+    "decompose": (["decompose", "-g", "2", "-a", "3", "-b", "1", "-c", "1"], {}),
+    "decompose_degenerate": (["decompose", "-g", "2", "-a", "5", "-b", "0", "-c", "0"], {}),
+    "height": (["height", "-g", "2", "-L", "8,1,2", "32,1,4"], {}),
+    "curve_height": (["curve-height", "-g", "5"], {}),
+    "minima": (["minima", "-g", "2", "-L", "8,1,2"], {}),
+    "minima_no_witness": (["minima", "-g", "3"], {"cone_minimum": unattained_minimum}),
+    "witness": (["witness", "-g", "3", "-n", "2"], {}),
+    "audit": (["audit", "-g", "4"], {}),
+    "audit_bundle": (["audit", "-g", "2", "-L", "1,1,0"], {}),
+    "audit_flags": (["audit", "-g", "3"], {"zhang_audit": unattained_audit}),
+    "table_2_6": (["table", "2", "6"], {}),
+}
+
+# Golden diagnostics: name -> argv, exiting 2 with golden/cli/<name>.stderr
+# on stderr and nothing on stdout.  The first eight are TestErrorPaths'; its
+# unknown command is left out, as argparse words that message differently
+# across patch releases (3.13.13 drops the quotes around the choices).
+GOLDEN_ERRORS = {
+    "error_genus_one": ["classify", "-g", "1", "-a", "1", "-b", "0", "-c", "0"],
+    "error_short_class": ["pair", "-g", "2", "1,1", "2,1,1"],
+    "error_zero_denominator": ["pair", "-g", "2", "1,1,1/0", "2,1,1"],
+    "error_point_not_positive": ["height", "-g", "2", "0,1,0"],
+    "error_minima_not_nef": ["minima", "-g", "2", "-L", "1,1,1"],
+    "error_witness_index": ["witness", "-g", "2", "-n", "0"],
+    "error_curve_height_degree": ["curve-height", "-g", "2", "-L", "0,1,0"],
+    "error_audit_csv": ["audit", "-g", "2", "--format", "csv"],
+    "error_short_class_csv": ["pair", "-g", "2", "1,1", "2,1,1", "--format", "csv"],
+    "error_table_reversed": ["table", "5", "3"],
+    "error_table_genus_one": ["table", "1", "4"],
+}
+
+GOLDEN_CASES = {
+    **{
+        f"{name}.{ext}": (argv + flags, patches)
+        for name, (argv, patches) in GOLDEN_RUNS.items()
+        for ext, flags in (("txt", []), ("json", ["--format", "json"]))
+    },
+    **{f"{name}.stderr": (argv, {}) for name, argv in GOLDEN_ERRORS.items()},
+}
+
+
+@pytest.mark.parametrize("filename", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, monkeypatch, filename):
+    argv, patches = GOLDEN_CASES[filename]
+    for attr, fake in patches.items():
+        monkeypatch.setattr(cli, attr, fake)
+    result = run_cli(capsys, *argv)
+    expected = (GOLDEN / "cli" / filename).read_text()
+    if filename.endswith(".stderr"):
+        assert result == (2, "", expected)
+    else:
+        assert result == (0, expected, "")
