@@ -1,10 +1,12 @@
 """Command-line surface for the exact lattice calculator.
 
 Subcommands mirror the library: classify, pair, intersect, pullback,
-decompose, height, curve-height, minima, witness, audit, table.  Every
-rational is printed exactly as "p/q" (plain integer when q = 1); decimal
-columns are display-only annotations rounded half-even at six places.
-Identical invocations produce byte-identical output.
+decompose, height, curve-height, minima, witness, audit, table.  Each is one
+compute function in ``_COMMANDS`` that turns parsed arguments into a record
+(the JSON output) and its text lines; ``main`` is the one place that picks
+the format and prints.  Every rational is printed exactly as "p/q" (plain
+integer when q = 1); decimal columns are display-only annotations rounded
+half-even at six places.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ def decimal_str(x: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def _annotated(x: Fraction) -> str:
-    return f"{fmt_rat(x)} (~{decimal_str(x)})"
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -88,17 +86,6 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-def _emit(args: argparse.Namespace, record: dict, text_lines: list[str]) -> int:
-    if args.format == "csv":
-        raise CLIError("csv output is only available for the 'table' command")
-    if args.format == "json":
-        print(json.dumps(record))
-    else:
-        for line in text_lines:
-            print(line)
-    return 0
-
-
 def _bundle_from(args: argparse.Namespace) -> NSClass:
     if args.bundle is None:
         return standard_polarization(args.genus)
@@ -106,15 +93,39 @@ def _bundle_from(args: argparse.Namespace) -> NSClass:
 
 
 def _class_from_coeffs(args: argparse.Namespace) -> NSClass:
-    return NSClass(
-        args.genus,
-        parse_rational(args.a),
-        parse_rational(args.b),
-        parse_rational(args.c),
-    )
+    return NSClass(args.genus, *map(parse_rational, (args.a, args.b, args.c)))
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_GENUS = _arg("-g", "--genus", type=int, required=True, help="curve genus (>= 2)")
+_COEFFS = [
+    _arg(f"-{x}", f"--{x}", dest=x, required=True, metavar="RAT",
+         help=f"{role} coefficient")
+    for x, role in (("a", "alpha1"), ("b", "theta2"), ("c", "universal-class"))
+]
+_BUNDLE = _arg("-L", "--bundle", metavar="CLASS", default=None,
+               help="polarizing class 'a,b,c' (default: standard polarization)")
+_FORMAT = _arg("--format", choices=("text", "csv", "json"), default="text",
+               help="output format (csv is table-only)")
+
+# name -> (help, compute, arguments before --format), filled in --help order
+# by ``_command``.  Each compute maps parsed arguments to (record, text lines).
+_COMMANDS: dict = {}
+
+
+def _command(name: str, help_text: str, *arguments: tuple):
+    def register(compute):
+        _COMMANDS[name] = (help_text, compute, arguments)
+        return compute
+
+    return register
+
+
+@_command("classify", "locate a class in the positivity cones", _GENUS, *_COEFFS)
+def _classify(args: argparse.Namespace) -> tuple:
     cls = _class_from_coeffs(args)
     verdict = classify(cls)
     record = {
@@ -136,52 +147,50 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         )
     else:
         line = f"outside (defect {record['defect']})"
-    return _emit(args, record, [line])
+    return record, [line]
 
 
-def _cmd_pair(args: argparse.Namespace) -> int:
-    x = parse_class(args.x, args.genus)
-    y = parse_class(args.y, args.genus)
-    value = pair_theta_power(x, y)
-    record = {
-        "genus": args.genus,
-        "x": str(x),
-        "y": str(y),
-        "value": fmt_rat(value),
-        "decimal": decimal_str(value),
-    }
-    return _emit(args, record, [_annotated(value)])
+def _value(genus: int, value: Fraction, **inputs) -> tuple:
+    """Record and line of a command whose result is one rational."""
+    record = {"genus": genus, **inputs}
+    record.update(value=fmt_rat(value), decimal=decimal_str(value))
+    return record, ["{value} (~{decimal})".format_map(record)]
 
 
-def _cmd_intersect(args: argparse.Namespace) -> int:
+@_command("pair", "pair two classes against theta powers", _GENUS,
+          _arg("x", metavar="CLASS", help="first class 'a,b,c'"),
+          _arg("y", metavar="CLASS", help="second class 'a,b,c'"))
+def _pair(args: argparse.Namespace) -> tuple:
+    x, y = parse_class(args.x, args.genus), parse_class(args.y, args.genus)
+    return _value(args.genus, pair_theta_power(x, y), x=str(x), y=str(y))
+
+
+@_command("intersect", "top intersection of g+1 classes", _GENUS,
+          _arg("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'"))
+def _intersect(args: argparse.Namespace) -> tuple:
     classes = [parse_class(text, args.genus) for text in args.classes]
     value = top_intersect(classes)
-    record = {
-        "genus": args.genus,
-        "classes": [str(cls) for cls in classes],
-        "value": fmt_rat(value),
-        "decimal": decimal_str(value),
-    }
-    return _emit(args, record, [_annotated(value)])
+    return _value(args.genus, value, classes=[str(cls) for cls in classes])
 
 
-def _cmd_pullback(args: argparse.Namespace) -> int:
-    m = parse_rational(args.m)
-    n = parse_rational(args.n)
+@_command("pullback", "theta pullback class for rational (m, n)", _GENUS,
+          _arg("-m", "--m", dest="m", required=True, metavar="RAT"),
+          _arg("-n", "--n", dest="n", required=True, metavar="RAT"))
+def _pullback(args: argparse.Namespace) -> tuple:
+    m, n = parse_rational(args.m), parse_rational(args.n)
     cls = pullback_theta(args.genus, m, n)
     record = {
         "genus": args.genus,
         "m": fmt_rat(m),
         "n": fmt_rat(n),
         "class": str(cls),
-        "a": fmt_rat(cls.a),
-        "b": fmt_rat(cls.b),
-        "c": fmt_rat(cls.c),
+        **{key: fmt_rat(x) for key, x in zip("abc", cls.coefficients)},
     }
-    return _emit(args, record, [str(cls)])
+    return record, [record["class"]]
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+@_command("decompose", "split a nef class off the boundary wall", _GENUS, *_COEFFS)
+def _decompose(args: argparse.Namespace) -> tuple:
     cls = _class_from_coeffs(args)
     part = nef_decomposition(cls)
     record = {
@@ -191,20 +200,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "alpha_excess": fmt_rat(part.alpha_excess),
         "degenerate": part.degenerate,
     }
-    if part.degenerate:
-        line = (
-            f"degenerate (b = 0): boundary part {part.boundary_part}, "
-            f"alpha1 excess {fmt_rat(part.alpha_excess)}"
-        )
-    else:
-        line = (
-            f"boundary part {part.boundary_part}, "
-            f"alpha1 excess {fmt_rat(part.alpha_excess)}"
-        )
-    return _emit(args, record, [line])
+    prefix = "degenerate (b = 0): " if part.degenerate else ""
+    line = "boundary part {boundary_part}, alpha1 excess {alpha_excess}"
+    return record, [prefix + line.format_map(record)]
 
 
-def _cmd_height(args: argparse.Namespace) -> int:
+@_command("height", "height of a point class against a bundle", _GENUS, _BUNDLE,
+          _arg("point", metavar="CLASS", help="point class 'a,b,c'"))
+def _height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     point = parse_class(args.point, args.genus)
     report = height_point(L, point)
@@ -216,11 +219,12 @@ def _cmd_height(args: argparse.Namespace) -> int:
         "height_dec": decimal_str(report.height),
         "degree": fmt_rat(report.degree),
     }
-    line = f"height {_annotated(report.height)}, degree {fmt_rat(report.degree)}"
-    return _emit(args, record, [line])
+    line = "height {height} (~{height_dec}), degree {degree}".format_map(record)
+    return record, [line]
 
 
-def _cmd_curve_height(args: argparse.Namespace) -> int:
+@_command("curve-height", "self-height of the total space", _GENUS, _BUNDLE)
+def _curve_height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     value = height_curve(L)
     record = {
@@ -229,10 +233,11 @@ def _cmd_curve_height(args: argparse.Namespace) -> int:
         "height": fmt_rat(value),
         "height_dec": decimal_str(value),
     }
-    return _emit(args, record, [f"curve height {_annotated(value)}"])
+    return record, ["curve height {height} (~{height_dec})".format_map(record)]
 
 
-def _cmd_minima(args: argparse.Namespace) -> int:
+@_command("minima", "closed-form cone minimum and minimizer", _GENUS, _BUNDLE)
+def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     report = cone_minimum(L)
     record = {
@@ -246,23 +251,25 @@ def _cmd_minima(args: argparse.Namespace) -> int:
         "witness": None if report.witness is None else str(report.witness.cls),
     }
     lines = [
-        f"infimum {_annotated(report.infimum)}",
-        f"t_star {fmt_rat(report.t_star)}, s_star {fmt_rat(report.s_star)}",
+        f"infimum {record['infimum']} (~{record['infimum_dec']})",
+        f"t_star {record['t_star']}, s_star {record['s_star']}",
     ]
     if report.witness is not None:
         lines.append(
-            f"attained by witness {report.witness.cls}, "
+            f"attained by witness {record['witness']}, "
             f"degree {fmt_rat(report.witness.degree)}"
         )
     else:
         lines.append("no attaining witness constructed (value is a lower bound)")
-    return _emit(args, record, lines)
+    return record, lines
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+@_command("witness", "n-th attaining point class for the minimum", _GENUS,
+          _arg("-n", "--index", dest="index", type=int, required=True,
+               help="witness index (>= 1)"))
+def _witness(args: argparse.Namespace) -> tuple:
     point = witness_sequence(args.genus, args.index)
-    L = standard_polarization(args.genus)
-    report = height_point(L, point)
+    report = height_point(standard_polarization(args.genus), point)
     record = {
         "genus": args.genus,
         "n": args.index,
@@ -270,22 +277,17 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         "degree": fmt_rat(report.degree),
         "height": fmt_rat(report.height),
     }
-    line = (
-        f"{point.cls}, degree {fmt_rat(report.degree)}, "
-        f"height {fmt_rat(report.height)}"
-    )
-    return _emit(args, record, [line])
+    return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
 
 def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> dict:
-    mean = (audit.e1 + audit.e2) / 2
     return {
         "genus": genus,
         "bundle": str(L),
         "e1": fmt_rat(audit.e1),
         "e2": fmt_rat(audit.e2),
         "h": fmt_rat(audit.h_curve),
-        "mean": fmt_rat(mean),
+        "mean": fmt_rat((audit.e1 + audit.e2) / 2),
         "margin": fmt_rat(audit.violation_margin),
         "e1_dec": decimal_str(audit.e1),
         "h_dec": decimal_str(audit.h_curve),
@@ -295,109 +297,59 @@ def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> dict:
     }
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+@_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
+def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     audit = zhang_audit(L)
     record = _audit_record(args.genus, L, audit)
-    lines = [
-        f"class {record['bundle']}, genus {record['genus']}",
-        f"e1 = {record['e1']} (~{record['e1_dec']})",
-        f"e2 = {record['e2']} (~{decimal_str(audit.e2)})",
-        f"curve height = {record['h']} (~{record['h_dec']})",
-        f"mean of minima = {record['mean']}",
-    ]
-    if record["first_inequality_holds"]:
-        lines.append("first inequality holds (e1 >= curve height)")
-    else:
-        lines.append("first inequality VIOLATED")
-    if record["second_inequality_holds"]:
-        lines.append(f"second inequality holds (margin {record['margin']})")
-    else:
-        lines.append(f"second inequality VIOLATED by {record['margin']}")
-    if not record["minima_attained"]:
-        lines.append("note: e1/e2 are lower bounds (no attaining witness)")
-    return _emit(args, record, lines)
 
+    # Lazy: only the text shows e2's decimal, so JSON output skips rendering it.
+    def lines():
+        yield f"class {record['bundle']}, genus {record['genus']}"
+        yield f"e1 = {record['e1']} (~{record['e1_dec']})"
+        yield f"e2 = {record['e2']} (~{decimal_str(audit.e2)})"
+        yield f"curve height = {record['h']} (~{record['h_dec']})"
+        yield f"mean of minima = {record['mean']}"
+        if record["first_inequality_holds"]:
+            yield "first inequality holds (e1 >= curve height)"
+        else:
+            yield "first inequality VIOLATED"
+        if record["second_inequality_holds"]:
+            yield f"second inequality holds (margin {record['margin']})"
+        else:
+            yield f"second inequality VIOLATED by {record['margin']}"
+        if not record["minima_attained"]:
+            yield "note: e1/e2 are lower bounds (no attaining witness)"
 
-def _table_rows(g_min: int, g_max: int) -> list[dict]:
-    rows = []
-    for g in range(g_min, g_max + 1):
-        L = standard_polarization(g)
-        record = _audit_record(g, L, zhang_audit(L))
-        rows.append(
-            {
-                "g": g,
-                "e1": record["e1"],
-                "e2": record["e2"],
-                "h": record["h"],
-                "mean": record["mean"],
-                "margin": record["margin"],
-                "e1_dec": record["e1_dec"],
-                "h_dec": record["h_dec"],
-            }
-        )
-    return rows
+    return record, lines()
 
 
 _TABLE_COLUMNS = ["g", "e1", "e2", "h", "mean", "margin", "e1_dec", "h_dec"]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+@_command("table", "audit table over a genus range",
+          _arg("g_min", nargs="?", type=int, default=DEFAULT_TABLE_RANGE[0]),
+          _arg("g_max", nargs="?", type=int, default=DEFAULT_TABLE_RANGE[1]))
+def _table(args: argparse.Namespace) -> tuple:
     g_min, g_max = args.g_min, args.g_max
     if g_min < 2:
         raise CLIError(f"table range must start at genus >= 2, got {g_min}")
     if g_min > g_max:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
-    # Build every row before printing anything: a failure mid-range must not
-    # leave a partial table on stdout.
-    rows = _table_rows(g_min, g_max)
-    if args.format == "json":
-        print(json.dumps(rows))
-        return 0
+    rows = []
+    for g in range(g_min, g_max + 1):
+        L = standard_polarization(g)
+        record = _audit_record(g, L, zhang_audit(L))
+        rows.append({"g": g, **{col: record[col] for col in _TABLE_COLUMNS[1:]}})
+    cells = [_TABLE_COLUMNS]
+    cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)
     if args.format == "csv":
-        print(",".join(_TABLE_COLUMNS))
-        for row in rows:
-            print(",".join(str(row[col]) for col in _TABLE_COLUMNS))
-        return 0
-    widths = {
-        col: max(len(col), *(len(str(row[col])) for row in rows))
-        for col in _TABLE_COLUMNS
-    }
-    print("  ".join(col.rjust(widths[col]) for col in _TABLE_COLUMNS))
-    for row in rows:
-        print("  ".join(str(row[col]).rjust(widths[col]) for col in _TABLE_COLUMNS))
-    return 0
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "csv", "json"),
-        default="text",
-        help="output format (csv is table-only)",
-    )
-
-
-def _add_genus(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "-g", "--genus", type=int, required=True, help="curve genus (>= 2)"
-    )
-
-
-def _add_coeffs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-a", "--a", dest="a", required=True, metavar="RAT",
-                        help="alpha1 coefficient")
-    parser.add_argument("-b", "--b", dest="b", required=True, metavar="RAT",
-                        help="theta2 coefficient")
-    parser.add_argument("-c", "--c", dest="c", required=True, metavar="RAT",
-                        help="universal-class coefficient")
-
-
-def _add_bundle(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "-L", "--bundle", metavar="CLASS", default=None,
-        help="polarizing class 'a,b,c' (default: standard polarization)",
-    )
+        return rows, [",".join(line) for line in cells]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return rows, [
+        "  ".join(cell.rjust(width) for cell, width in zip(line, widths))
+        for line in cells
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,95 +360,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="command", parser_class=_Parser
     )
-
-    p = sub.add_parser("classify", help="locate a class in the positivity cones")
-    _add_genus(p)
-    _add_coeffs(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("pair", help="pair two classes against theta powers")
-    _add_genus(p)
-    p.add_argument("x", metavar="CLASS", help="first class 'a,b,c'")
-    p.add_argument("y", metavar="CLASS", help="second class 'a,b,c'")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_pair)
-
-    p = sub.add_parser("intersect", help="top intersection of g+1 classes")
-    _add_genus(p)
-    p.add_argument("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_intersect)
-
-    p = sub.add_parser("pullback", help="theta pullback class for rational (m, n)")
-    _add_genus(p)
-    p.add_argument("-m", "--m", dest="m", required=True, metavar="RAT")
-    p.add_argument("-n", "--n", dest="n", required=True, metavar="RAT")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_pullback)
-
-    p = sub.add_parser("decompose", help="split a nef class off the boundary wall")
-    _add_genus(p)
-    _add_coeffs(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("height", help="height of a point class against a bundle")
-    _add_genus(p)
-    _add_bundle(p)
-    p.add_argument("point", metavar="CLASS", help="point class 'a,b,c'")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_height)
-
-    p = sub.add_parser("curve-height", help="self-height of the total space")
-    _add_genus(p)
-    _add_bundle(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_curve_height)
-
-    p = sub.add_parser("minima", help="closed-form cone minimum and minimizer")
-    _add_genus(p)
-    _add_bundle(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_minima)
-
-    p = sub.add_parser("witness", help="n-th attaining point class for the minimum")
-    _add_genus(p)
-    p.add_argument("-n", "--index", dest="index", type=int, required=True,
-                   help="witness index (>= 1)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("audit", help="evaluate both successive-minima inequalities")
-    _add_genus(p)
-    _add_bundle(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_audit)
-
-    p = sub.add_parser("table", help="audit table over a genus range")
-    p.add_argument("g_min", nargs="?", type=int, default=DEFAULT_TABLE_RANGE[0])
-    p.add_argument("g_max", nargs="?", type=int, default=DEFAULT_TABLE_RANGE[1])
-    _add_format(p)
-    p.set_defaults(handler=_cmd_table)
-
+    for name, (help_text, compute, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in [*arguments, _FORMAT]:
+            command.add_argument(*flags, **options)
+        command.set_defaults(compute=compute)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status (0, or 2 after a diagnostic).
 
-    Output is exact at every genus: CPython's digit limit on int/str
-    conversion is lifted while the command runs, so input literals of any
-    length are accepted too, and the caller's limit is restored on return.
-    The limit is process-wide, so concurrent calls from several threads
-    would see each other's setting.
+    Every result is computed before anything is printed, so an error never
+    leaves partial output.  Output is exact at every genus: CPython's digit
+    limit on int/str conversion is lifted while the command runs, so input
+    literals of any length are accepted too, and the caller's limit is
+    restored on return.  The limit is process-wide, so concurrent calls from
+    several threads would see each other's setting.
     """
     parser = build_parser()
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        if args.format == "csv" and args.command != "table":
+            raise CLIError("csv output is only available for the 'table' command")
+        record, lines = args.compute(args)
+        print(json.dumps(record) if args.format == "json" else "\n".join(lines))
+        return 0
     except (CLIError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
@@ -306,6 +307,69 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    def test_csv_rejected_before_computing(self, capsys, monkeypatch):
+        def no_audit(L):
+            raise AssertionError("audit computed before the format was checked")
+
+        monkeypatch.setattr(cli, "zhang_audit", no_audit)
+        code, out, err = run_cli(capsys, "audit", "-g", "2", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == "error: csv output is only available for the 'table' command\n"
+
+
+# A valid command line per command; the fuzz test edits them at random.
+FUZZ_BASE = {
+    "classify": ["-g", "2", "-a", "1", "-b", "1", "-c", "-1/2"],
+    "pair": ["-g", "2", "1,1,1", "-1,1,0"],
+    "intersect": ["-g", "2", "1,1,1", "2,1,1", "0,1,0"],
+    "pullback": ["-g", "3", "-m", "2", "-n", "-5/3"],
+    "decompose": ["-g", "2", "-a", "3", "-b", "1", "-c", "1"],
+    "height": ["-g", "2", "-L", "8,1,2", "32,1,4"],
+    "curve-height": ["-g", "5"],
+    "minima": ["-g", "2", "-L", "8,1,2"],
+    "witness": ["-g", "3", "-n", "2"],
+    "audit": ["-g", "4"],
+    "table": ["2", "6"],
+}
+# Genus and table bounds stay at or below 30 so every run is quick.
+FUZZ_TOKENS = st.sampled_from([
+    *FUZZ_BASE, "nonsense", "-g", "--genus", "-a", "-b", "-c", "--c=-1/2", "-m",
+    "-n", "--index", "-L", "--bundle", "--format", "--format=json", "text", "json",
+    "csv", "--", "-h", "-x", "0", "1", "2", "3", "12", "30", "-1", "-2", "1/2",
+    "-1/2", "1/0", "1.5", "a", "", "0,0,0", "1,1,1", "2,1,1", "8,1,2", "-1,1,0",
+    "0,1,0", "1,1", "1,1,1,1", "1/0,1,1", "1,-1/2,1",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_argv_one_outcome(data):
+    """Any command line exits 0 with stdout only, or nonzero with one line,
+    starting 'error:', on stderr and nothing on stdout."""
+    command = data.draw(st.sampled_from(sorted(FUZZ_BASE)))
+    argv = [command, *FUZZ_BASE[command]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(argv) - 1))
+        edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "delete":
+            del argv[i]
+        else:
+            argv[i:i + (edit == "replace")] = [data.draw(FUZZ_TOKENS)]
+        if not argv:
+            break
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse's -h prints help and exits 0
+            code = exit.code
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 2 and not out.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestRepeatedCalls:
