@@ -302,26 +302,24 @@ def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     audit = zhang_audit(L)
     record = _audit_record(args.genus, L, audit)
-
-    # Lazy: only the text shows e2's decimal, so JSON output skips rendering it.
-    def lines():
-        yield f"class {record['bundle']}, genus {record['genus']}"
-        yield f"e1 = {record['e1']} (~{record['e1_dec']})"
-        yield f"e2 = {record['e2']} (~{decimal_str(audit.e2)})"
-        yield f"curve height = {record['h']} (~{record['h_dec']})"
-        yield f"mean of minima = {record['mean']}"
-        if record["first_inequality_holds"]:
-            yield "first inequality holds (e1 >= curve height)"
-        else:
-            yield "first inequality VIOLATED"
-        if record["second_inequality_holds"]:
-            yield f"second inequality holds (margin {record['margin']})"
-        else:
-            yield f"second inequality VIOLATED by {record['margin']}"
-        if not record["minima_attained"]:
-            yield "note: e1/e2 are lower bounds (no attaining witness)"
-
-    return record, lines()
+    lines = [
+        f"class {record['bundle']}, genus {record['genus']}",
+        f"e1 = {record['e1']} (~{record['e1_dec']})",
+        f"e2 = {record['e2']} (~{decimal_str(audit.e2)})",
+        f"curve height = {record['h']} (~{record['h_dec']})",
+        f"mean of minima = {record['mean']}",
+    ]
+    if record["first_inequality_holds"]:
+        lines.append("first inequality holds (e1 >= curve height)")
+    else:
+        lines.append("first inequality VIOLATED")
+    if record["second_inequality_holds"]:
+        lines.append(f"second inequality holds (margin {record['margin']})")
+    else:
+        lines.append(f"second inequality VIOLATED by {record['margin']}")
+    if not record["minima_attained"]:
+        lines.append("note: e1/e2 are lower bounds (no attaining witness)")
+    return record, lines
 
 
 _TABLE_COLUMNS = ["g", "e1", "e2", "h", "mean", "margin", "e1_dec", "h_dec"]
