@@ -4,9 +4,12 @@ Subcommands mirror the library: classify, pair, intersect, pullback,
 decompose, height, curve-height, minima, witness, audit, table.  Each is one
 compute function in ``_COMMANDS`` that turns parsed arguments into a record
 (the JSON output) and its text lines; ``main`` is the one place that picks
-the format and prints.  Every rational is printed exactly as "p/q" (plain
-integer when q = 1); decimal columns are display-only annotations rounded
-half-even at six places.  Identical invocations produce byte-identical output.
+the format and prints.  ``build_parser`` registers every subcommand, but a
+subcommand's arguments are added only when that subcommand is parsed, so a
+caller that introspects a fresh parser sees them empty until then.  Every
+rational is printed exactly as "p/q" (plain integer when q = 1); decimal
+columns are display-only annotations rounded half-even at six places.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -72,13 +75,24 @@ def decimal_str(x: Fraction, places: int = 6) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, arguments: Sequence[tuple] = (), **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._pending = arguments
         # argparse takes only '-<digits>' and '-<decimal>' for negative
         # numbers and any other leading '-' for an option, which would
         # swallow '-1/2' and '-1,1,0'.  No option here starts with a digit,
         # so every '-<digit>' token is a value.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    # On Python 3.10-3.13 argparse hands the selected subcommand its command
+    # line through this public method: _SubParsersAction.__call__ calls
+    # parse_known_args(arg_strings, None) on the chosen subparser.  Its
+    # argument specs are added there, once, so a call builds only them.
+    def parse_known_args(self, args=None, namespace=None):  # noqa: D102
+        pending, self._pending = self._pending, ()
+        for flags, options in pending:
+            self.add_argument(*flags, **options)
+        return super().parse_known_args(args, namespace)
 
     # argparse's default error handler prints usage plus the message; fold
     # everything into the single-line diagnostic channel instead.
@@ -280,32 +294,53 @@ def _witness(args: argparse.Namespace) -> tuple:
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
 
-def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> dict:
-    return {
+def _once(render):
+    """``render`` that formats each distinct value once for as long as the
+    returned function lives."""
+    seen: dict = {}
+
+    def cached(x: Fraction) -> str:
+        if x not in seen:
+            seen[x] = render(x)
+        return seen[x]
+
+    return cached
+
+
+def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> tuple:
+    """Record of one audit, and e2's decimal, which only the text shows.
+
+    Equal values are rendered once: e1, e2 and their mean are equal in every
+    audit the CLI can produce, and each is a ~4000-digit rational at genus
+    1500.  Equality is tested, not assumed.
+    """
+    exact, decimal = _once(fmt_rat), _once(decimal_str)
+    record = {
         "genus": genus,
         "bundle": str(L),
-        "e1": fmt_rat(audit.e1),
-        "e2": fmt_rat(audit.e2),
-        "h": fmt_rat(audit.h_curve),
-        "mean": fmt_rat((audit.e1 + audit.e2) / 2),
-        "margin": fmt_rat(audit.violation_margin),
-        "e1_dec": decimal_str(audit.e1),
-        "h_dec": decimal_str(audit.h_curve),
+        "e1": exact(audit.e1),
+        "e2": exact(audit.e2),
+        "h": exact(audit.h_curve),
+        "mean": exact((audit.e1 + audit.e2) / 2),
+        "margin": exact(audit.violation_margin),
+        "e1_dec": decimal(audit.e1),
+        "h_dec": decimal(audit.h_curve),
         "first_inequality_holds": audit.first_inequality_holds,
         "second_inequality_holds": audit.second_inequality_holds,
         "minima_attained": audit.minima_attained,
     }
+    return record, decimal(audit.e2)
 
 
 @_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
 def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     audit = zhang_audit(L)
-    record = _audit_record(args.genus, L, audit)
+    record, e2_dec = _audit_record(args.genus, L, audit)
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",
         f"e1 = {record['e1']} (~{record['e1_dec']})",
-        f"e2 = {record['e2']} (~{decimal_str(audit.e2)})",
+        f"e2 = {record['e2']} (~{e2_dec})",
         f"curve height = {record['h']} (~{record['h_dec']})",
         f"mean of minima = {record['mean']}",
     ]
@@ -337,7 +372,7 @@ def _table(args: argparse.Namespace) -> tuple:
     rows = []
     for g in range(g_min, g_max + 1):
         L = standard_polarization(g)
-        record = _audit_record(g, L, zhang_audit(L))
+        record, _ = _audit_record(g, L, zhang_audit(L))
         rows.append({"g": g, **{col: record[col] for col in _TABLE_COLUMNS[1:]}})
     cells = [_TABLE_COLUMNS]
     cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)
@@ -351,6 +386,12 @@ def _table(args: argparse.Namespace) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser with every subcommand registered (name, help and compute).
+
+    A subcommand's arguments are added when that subcommand is parsed, so an
+    introspecting caller sees them empty until then; help and diagnostics
+    are those of a parser built with all of them.
+    """
     parser = _Parser(
         prog="curvejac",
         description="Exact Neron-Severi calculator for a curve times its Jacobian.",
@@ -359,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, metavar="command", parser_class=_Parser
     )
     for name, (help_text, compute, arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flags, options in [*arguments, _FORMAT]:
-            command.add_argument(*flags, **options)
+        command = sub.add_parser(name, help=help_text, arguments=[*arguments, _FORMAT])
         command.set_defaults(compute=compute)
     return parser
 

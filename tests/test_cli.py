@@ -155,6 +155,22 @@ class TestAudit:
         assert lines[1] == "e1 = 3/2 (~1.500000)"
         assert lines[2] == "e2 = 7/4 (~1.750000)"
 
+    @pytest.mark.parametrize(
+        "argv,records", [(["audit", "-g", "5"], 1), (["table", "5", "6"], 2)]
+    )
+    def test_equal_values_rendered_once(self, capsys, monkeypatch, argv, records):
+        rendered = []
+        for name in ("fmt_rat", "decimal_str"):
+            def render(x, original=getattr(cli, name), name=name):
+                rendered.append((name, x))
+                return original(x)
+
+            monkeypatch.setattr(cli, name, render)
+        assert run_cli(capsys, *argv)[0] == 0
+        per_record = 3 + 2  # e1 = e2 = mean, h, margin; decimals of e1 = e2, h
+        assert len(rendered) == per_record * records
+        assert len(set(rendered)) == len(rendered)
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -385,6 +401,72 @@ class TestRepeatedCalls:
         fresh = run_cli(capsys, *argv)
         assert run_cli(capsys, "pair", "-g", "2", "--bogus", "1,1,1")[0] == 2
         assert run_cli(capsys, *argv) == fresh
+
+
+def eager_parser():
+    """The CLI parser with every subcommand's arguments added up front."""
+    lazy = cli.build_parser()
+    parser = cli._Parser(prog=lazy.prog, description=lazy.description)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="command", parser_class=cli._Parser
+    )
+    for name, (help_text, compute, arguments) in cli._COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in [*arguments, cli._FORMAT]:
+            command.add_argument(*flags, **options)
+        command.set_defaults(compute=compute)
+    return parser
+
+
+def eager_outcome(argv):
+    """(stdout, stderr) of the eager parser on argv, as main reports them."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            eager_parser().parse_args(argv)
+        except CLIError as err:
+            return out.getvalue(), f"error: {err}\n"
+        except SystemExit:
+            pass
+    return out.getvalue(), ""
+
+
+class TestLazyParser:
+    """Subcommand arguments are added on parse; help and diagnostics match a
+    parser built eagerly.  Compared on the running interpreter, since help
+    layout differs between Python releases."""
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_matches_eager(self, capsys, command):
+        argv = ["-h"] if command is None else [command, "-h"]
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit.value.code == 0
+        assert (captured.out, captured.err) == eager_outcome(argv)
+        assert captured.out.startswith("usage: curvejac")
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_diagnostics_match_eager(self, capsys, command):
+        cases = [[command, "--format", "xml"]]
+        if cli._GENUS in cli._COMMANDS[command][2]:
+            cases.append([command])  # -g missing
+        for argv in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert (out, err) == eager_outcome(argv)
+
+    def test_one_parser_parsed_twice(self):
+        parser = cli.build_parser()
+        for argv in (["audit", "-g", "2", "-L", "8,1,2"], ["table", "2", "3"]):
+            first = parser.parse_args(argv)
+            assert parser.parse_args(argv) == first
+        assert first.compute is cli._COMMANDS["table"][1]
+
+    def test_unknown_command(self, capsys):
+        code, out, err = run_cli(capsys, "nonsense")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("error: argument command: invalid choice: 'nonsense'")
 
 
 @contextlib.contextmanager
