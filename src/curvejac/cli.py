@@ -5,8 +5,9 @@ decompose, height, curve-height, minima, witness, audit, table.  Each is one
 compute function in ``_COMMANDS`` that turns parsed arguments into a record
 (the JSON output) and its text lines; ``main`` is the one place that picks
 the format and prints.  ``build_parser`` registers every subcommand, but a
-subcommand's arguments are added only when that subcommand is parsed, so a
-caller that introspects a fresh parser sees them empty until then.  Every
+subcommand's parser, not just its arguments, is built only when argparse
+selects that subcommand, so a caller that introspects a fresh parser finds
+stand-ins in the subparsers action's ``choices``.  Every
 rational is printed exactly as "p/q" (plain integer when q = 1); decimal
 columns are display-only annotations rounded half-even at six places.
 Identical invocations produce byte-identical output.
@@ -75,29 +76,40 @@ def decimal_str(x: Fraction, places: int = 6) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, arguments: Sequence[tuple] = (), **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._pending = arguments
         # argparse takes only '-<digits>' and '-<decimal>' for negative
         # numbers and any other leading '-' for an option, which would
         # swallow '-1/2' and '-1,1,0'.  No option here starts with a digit,
         # so every '-<digit>' token is a value.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
-    # On Python 3.10-3.13 argparse hands the selected subcommand its command
-    # line through this public method: _SubParsersAction.__call__ calls
-    # parse_known_args(arg_strings, None) on the chosen subparser.  Its
-    # argument specs are added there, once, so a call builds only them.
-    def parse_known_args(self, args=None, namespace=None):  # noqa: D102
-        pending, self._pending = self._pending, ()
-        for flags, options in pending:
-            self.add_argument(*flags, **options)
-        return super().parse_known_args(args, namespace)
-
     # argparse's default error handler prints usage plus the message; fold
     # everything into the single-line diagnostic channel instead.
     def error(self, message: str):  # noqa: D102
         raise CLIError(message)
+
+
+class _Subcommand:
+    """Stand-in for a subcommand's parser, which it builds when parsed.
+
+    On Python 3.10-3.13 argparse touches a subparser only twice: ``add_parser``
+    constructs it as ``parser_class(**kwargs)``, and ``_SubParsersAction``'s
+    ``__call__`` calls ``parse_known_args(arg_strings, None)`` on the selected
+    one.  Top-level help and the invalid-choice message come from the action's
+    own choice list.
+    """
+
+    def __init__(self, *, compute, arguments: Sequence[tuple], **kwargs) -> None:
+        self._spec = compute, arguments, kwargs
+
+    def parse_known_args(self, args, namespace):  # noqa: D102
+        compute, arguments, kwargs = self._spec
+        parser = _Parser(**kwargs)
+        for flags, options in [*arguments, _FORMAT]:
+            parser.add_argument(*flags, **options)
+        parser.set_defaults(compute=compute)
+        return parser.parse_known_args(args, namespace)
 
 
 def _bundle_from(args: argparse.Namespace) -> NSClass:
@@ -307,8 +319,8 @@ def _once(render):
     return cached
 
 
-def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> tuple:
-    """Record of one audit, and e2's decimal, which only the text shows.
+def _audit_record(audit: ZhangAudit) -> tuple:
+    """Values of one audit, and e2's decimal, which only the text shows.
 
     Equal values are rendered once: e1, e2 and their mean are equal in every
     audit the CLI can produce, and each is a ~4000-digit rational at genus
@@ -316,8 +328,6 @@ def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> tuple:
     """
     exact, decimal = _once(fmt_rat), _once(decimal_str)
     record = {
-        "genus": genus,
-        "bundle": str(L),
         "e1": exact(audit.e1),
         "e2": exact(audit.e2),
         "h": exact(audit.h_curve),
@@ -336,7 +346,8 @@ def _audit_record(genus: int, L: NSClass, audit: ZhangAudit) -> tuple:
 def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     audit = zhang_audit(L)
-    record, e2_dec = _audit_record(args.genus, L, audit)
+    values, e2_dec = _audit_record(audit)
+    record = {"genus": args.genus, "bundle": str(L), **values}
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",
         f"e1 = {record['e1']} (~{record['e1_dec']})",
@@ -371,9 +382,8 @@ def _table(args: argparse.Namespace) -> tuple:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
     rows = []
     for g in range(g_min, g_max + 1):
-        L = standard_polarization(g)
-        record, _ = _audit_record(g, L, zhang_audit(L))
-        rows.append({"g": g, **{col: record[col] for col in _TABLE_COLUMNS[1:]}})
+        values, _ = _audit_record(zhang_audit(standard_polarization(g)))
+        rows.append({"g": g, **{col: values[col] for col in _TABLE_COLUMNS[1:]}})
     cells = [_TABLE_COLUMNS]
     cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)
     if args.format == "csv":
@@ -388,20 +398,20 @@ def _table(args: argparse.Namespace) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     """Parser with every subcommand registered (name, help and compute).
 
-    A subcommand's arguments are added when that subcommand is parsed, so an
-    introspecting caller sees them empty until then; help and diagnostics
-    are those of a parser built with all of them.
+    A subcommand's parser, not just its arguments, is built only when argparse
+    selects that subcommand, so an introspecting caller finds ``_Subcommand``
+    stand-ins in the subparsers action's ``choices``; help and diagnostics
+    are those of a parser built with every subparser.
     """
     parser = _Parser(
         prog="curvejac",
         description="Exact Neron-Severi calculator for a curve times its Jacobian.",
     )
     sub = parser.add_subparsers(
-        dest="command", required=True, metavar="command", parser_class=_Parser
+        dest="command", required=True, metavar="command", parser_class=_Subcommand
     )
     for name, (help_text, compute, arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text, arguments=[*arguments, _FORMAT])
-        command.set_defaults(compute=compute)
+        sub.add_parser(name, help=help_text, compute=compute, arguments=arguments)
     return parser
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
+from curvejac.lattice import NSClass
 from curvejac.minima import ZhangAudit, cone_minimum, zhang_audit
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -170,6 +171,18 @@ class TestAudit:
         per_record = 3 + 2  # e1 = e2 = mean, h, margin; decimals of e1 = e2, h
         assert len(rendered) == per_record * records
         assert len(set(rendered)) == len(rendered)
+
+    def test_table_renders_no_bundle(self, capsys, monkeypatch):
+        # Table rows carry no bundle column, so no class is rendered.
+        rendered = []
+
+        def render(cls, original=NSClass.__str__):
+            rendered.append(cls)
+            return original(cls)
+
+        monkeypatch.setattr(NSClass, "__str__", render)
+        assert run_cli(capsys, "table", "2", "4")[0] == 0
+        assert rendered == []
 
 
 class TestClassify:
@@ -432,9 +445,9 @@ def eager_outcome(argv):
 
 
 class TestLazyParser:
-    """Subcommand arguments are added on parse; help and diagnostics match a
-    parser built eagerly.  Compared on the running interpreter, since help
-    layout differs between Python releases."""
+    """Only the selected subcommand's parser is built, on parse; help and
+    diagnostics match a parser built eagerly.  Compared on the running
+    interpreter, since help layout differs between Python releases."""
 
     @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
     def test_help_matches_eager(self, capsys, command):
@@ -448,13 +461,30 @@ class TestLazyParser:
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_diagnostics_match_eager(self, capsys, command):
-        cases = [[command, "--format", "xml"]]
+        cases = [[command, "--format", "xml"], [command, "--bogus"]]
         if cli._GENUS in cli._COMMANDS[command][2]:
             cases.append([command])  # -g missing
         for argv in cases:
             code, out, err = run_cli(capsys, *argv)
             assert code == 2
             assert (out, err) == eager_outcome(argv)
+
+    @pytest.mark.parametrize(
+        "argv,parsers", [(None, 1), (["audit", "-g", "2"], 2), (["nonsense"], 1)]
+    )
+    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
+        built = []
+
+        def init(self, *args, original=cli._Parser.__init__, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", init)
+        if argv is None:
+            cli.build_parser()
+        else:
+            run_cli(capsys, *argv)
+        assert len(built) == parsers
 
     def test_one_parser_parsed_twice(self):
         parser = cli.build_parser()
