@@ -91,25 +91,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Subcommand:
-    """Stand-in for a subcommand's parser, which it builds when parsed.
+    """Stand-in for a subcommand's parser, which it builds when first used.
 
-    On Python 3.10-3.13 argparse touches a subparser only twice: ``add_parser``
-    constructs it as ``parser_class(**kwargs)``, and ``_SubParsersAction``'s
-    ``__call__`` calls ``parse_known_args(arg_strings, None)`` on the selected
-    one.  Top-level help and the invalid-choice message come from the action's
-    own choice list.
+    Every attribute the stand-in lacks is its parser's.  On Python 3.10.13,
+    3.11.7, 3.12.1, 3.13.0 and 3.13.13, argparse's ``add_parser`` constructs
+    a subparser as ``parser_class(**kwargs)``, and only the selected one is
+    used, by ``parse_known_args`` in ``_SubParsersAction.__call__``; top-level
+    help and the invalid-choice message come from the action's choice list.
     """
 
     def __init__(self, *, compute, arguments: Sequence[tuple], **kwargs) -> None:
         self._spec = compute, arguments, kwargs
+        self._parser = None
 
-    def parse_known_args(self, args, namespace):  # noqa: D102
-        compute, arguments, kwargs = self._spec
-        parser = _Parser(**kwargs)
-        for flags, options in [*arguments, _FORMAT]:
-            parser.add_argument(*flags, **options)
-        parser.set_defaults(compute=compute)
-        return parser.parse_known_args(args, namespace)
+    def __getattr__(self, name: str):
+        if name.startswith("__"):  # copy and pickle probes stay the stand-in's
+            raise AttributeError(name)
+        if self._parser is None:
+            compute, arguments, kwargs = self._spec
+            self._parser = _Parser(**kwargs)
+            for flags, options in [*arguments, _FORMAT]:
+                self._parser.add_argument(*flags, **options)
+            self._parser.set_defaults(compute=compute)
+        return getattr(self._parser, name)
 
 
 def _bundle_from(args: argparse.Namespace) -> NSClass:

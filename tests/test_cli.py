@@ -1,6 +1,8 @@
 """Command-line interface: parsing, rendering, formats, exit codes."""
 
+import argparse
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -485,6 +487,52 @@ class TestLazyParser:
         else:
             run_cli(capsys, *argv)
         assert len(built) == parsers
+
+    def test_stand_ins_forward(self):
+        # Whatever is asked of a stand-in in choices is its built parser's.
+        def choices(parser):
+            return next(a.choices for a in parser._actions if a.dest == "command")
+
+        lazy, eager = choices(cli.build_parser()), choices(eager_parser())
+        for name, command in lazy.items():
+            assert isinstance(command, cli._Subcommand)
+            assert command.format_help() == eager[name].format_help()
+            assert command.get_default("compute") is cli._COMMANDS[name][1]
+            assert copy.copy(command).format_help() == command.format_help()
+
+    def test_argparse_touching_subparsers(self, capsys, monkeypatch):
+        # An argparse that uses each subparser as it adds it (say, to check
+        # its help string) gets real parsers, and no output changes.
+        argvs = [["-h"], ["audit", "-h"], ["pair", "--bogus"], ["nonsense"],
+                 ["classify", "-g", "2", "-a", "1", "-b", "1", "-c", "-1/2"],
+                 ["pair", "-g", "2", "1,1,1", "-1,1,0"], ["table", "2", "3"]]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exit:  # -h
+                code = exit.code
+            return code, *capsys.readouterr()
+
+        expected = [outcome(argv) for argv in argvs]
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def touching(self, name, **kwargs):
+            parser = add_parser(self, name, **kwargs)
+            parser._get_formatter()
+            return parser
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", touching)
+        built = []
+
+        def init(self, *args, original=cli._Parser.__init__, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", init)
+        assert [outcome(argv) for argv in argvs] == expected
+        # Every call builds each parser once, the selected one included.
+        assert len(built) == len(argvs) * (1 + len(cli._COMMANDS))
 
     def test_one_parser_parsed_twice(self):
         parser = cli.build_parser()
