@@ -9,8 +9,10 @@ subcommand's parser, not just its arguments, is built only when argparse
 selects that subcommand, so a caller that introspects a fresh parser finds
 stand-ins in the subparsers action's ``choices``.  Every
 rational is printed exactly as "p/q" (plain integer when q = 1); decimal
-columns are display-only annotations rounded half-even at six places.
-Identical invocations produce byte-identical output.
+columns are display-only annotations rounded half-even at six places.  An
+annotation is derived from the digits of the value's exact text, so each
+distinct value is converted from binary to decimal once.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import argparse
 import json
 import re
 import sys
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero,
+                     Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -63,16 +67,31 @@ def fmt_rat(x: Fraction) -> str:
     return str(x)
 
 
-def decimal_str(x: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal of a rational, rounded half-even.  Display only."""
-    shift = 10**places
-    quo, rem = divmod(x.numerator * shift, x.denominator)
-    double = 2 * rem
-    if double > x.denominator or (double == x.denominator and quo % 2 == 1):
-        quo += 1
-    sign = "-" if quo < 0 else ""
-    whole, frac = divmod(abs(quo), shift)
-    return f"{sign}{whole}.{frac:0{places}d}"
+# Every step of ``decimal_str`` is exact at any length; one that is not
+# raises instead of rounding.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation, DivisionByZero])
+
+
+def decimal_str(x: Fraction, *, exact: Optional[str] = None) -> str:
+    """Six-place decimal of a rational, rounded half-even.  Display only.
+
+    ``exact`` is ``fmt_rat(x)``, rendered here when not given.  The decimal
+    is worked out from its digits, in time linear in their number, so a
+    caller that prints both forms converts ``x`` from binary once.
+    """
+    if exact is None:
+        exact = fmt_rat(x)
+    num, _, den = exact.partition("/")
+    den = Decimal(den or 1)
+    quo, rem = _EXACT.divmod(Decimal(num.lstrip("-") + "000000"), den)
+    double = _EXACT.multiply(rem, 2)
+    digits = str(quo)
+    if double > den or (double == den and digits[-1] in "13579"):
+        digits = str(_EXACT.add(quo, 1))
+    digits = digits.rjust(7, "0")
+    sign = "-" if num[0] == "-" and digits.strip("0") else ""
+    return f"{sign}{digits[:-6]}.{digits[-6:]}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,8 +201,9 @@ def _classify(args: argparse.Namespace) -> tuple:
 
 def _value(genus: int, value: Fraction, **inputs) -> tuple:
     """Record and line of a command whose result is one rational."""
+    text = fmt_rat(value)
     record = {"genus": genus, **inputs}
-    record.update(value=fmt_rat(value), decimal=decimal_str(value))
+    record.update(value=text, decimal=decimal_str(value, exact=text))
     return record, ["{value} (~{decimal})".format_map(record)]
 
 
@@ -241,12 +261,13 @@ def _height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     point = parse_class(args.point, args.genus)
     report = height_point(L, point)
+    height = fmt_rat(report.height)
     record = {
         "genus": args.genus,
         "bundle": str(L),
         "point": str(point),
-        "height": fmt_rat(report.height),
-        "height_dec": decimal_str(report.height),
+        "height": height,
+        "height_dec": decimal_str(report.height, exact=height),
         "degree": fmt_rat(report.degree),
     }
     line = "height {height} (~{height_dec}), degree {degree}".format_map(record)
@@ -257,11 +278,12 @@ def _height(args: argparse.Namespace) -> tuple:
 def _curve_height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     value = height_curve(L)
+    height = fmt_rat(value)
     record = {
         "genus": args.genus,
         "bundle": str(L),
-        "height": fmt_rat(value),
-        "height_dec": decimal_str(value),
+        "height": height,
+        "height_dec": decimal_str(value, exact=height),
     }
     return record, ["curve height {height} (~{height_dec})".format_map(record)]
 
@@ -270,11 +292,12 @@ def _curve_height(args: argparse.Namespace) -> tuple:
 def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     report = cone_minimum(L)
+    infimum = fmt_rat(report.infimum)
     record = {
         "genus": args.genus,
         "bundle": str(L),
-        "infimum": fmt_rat(report.infimum),
-        "infimum_dec": decimal_str(report.infimum),
+        "infimum": infimum,
+        "infimum_dec": decimal_str(report.infimum, exact=infimum),
         "s_star": fmt_rat(report.s_star),
         "t_star": fmt_rat(report.t_star),
         "attained_by_witness": report.attained_by_witness,
@@ -328,9 +351,11 @@ def _audit_record(audit: ZhangAudit) -> tuple:
 
     Equal values are rendered once: e1, e2 and their mean are equal in every
     audit the CLI can produce, and each is a ~4000-digit rational at genus
-    1500.  Equality is tested, not assumed.
+    1500.  Equality is tested, not assumed.  A decimal is derived from the
+    exact text of its value, so nothing is converted from binary twice.
     """
-    exact, decimal = _once(fmt_rat), _once(decimal_str)
+    exact = _once(fmt_rat)
+    decimal = _once(lambda x: decimal_str(x, exact=exact(x)))
     record = {
         "e1": exact(audit.e1),
         "e2": exact(audit.e2),

@@ -8,12 +8,13 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
@@ -67,6 +68,46 @@ class TestDecimalAnnotation:
         assert decimal_str(Fraction(3, 2_000_000)) == "0.000002"
         assert decimal_str(Fraction(-3, 2_000_000)) == "-0.000002"
         assert decimal_str(Fraction(-1, 2_000_000)) == "0.000000"
+
+    @staticmethod
+    def reference(x: Fraction) -> str:
+        """Six-place half-even decimal by an exact int ``divmod``."""
+        quo, rem = divmod(x.numerator * 10**6, x.denominator)
+        double = 2 * rem
+        if double > x.denominator or (double == x.denominator and quo % 2 == 1):
+            quo += 1
+        sign = "-" if quo < 0 else ""
+        whole, frac = divmod(abs(quo), 10**6)
+        return f"{sign}{whole}.{frac:06d}"
+
+    @given(st.one_of(
+        st.builds(Fraction, st.integers(), st.integers(min_value=1)),
+        # n/(2*10^k): the ties at six places, and their neighbours
+        st.builds(lambda n, k, d: Fraction(n, 2 * 10**k) + d, st.integers(),
+                  st.sampled_from([6, 3, 9]),
+                  st.sampled_from([0, Fraction(1, 10**12), Fraction(-1, 10**12)])),
+        st.builds(Fraction, st.integers()),
+        # a denominator longer than the numerator
+        st.builds(Fraction, st.integers(-999, 999), st.integers(10**6, 10**40)),
+        # past CPython's default 4300-digit limit
+        st.builds(lambda n, d: Fraction(n * 10**4300 + 1, d),
+                  st.integers(-10**40, 10**40), st.integers(1, 10**5)),
+    ))
+    @example(Fraction(-1, 2_000_000))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_int_divmod(self, x):
+        # A low ambient precision shows that no step rounds in the caller's
+        # decimal context.
+        with digit_limit(0), localcontext(Context(prec=3)):
+            expected = self.reference(x)
+            assert decimal_str(x) == expected
+            assert decimal_str(x, exact=fmt_rat(x)) == expected
+
+    def test_rounding_step_raises(self):
+        # decimal_str's context raises rather than round, so an inexact
+        # step cannot reach the output.
+        with pytest.raises(Inexact):
+            cli._EXACT.quantize(Decimal("1.5"), Decimal(1))
 
 
 class TestTable:
@@ -162,17 +203,26 @@ class TestAudit:
         "argv,records", [(["audit", "-g", "5"], 1), (["table", "5", "6"], 2)]
     )
     def test_equal_values_rendered_once(self, capsys, monkeypatch, argv, records):
-        rendered = []
+        rendered, texts, handed = [], {}, []
         for name in ("fmt_rat", "decimal_str"):
-            def render(x, original=getattr(cli, name), name=name):
+            def render(x, original=getattr(cli, name), name=name, **kwargs):
                 rendered.append((name, x))
-                return original(x)
+                text = original(x, **kwargs)
+                if name == "fmt_rat":
+                    texts[x] = text
+                else:
+                    handed.append((x, kwargs.get("exact")))
+                return text
 
             monkeypatch.setattr(cli, name, render)
         assert run_cli(capsys, *argv)[0] == 0
         per_record = 3 + 2  # e1 = e2 = mean, h, margin; decimals of e1 = e2, h
         assert len(rendered) == per_record * records
         assert len(set(rendered)) == len(rendered)
+        # Each decimal is derived from the exact text already made for its
+        # value, not from a second conversion of the value.
+        assert len(handed) == 2 * records
+        assert all(exact is texts[x] for x, exact in handed)
 
     def test_table_renders_no_bundle(self, capsys, monkeypatch):
         # Table rows carry no bundle column, so no class is rendered.
