@@ -25,13 +25,10 @@ from .heights import (
 )
 from .lattice import (
     MIN_GENUS,
-    MonomialTable,
     NSClass,
     alpha1,
     as_fraction,
-    monomial_table,
     pair_theta_power,
-    pair_theta_power_closed,
     poincare,
     pullback_theta,
     restrict_to_C_fiber,
@@ -44,7 +41,6 @@ from .minima import (
     MinimaReport,
     ZhangAudit,
     cone_minimum,
-    grid_oracle,
     witness_sequence,
     zhang_audit,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "ConeVerdict",
     "HeightReport",
     "MinimaReport",
-    "MonomialTable",
     "NSClass",
     "NefDecomposition",
     "PointClass",
@@ -69,13 +64,10 @@ __all__ = [
     "classify",
     "cone_minimum",
     "generic_degree",
-    "grid_oracle",
     "height_curve",
     "height_point",
-    "monomial_table",
     "nef_decomposition",
     "pair_theta_power",
-    "pair_theta_power_closed",
     "poincare",
     "pullback_theta",
     "rational_sqrt",

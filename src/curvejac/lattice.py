@@ -19,7 +19,9 @@ concentrated in two monomials,
     alpha1 . theta2^g      =  g!
     Q^2 . theta2^(g-1)     = -2 g!
 
-and every other degree-(g+1) monomial vanishes; see ``MonomialTable``.
+and every other degree-(g+1) monomial vanishes.  The full table of
+monomials is a test-suite specification, not runtime code: the tests
+contract expanded products against it and compare with the engine.
 ``top_intersect`` evaluates an arbitrary product of g+1 classes by a linear
 recurrence on the few expansion coefficients that can meet those two
 monomials, in O(g) integer operations.  A ``theta2`` factor maps that
@@ -33,20 +35,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 __all__ = [
     "MIN_GENUS",
     "POINCARE_SQUARE_COEFF",
     "JFiberRestriction",
-    "MonomialTable",
     "NSClass",
     "RationalLike",
     "alpha1",
     "as_fraction",
-    "monomial_table",
     "pair_theta_power",
-    "pair_theta_power_closed",
     "poincare",
     "pullback_theta",
     "restrict_to_C_fiber",
@@ -176,61 +175,19 @@ def poincare(g: int) -> NSClass:
     return NSClass(g, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class MonomialTable:
-    """Top intersection numbers alpha1^i . theta2^j . Q^k for i+j+k = g+1."""
-
-    genus: int
-    g_factorial: int
-
-    def value(self, i: int, j: int, k: int) -> Fraction:
-        """Intersection number of the (i, j, k) basis monomial."""
-        return Fraction(self._int_value(i, j, k))
-
-    def _int_value(self, i: int, j: int, k: int) -> int:
-        g = self.genus
-        if min(i, j, k) < 0 or i + j + k != g + 1:
-            raise ValueError(
-                f"monomial index ({i},{j},{k}) is not a degree-{g + 1} triple"
-            )
-        if i >= 2:
-            # alpha1 is a fiber of the projection to C: squares to zero.
-            return 0
-        if i == 1:
-            # On {x} x J only theta survives; Q restricts into Pic^0.
-            return self.g_factorial if k == 0 else 0
-        if k == 2:
-            return POINCARE_SQUARE_COEFF * self.g_factorial
-        # k = 0: theta2^(g+1) = 0 on a g-dimensional fiber direction.
-        # k = 1: Q is numerically trivial against theta powers alone.
-        # k >= 3: forced by vanishing of all pullback-class top powers.
-        return 0
-
-    def entries(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
-        """Enumerate all (g+2)(g+3)/2 index triples with their values."""
-        top = self.genus + 1
-        for i in range(top + 1):
-            for j in range(top + 1 - i):
-                k = top - i - j
-                yield (i, j, k), self.value(i, j, k)
-
-
-@lru_cache(maxsize=None)
-def monomial_table(g: int) -> MonomialTable:
-    """Monomial table for genus g, with g! computed once and cached."""
-    _check_genus(g)
-    return MonomialTable(genus=g, g_factorial=factorial(g))
+# g! by one memo: an audit asks for it several times at the same genus.
+_factorial = lru_cache(maxsize=None)(factorial)
 
 
 def top_intersect(classes: Sequence[NSClass]) -> Fraction:
     """Exact top intersection number of g+1 classes of common genus g.
 
-    Only ``alpha1 . theta2^g`` and ``Q^2 . theta2^(g-1)`` are nonzero (see
-    ``MonomialTable``), so the product is expanded only up to the six
-    coefficients ``s_ik`` of ``alpha1^i Q^k`` with i <= 1 and k <= 2; the
-    theta2 exponent is fixed by the degree.  Each factor (a, b, c) updates
-    them as ``s_ik <- b s_ik + a s_(i-1)k + c s_i(k-1)``, dropping a term
-    whose index falls below zero: a fixed handful of integer operations per
+    Only ``alpha1 . theta2^g`` and ``Q^2 . theta2^(g-1)`` are nonzero, so
+    the product is expanded only up to the six coefficients ``s_ik`` of
+    ``alpha1^i Q^k`` with i <= 1 and k <= 2; the theta2 exponent is fixed by
+    the degree.  Each factor (a, b, c) updates them as
+    ``s_ik <- b s_ik + a s_(i-1)k + c s_i(k-1)``, dropping a term whose
+    index falls below zero: a fixed handful of integer operations per
     factor, so a call costs O(g) of them.  ``s_11`` and ``s_12`` feed
     neither result monomial nor any coefficient that does, so only the other
     four are kept.  Symmetric and multilinear in its arguments.
@@ -272,7 +229,7 @@ def _recurrence(g: int, classes: Sequence[NSClass]) -> Fraction:
             xb * s10 + xa * s00,
         )
     total = s10 + POINCARE_SQUARE_COEFF * s02
-    return Fraction(monomial_table(g).g_factorial * total, scale)
+    return Fraction(_factorial(g) * total, scale)
 
 
 def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
@@ -284,17 +241,6 @@ def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
     """
     _check_same_genus(x, y)
     return _recurrence(x.genus, (x, y))
-
-
-def pair_theta_power_closed(x: NSClass, y: NSClass) -> Fraction:
-    """Closed form g! (x_a y_b + x_b y_a - 2 x_c y_c) of the same pairing.
-
-    Kept as an independent cross-check on ``pair_theta_power``; the two are
-    proved equal by the test suite, not assumed.
-    """
-    _check_same_genus(x, y)
-    gf = monomial_table(x.genus).g_factorial
-    return gf * (x.a * y.b + x.b * y.a - 2 * x.c * y.c)
 
 
 def pullback_theta(g: int, m: RationalLike, n: RationalLike) -> NSClass:

@@ -7,8 +7,8 @@ height against L is the linear functional
     g! (B + s A - 2 t C).
 
 Minimizing over the cone slice activates the constraint s = g t^2 and leaves
-a one-variable quadratic.  ``cone_minimum`` solves it in closed form,
-``grid_oracle`` re-derives lower envelopes by brute force on rational grids,
+a one-variable quadratic.  ``cone_minimum`` solves it in closed form (the
+test suite cross-checks it against a brute-force grid oracle),
 ``witness_sequence`` produces an unbounded-degree family of point classes
 attaining the minimum for the standard polarization, and ``zhang_audit``
 compares the minima against the curve height, evaluating both
@@ -19,24 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .cones import classify
 from .heights import PointClass, height_curve, height_point
-from .lattice import (
-    NSClass,
-    RationalLike,
-    as_fraction,
-    monomial_table,
-    pullback_theta,
-)
+from .lattice import NSClass, _factorial, pullback_theta
 
 __all__ = [
     "MinimaReport",
     "ZhangAudit",
     "cone_minimum",
-    "grid_oracle",
     "witness_sequence",
     "zhang_audit",
 ]
@@ -100,7 +92,7 @@ def cone_minimum(L: NSClass) -> MinimaReport:
             f"cone_minimum needs a nef class, got {L} with defect {verdict.defect}"
         )
     g = L.genus
-    gf = monomial_table(g).g_factorial
+    gf = _factorial(g)
     A, B, C = L.a, L.b, L.c
     if A == 0:
         if C != 0:
@@ -121,53 +113,6 @@ def cone_minimum(L: NSClass) -> MinimaReport:
         attained_by_witness=attained,
         witness=witness if attained else None,
     )
-
-
-def grid_oracle(
-    L: NSClass, t_lo: RationalLike, t_hi: RationalLike, steps: int
-) -> Fraction:
-    """Brute-force minimum of the slice objective over a rational t-grid.
-
-    Evaluates g! (B + g A t^2 - 2 t C) at the steps+1 points
-    t_lo + i (t_hi - t_lo) / steps and returns the exact minimum.  Serves as
-    an independent check on ``cone_minimum``: never below the closed-form
-    infimum, and equal to it exactly when t* lies on the grid.  The result
-    depends only on the grid point set, so chunked or reordered evaluation
-    combines to the same minimum.
-    """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ValueError(f"grid needs an integer steps >= 1, got {steps!r}")
-    t_lo = as_fraction(t_lo)
-    t_hi = as_fraction(t_hi)
-    if t_lo > t_hi:
-        raise ValueError(f"empty grid: t_lo = {t_lo} > t_hi = {t_hi}")
-    verdict = classify(L)
-    if not verdict.is_nef or L.a <= 0:
-        raise ValueError(
-            f"grid_oracle needs a nef class with positive generic degree, got {L}"
-        )
-
-    g = L.genus
-    gf = monomial_table(g).g_factorial
-    # Put the whole grid over one denominator q; the objective values then
-    # share the denominator den * q^2 and compare as plain integers.
-    step = (t_hi - t_lo) / steps
-    q = lcm(t_lo.denominator, step.denominator)
-    p0 = int(t_lo * q)
-    dp = int(step * q)
-    den = lcm(L.a.denominator, L.b.denominator, L.c.denominator)
-    A, B, C = int(L.a * den), int(L.b * den), int(L.c * den)
-    gA = g * A
-    base = B * q * q
-    slope = 2 * q * C
-    best: Optional[int] = None
-    for i in range(steps + 1):
-        p = p0 + i * dp
-        val = base + gA * p * p - slope * p
-        if best is None or val < best:
-            best = val
-    assert best is not None
-    return Fraction(gf * best, den * q * q)
 
 
 def witness_sequence(g: int, n: int) -> PointClass:

@@ -1,0 +1,188 @@
+"""Independent second routes to the quantities curvejac computes.
+
+None of these is on a runtime path: the tests compare the package against
+them.
+
+* ``MonomialTable`` / ``monomial_table`` - the specification of the top
+  intersection form, every degree-(g+1) basis monomial with its value.
+* ``naive_top_intersect`` and ``dict_top_intersect`` - two reference engines
+  that contract an expanded product against the table.
+* ``pair_theta_power_closed`` - the closed form of the theta-power pairing.
+* ``grid_oracle`` - a brute-force minimum of the cone-slice objective.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import factorial, lcm
+from typing import Iterator, Optional
+
+from curvejac.cones import classify
+from curvejac.lattice import (
+    POINCARE_SQUARE_COEFF,
+    NSClass,
+    RationalLike,
+    _check_genus,
+    _check_same_genus,
+    as_fraction,
+)
+
+
+@dataclass(frozen=True)
+class MonomialTable:
+    """Top intersection numbers alpha1^i . theta2^j . Q^k for i+j+k = g+1."""
+
+    genus: int
+    g_factorial: int
+
+    def value(self, i: int, j: int, k: int) -> Fraction:
+        """Intersection number of the (i, j, k) basis monomial."""
+        return Fraction(self._int_value(i, j, k))
+
+    def _int_value(self, i: int, j: int, k: int) -> int:
+        g = self.genus
+        if min(i, j, k) < 0 or i + j + k != g + 1:
+            raise ValueError(
+                f"monomial index ({i},{j},{k}) is not a degree-{g + 1} triple"
+            )
+        if i >= 2:
+            # alpha1 is a fiber of the projection to C: squares to zero.
+            return 0
+        if i == 1:
+            # On {x} x J only theta survives; Q restricts into Pic^0.
+            return self.g_factorial if k == 0 else 0
+        if k == 2:
+            return POINCARE_SQUARE_COEFF * self.g_factorial
+        # k = 0: theta2^(g+1) = 0 on a g-dimensional fiber direction.
+        # k = 1: Q is numerically trivial against theta powers alone.
+        # k >= 3: forced by vanishing of all pullback-class top powers.
+        return 0
+
+    def entries(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
+        """Enumerate all (g+2)(g+3)/2 index triples with their values."""
+        top = self.genus + 1
+        for i in range(top + 1):
+            for j in range(top + 1 - i):
+                k = top - i - j
+                yield (i, j, k), self.value(i, j, k)
+
+
+@lru_cache(maxsize=None)
+def monomial_table(g: int) -> MonomialTable:
+    """Monomial table for genus g, with g! computed once and cached."""
+    _check_genus(g)
+    return MonomialTable(genus=g, g_factorial=factorial(g))
+
+
+def naive_top_intersect(classes):
+    # Independent oracle: expand the product over all 3^(g+1) basis choices,
+    # no truncation, then contract each monomial against the table.
+    g = classes[0].genus
+    table = monomial_table(g)
+    total = Fraction(0)
+    for choice in product(range(3), repeat=g + 1):
+        coeff = Fraction(1)
+        counts = [0, 0, 0]
+        for cls, which in zip(classes, choice):
+            coeff *= cls.coefficients[which]
+            counts[which] += 1
+        if coeff:
+            total += coeff * table.value(*counts)
+    return total
+
+
+def dict_top_intersect(classes):
+    # Reference engine: iterated truncated polynomial multiplication in the
+    # three basis symbols, dropping every term whose alpha1 exponent reaches
+    # 2 or whose total degree exceeds g+1, then contraction against the
+    # table.  O(g) terms per factor, so O(g^2) per call.
+    g = classes[0].genus
+    top = g + 1
+    scale = 1
+    factors = []
+    for cls in classes:
+        den = lcm(cls.a.denominator, cls.b.denominator, cls.c.denominator)
+        scale *= den
+        factors.append((int(cls.a * den), int(cls.b * den), int(cls.c * den)))
+    poly = {(0, 0, 0): 1}
+    for xa, xb, xc in factors:
+        expanded = {}
+        for (i, j, k), coeff in poly.items():
+            if i + j + k >= top:
+                continue
+            if xa and i == 0:
+                key = (1, j, k)
+                expanded[key] = expanded.get(key, 0) + coeff * xa
+            if xb:
+                key = (i, j + 1, k)
+                expanded[key] = expanded.get(key, 0) + coeff * xb
+            if xc:
+                key = (i, j, k + 1)
+                expanded[key] = expanded.get(key, 0) + coeff * xc
+        poly = {key: coeff for key, coeff in expanded.items() if coeff}
+    table = monomial_table(g)
+    total = sum(
+        coeff * table.value(i, j, k)
+        for (i, j, k), coeff in poly.items()
+        if i + j + k == top
+    )
+    return Fraction(total) / scale
+
+
+def pair_theta_power_closed(x: NSClass, y: NSClass) -> Fraction:
+    """Closed form g! (x_a y_b + x_b y_a - 2 x_c y_c) of the same pairing.
+
+    Kept as an independent cross-check on ``pair_theta_power``; the two are
+    proved equal by the test suite, not assumed.
+    """
+    _check_same_genus(x, y)
+    gf = monomial_table(x.genus).g_factorial
+    return gf * (x.a * y.b + x.b * y.a - 2 * x.c * y.c)
+
+
+def grid_oracle(
+    L: NSClass, t_lo: RationalLike, t_hi: RationalLike, steps: int
+) -> Fraction:
+    """Brute-force minimum of the slice objective over a rational t-grid.
+
+    Evaluates g! (B + g A t^2 - 2 t C) at the steps+1 points
+    t_lo + i (t_hi - t_lo) / steps and returns the exact minimum.  Serves as
+    an independent check on ``cone_minimum``: never below the closed-form
+    infimum, and equal to it exactly when t* lies on the grid.  The result
+    depends only on the grid point set, so chunked or reordered evaluation
+    combines to the same minimum.
+    """
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+        raise ValueError(f"grid needs an integer steps >= 1, got {steps!r}")
+    t_lo = as_fraction(t_lo)
+    t_hi = as_fraction(t_hi)
+    if t_lo > t_hi:
+        raise ValueError(f"empty grid: t_lo = {t_lo} > t_hi = {t_hi}")
+    verdict = classify(L)
+    if not verdict.is_nef or L.a <= 0:
+        raise ValueError(
+            f"grid_oracle needs a nef class with positive generic degree, got {L}"
+        )
+
+    g = L.genus
+    gf = monomial_table(g).g_factorial
+    # Put the whole grid over one denominator q; the objective values then
+    # share the denominator den * q^2 and compare as plain integers.
+    step = (t_hi - t_lo) / steps
+    q = lcm(t_lo.denominator, step.denominator)
+    p0 = int(t_lo * q)
+    dp = int(step * q)
+    den = lcm(L.a.denominator, L.b.denominator, L.c.denominator)
+    A, B, C = int(L.a * den), int(L.b * den), int(L.c * den)
+    gA = g * A
+    base = B * q * q
+    slope = 2 * q * C
+    best: Optional[int] = None
+    for i in range(steps + 1):
+        p = p0 + i * dp
+        val = base + gA * p * p - slope * p
+        if best is None or val < best:
+            best = val
+    assert best is not None
+    return Fraction(gf * best, den * q * q)

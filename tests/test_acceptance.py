@@ -21,7 +21,9 @@ from curvejac.lattice import (
     theta2,
     top_intersect,
 )
-from curvejac.minima import cone_minimum, grid_oracle, witness_sequence, zhang_audit
+from curvejac.minima import cone_minimum, witness_sequence, zhang_audit
+
+from oracles import grid_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 

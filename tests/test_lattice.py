@@ -3,8 +3,7 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -14,9 +13,7 @@ from curvejac.lattice import (
     NSClass,
     alpha1,
     as_fraction,
-    monomial_table,
     pair_theta_power,
-    pair_theta_power_closed,
     poincare,
     pullback_theta,
     restrict_to_C_fiber,
@@ -26,63 +23,15 @@ from curvejac.lattice import (
     zero_class,
 )
 
+from oracles import (
+    dict_top_intersect,
+    monomial_table,
+    naive_top_intersect,
+    pair_theta_power_closed,
+)
+
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 genera = st.integers(min_value=2, max_value=8)
-
-
-def naive_top_intersect(classes):
-    # Independent oracle: expand the product over all 3^(g+1) basis choices,
-    # no truncation, then contract each monomial against the table.
-    g = classes[0].genus
-    table = monomial_table(g)
-    total = Fraction(0)
-    for choice in product(range(3), repeat=g + 1):
-        coeff = Fraction(1)
-        counts = [0, 0, 0]
-        for cls, which in zip(classes, choice):
-            coeff *= cls.coefficients[which]
-            counts[which] += 1
-        if coeff:
-            total += coeff * table.value(*counts)
-    return total
-
-
-def dict_top_intersect(classes):
-    # Reference engine: iterated truncated polynomial multiplication in the
-    # three basis symbols, dropping every term whose alpha1 exponent reaches
-    # 2 or whose total degree exceeds g+1, then contraction against the
-    # table.  O(g) terms per factor, so O(g^2) per call.
-    g = classes[0].genus
-    top = g + 1
-    scale = 1
-    factors = []
-    for cls in classes:
-        den = lcm(cls.a.denominator, cls.b.denominator, cls.c.denominator)
-        scale *= den
-        factors.append((int(cls.a * den), int(cls.b * den), int(cls.c * den)))
-    poly = {(0, 0, 0): 1}
-    for xa, xb, xc in factors:
-        expanded = {}
-        for (i, j, k), coeff in poly.items():
-            if i + j + k >= top:
-                continue
-            if xa and i == 0:
-                key = (1, j, k)
-                expanded[key] = expanded.get(key, 0) + coeff * xa
-            if xb:
-                key = (i, j + 1, k)
-                expanded[key] = expanded.get(key, 0) + coeff * xb
-            if xc:
-                key = (i, j, k + 1)
-                expanded[key] = expanded.get(key, 0) + coeff * xc
-        poly = {key: coeff for key, coeff in expanded.items() if coeff}
-    table = monomial_table(g)
-    total = sum(
-        coeff * table.value(i, j, k)
-        for (i, j, k), coeff in poly.items()
-        if i + j + k == top
-    )
-    return Fraction(total) / scale
 
 
 class TestRationalRepresentation:

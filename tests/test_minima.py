@@ -5,11 +5,13 @@ from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from curvejac.heights import height_curve, height_point, standard_polarization
-from curvejac.lattice import NSClass, alpha1, monomial_table, pullback_theta, theta2
-from curvejac.minima import cone_minimum, grid_oracle, witness_sequence, zhang_audit
+from curvejac.lattice import NSClass, alpha1, pullback_theta, theta2
+from curvejac.minima import cone_minimum, witness_sequence, zhang_audit
+
+from oracles import grid_oracle
 
 rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
 nonneg = st.fractions(min_value=0, max_value=15, max_denominator=10)
@@ -243,16 +245,14 @@ class TestZhangAudit:
         with pytest.raises(ValueError):
             zhang_audit(NSClass(2, 1, 1, 1))
 
-    @given(st.data(), genera)
+    @given(genera, positive, rationals, nonneg, nonneg)
+    @example(3, 1, 1, 0, 0)  # standard polarization, on the wall ab = g c^2
+    @example(2, 2, 3, 0, 0)  # wall class (8, 9, 6)
+    @example(4, 1, 0, Fraction(1, 2), 3)  # the face C = 0
+    @example(5, 2, 0, 1, 0)  # both: (21, 0, 0)
     @settings(max_examples=60)
-    def test_first_inequality_and_margin_consistency(self, data, g):
-        L = nef_with_degree(
-            g,
-            data.draw(positive),
-            data.draw(rationals),
-            data.draw(nonneg),
-            data.draw(nonneg),
-        )
+    def test_first_inequality_and_margin_consistency(self, g, m, n, s, t):
+        L = nef_with_degree(g, m, n, s, t)
         audit = zhang_audit(L)
         assert audit.e1 >= audit.e2
         assert audit.first_inequality_holds
@@ -261,3 +261,10 @@ class TestZhangAudit:
         mean = (audit.e1 + audit.e2) / 2
         assert audit.violation_margin == mean - audit.h_curve
         assert audit.second_inequality_holds == (audit.violation_margin <= 0)
+        # The cone-wide audit identity: e1 - h = (g-1) (g-1)! C^2 / A on
+        # every nef class with A > 0, so the first inequality always holds
+        # and the second fails exactly off the face C = 0.
+        A, C = L.a, L.c
+        assert audit.e1 - audit.h_curve == (g - 1) * factorial(g - 1) * C**2 / A
+        assert audit.e1 >= audit.h_curve
+        assert audit.second_inequality_holds == (C == 0)
