@@ -4,10 +4,9 @@ Subcommands mirror the library: classify, pair, intersect, pullback,
 decompose, height, curve-height, minima, witness, audit, table.  Each is one
 compute function in ``_COMMANDS`` that turns parsed arguments into a record
 (the JSON output) and its text lines; ``main`` is the one place that picks
-the format and prints.  ``build_parser`` registers every subcommand, but a
-subcommand's parser, not just its arguments, is built only when argparse
-selects that subcommand, so a caller that introspects a fresh parser finds
-stand-ins in the subparsers action's ``choices``.  Every
+the format and prints.  A command line that starts with a subcommand's name
+is parsed by that subcommand's parser alone; any other goes to
+``build_parser``'s full parser, for top-level help and diagnostics.  Every
 rational is printed exactly as "p/q" (plain integer when q = 1); decimal
 columns are display-only annotations rounded half-even at six places.  An
 annotation is derived from the digits of the value's exact text, so each
@@ -107,32 +106,6 @@ class _Parser(argparse.ArgumentParser):
     # everything into the single-line diagnostic channel instead.
     def error(self, message: str):  # noqa: D102
         raise CLIError(message)
-
-
-class _Subcommand:
-    """Stand-in for a subcommand's parser, which it builds when first used.
-
-    Every attribute the stand-in lacks is its parser's.  On Python 3.10.13,
-    3.11.7, 3.12.1, 3.13.0 and 3.13.13, argparse's ``add_parser`` constructs
-    a subparser as ``parser_class(**kwargs)``, and only the selected one is
-    used, by ``parse_known_args`` in ``_SubParsersAction.__call__``; top-level
-    help and the invalid-choice message come from the action's choice list.
-    """
-
-    def __init__(self, *, compute, arguments: Sequence[tuple], **kwargs) -> None:
-        self._spec = compute, arguments, kwargs
-        self._parser = None
-
-    def __getattr__(self, name: str):
-        if name.startswith("__"):  # copy and pickle probes stay the stand-in's
-            raise AttributeError(name)
-        if self._parser is None:
-            compute, arguments, kwargs = self._spec
-            self._parser = _Parser(**kwargs)
-            for flags, options in [*arguments, _FORMAT]:
-                self._parser.add_argument(*flags, **options)
-            self._parser.set_defaults(compute=compute)
-        return getattr(self._parser, name)
 
 
 def _bundle_from(args: argparse.Namespace) -> NSClass:
@@ -424,23 +397,31 @@ def _table(args: argparse.Namespace) -> tuple:
     ]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Parser with every subcommand registered (name, help and compute).
+def _command_parser(name: str, parser: _Parser) -> _Parser:
+    """``parser`` given subcommand ``name``'s arguments, ``--format``, and
+    defaults naming the subcommand and its compute function."""
+    _, compute, arguments = _COMMANDS[name]
+    for flags, options in [*arguments, _FORMAT]:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(compute=compute, command=name)
+    return parser
 
-    A subcommand's parser, not just its arguments, is built only when argparse
-    selects that subcommand, so an introspecting caller finds ``_Subcommand``
-    stand-ins in the subparsers action's ``choices``; help and diagnostics
-    are those of a parser built with every subparser.
+
+def build_parser() -> argparse.ArgumentParser:
+    """Parser with every subcommand and its arguments.
+
+    ``main`` uses it only when the first argument names no subcommand; a
+    command line that starts with a subcommand's name is parsed the same by
+    that subcommand's parser alone, since argparse hands the subcommand every
+    later token unchanged.
     """
     parser = _Parser(
         prog="curvejac",
         description="Exact Neron-Severi calculator for a curve times its Jacobian.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="command", parser_class=_Subcommand
-    )
-    for name, (help_text, compute, arguments) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, compute=compute, arguments=arguments)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -452,9 +433,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     limit on int/str conversion is lifted while the command runs, so input
     literals of any length are accepted too, and the caller's limit is
     restored on return.  The limit is process-wide, so concurrent calls from
-    several threads would see each other's setting.
+    several threads would see each other's setting.  A genus too large
+    for ``math.factorial`` gets a diagnostic too.
     """
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _command_parser(argv[0], _Parser(prog=f"curvejac {argv[0]}"))
+        argv = argv[1:]
+    else:
+        parser = build_parser()
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -464,7 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         record, lines = args.compute(args)
         print(json.dumps(record) if args.format == "json" else "\n".join(lines))
         return 0
-    except (CLIError, ValueError) as err:
+    except (CLIError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -94,9 +94,7 @@ def cone_minimum(L: NSClass) -> MinimaReport:
     g = L.genus
     gf = _factorial(g)
     A, B, C = L.a, L.b, L.c
-    if A == 0:
-        if C != 0:
-            raise ValueError(f"inconsistent nef class {L}: zero degree, nonzero c")
+    if A == 0:  # nef forces -g C^2 >= 0 here, so C = 0
         t_star = Fraction(0)
         s_star = Fraction(0)
         infimum = gf * B

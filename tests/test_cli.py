@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import copy
 import dataclasses
 import io
 import json
@@ -29,6 +28,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# 2^63: past the C long that math.factorial takes, on every platform.
+HUGE_GENUS = str(2**63)
 
 
 class TestParsing:
@@ -389,6 +392,26 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "-g", HUGE_GENUS],
+            ["minima", "-g", HUGE_GENUS],
+            ["curve-height", "-g", HUGE_GENUS],
+            ["height", "-g", HUGE_GENUS, "1,1,0"],
+            ["pair", "-g", HUGE_GENUS, "1,1,1", "1,1,1"],
+            ["witness", "-g", HUGE_GENUS, "-n", "1"],
+            ["table", HUGE_GENUS, HUGE_GENUS],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_genus_past_factorial(self, capsys, argv):
+        # math.factorial refuses 2^63 with OverflowError: a diagnostic, not
+        # a traceback.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_csv_rejected_before_computing(self, capsys, monkeypatch):
         def no_audit(L):
             raise AssertionError("audit computed before the format was checked")
@@ -423,11 +446,8 @@ FUZZ_TOKENS = st.sampled_from([
 ])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_fuzz_argv_one_outcome(data):
-    """Any command line exits 0 with stdout only, or 2 with one line,
-    starting 'error:', on stderr and nothing on stdout."""
+def draw_argv(data):
+    """A command line from ``FUZZ_BASE`` after up to three random edits."""
     command = data.draw(st.sampled_from(sorted(FUZZ_BASE)))
     argv = [command, *FUZZ_BASE[command]]
     for _ in range(data.draw(st.integers(0, 3))):
@@ -439,18 +459,56 @@ def test_fuzz_argv_one_outcome(data):
             argv[i:i + (edit == "replace")] = [data.draw(FUZZ_TOKENS)]
         if not argv:
             break
+    return argv
+
+
+def outcome(run, argv):
+    """(exit, stdout, stderr) of ``run(argv)``; -h exits through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = run(argv)
         except SystemExit as exit:  # argparse's -h prints help and exits 0
             code = exit.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_argv_one_outcome(data):
+    """Any command line exits 0 with stdout only, or 2 with one line,
+    starting 'error:', on stderr and nothing on stdout."""
+    code, out, err = outcome(main, draw_argv(data))
     if code == 0:
-        assert out.getvalue() and not err.getvalue()
+        assert out and not err
     else:
-        assert code == 2 and not out.getvalue()
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert code == 2 and not out
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def full_parser_main(argv):
+    """``main`` with every command line parsed by ``build_parser``'s full
+    parser, never by a subcommand's parser alone."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        if args.format == "csv" and args.command != "table":
+            raise CLIError("csv output is only available for the 'table' command")
+        record, lines = args.compute(args)
+    except (CLIError, ValueError, OverflowError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    print(json.dumps(record) if args.format == "json" else "\n".join(lines))
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_argv_full_parser_agrees(data):
+    """Parsing with the selected subcommand's parser alone changes no exit
+    status and no byte of stdout or stderr."""
+    argv = draw_argv(data)
+    assert outcome(main, argv) == outcome(full_parser_main, argv)
 
 
 class TestRepeatedCalls:
@@ -469,9 +527,10 @@ class TestRepeatedCalls:
 
 
 def eager_parser():
-    """The CLI parser with every subcommand's arguments added up front."""
-    lazy = cli.build_parser()
-    parser = cli._Parser(prog=lazy.prog, description=lazy.description)
+    """The CLI parser with every subcommand and its arguments, built here as
+    a reference, independently of ``cli``'s own construction."""
+    full = cli.build_parser()
+    parser = cli._Parser(prog=full.prog, description=full.description)
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="command", parser_class=cli._Parser
     )
@@ -497,9 +556,10 @@ def eager_outcome(argv):
 
 
 class TestLazyParser:
-    """Only the selected subcommand's parser is built, on parse; help and
-    diagnostics match a parser built eagerly.  Compared on the running
-    interpreter, since help layout differs between Python releases."""
+    """A command line that names a subcommand builds that subcommand's parser
+    only; help and diagnostics match a parser built with every subcommand.
+    Compared on the running interpreter, since help layout differs between
+    Python releases."""
 
     @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
     def test_help_matches_eager(self, capsys, command):
@@ -522,7 +582,9 @@ class TestLazyParser:
             assert (out, err) == eager_outcome(argv)
 
     @pytest.mark.parametrize(
-        "argv,parsers", [(None, 1), (["audit", "-g", "2"], 2), (["nonsense"], 1)]
+        "argv,parsers",
+        [(None, 12), (["audit", "-g", "2"], 1), (["nonsense"], 12)],
+        ids=["build_parser", "audit", "nonsense"],
     )
     def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
         built = []
@@ -538,33 +600,24 @@ class TestLazyParser:
             run_cli(capsys, *argv)
         assert len(built) == parsers
 
-    def test_stand_ins_forward(self):
-        # Whatever is asked of a stand-in in choices is its built parser's.
-        def choices(parser):
-            return next(a.choices for a in parser._actions if a.dest == "command")
+    def test_subparsers_match_command_parsers(self):
+        # The full parser's subparsers are the parsers main builds alone.
+        full = next(a.choices for a in cli.build_parser()._actions
+                    if a.dest == "command")
+        assert list(full) == list(cli._COMMANDS)
+        for name, subparser in full.items():
+            alone = cli._command_parser(name, cli._Parser(prog=f"curvejac {name}"))
+            assert subparser.format_help() == alone.format_help()
+            for key in ("compute", "command"):
+                assert subparser.get_default(key) == alone.get_default(key)
 
-        lazy, eager = choices(cli.build_parser()), choices(eager_parser())
-        for name, command in lazy.items():
-            assert isinstance(command, cli._Subcommand)
-            assert command.format_help() == eager[name].format_help()
-            assert command.get_default("compute") is cli._COMMANDS[name][1]
-            assert copy.copy(command).format_help() == command.format_help()
-
-    def test_argparse_touching_subparsers(self, capsys, monkeypatch):
+    def test_argparse_touching_subparsers(self, monkeypatch):
         # An argparse that uses each subparser as it adds it (say, to check
-        # its help string) gets real parsers, and no output changes.
+        # its help string) changes no output.
         argvs = [["-h"], ["audit", "-h"], ["pair", "--bogus"], ["nonsense"],
                  ["classify", "-g", "2", "-a", "1", "-b", "1", "-c", "-1/2"],
                  ["pair", "-g", "2", "1,1,1", "-1,1,0"], ["table", "2", "3"]]
-
-        def outcome(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exit:  # -h
-                code = exit.code
-            return code, *capsys.readouterr()
-
-        expected = [outcome(argv) for argv in argvs]
+        expected = [outcome(main, argv) for argv in argvs]
         add_parser = argparse._SubParsersAction.add_parser
 
         def touching(self, name, **kwargs):
@@ -580,9 +633,10 @@ class TestLazyParser:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", init)
-        assert [outcome(argv) for argv in argvs] == expected
-        # Every call builds each parser once, the selected one included.
-        assert len(built) == len(argvs) * (1 + len(cli._COMMANDS))
+        assert [outcome(main, argv) for argv in argvs] == expected
+        # A call that names a subcommand builds its parser alone; the two
+        # others build the full parser and every subparser once.
+        assert len(built) == (len(argvs) - 2) + 2 * (1 + len(cli._COMMANDS))
 
     def test_one_parser_parsed_twice(self):
         parser = cli.build_parser()

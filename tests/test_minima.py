@@ -61,6 +61,11 @@ class TestConeMinimum:
         assert report.infimum == 14
         assert report.t_star == 0 and report.s_star == 0
         assert report.attained_by_witness
+        for g in (3, 5, 12):
+            assert cone_minimum(NSClass(g, 0, 3, 0)).infimum == 3 * factorial(g)
+        # Zero degree with c != 0 is not nef, so the nef check refuses it.
+        with pytest.raises(ValueError, match="needs a nef class"):
+            cone_minimum(NSClass(2, 0, 1, 1))
 
     def test_rejects_non_nef(self):
         with pytest.raises(ValueError):

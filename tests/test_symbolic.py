@@ -1,0 +1,73 @@
+"""Symbolic cross-checks with sympy: facts the runtime takes as given,
+derived here from their definitions."""
+
+from fractions import Fraction
+from math import factorial
+
+import hypothesis.strategies as st
+import pytest
+import sympy
+from hypothesis import given, settings
+
+from curvejac.lattice import POINCARE_SQUARE_COEFF, NSClass, poincare, theta2, top_intersect
+from curvejac.minima import cone_minimum
+
+alpha, theta, Q = sympy.symbols("alpha theta Q")
+
+rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
+nonneg = st.fractions(min_value=0, max_value=15, max_denominator=10)
+positive = st.fractions(min_value=Fraction(1, 10), max_value=15, max_denominator=10)
+
+
+def rational(x: Fraction) -> sympy.Rational:
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def contract(product: sympy.Expr, g: int, square: sympy.Expr) -> sympy.Expr:
+    """Degree of a product of g+1 classes in (alpha, theta, Q), given
+    alpha . theta^g = g!, Q^2 . theta^(g-1) = square * g!, and every other
+    degree-(g+1) monomial 0."""
+    top = sympy.Poly(sympy.expand(product), alpha, theta, Q)
+    return factorial(g) * (
+        top.coeff_monomial(alpha * theta**g)
+        + square * top.coeff_monomial(Q**2 * theta ** (g - 1))
+    )
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_poincare_square_from_pullback_vanishing(g):
+    # The pullback F = (g m^2, n^2, m n) of a class on the g-dimensional J
+    # has F^(g+1) = 0 for every m, n; that alone fixes the Q^2 coefficient.
+    m, n, q = sympy.symbols("m n q")
+    F = g * m**2 * alpha + n**2 * theta + m * n * Q
+    degree = sympy.Poly(contract(F ** (g + 1), g, q), m, n)
+    assert sympy.solve(degree.coeffs(), q, dict=True) == [{q: -2}]
+    assert POINCARE_SQUARE_COEFF == -2
+    assert top_intersect([poincare(g)] * 2 + [theta2(g)] * (g - 1)) == -2 * factorial(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_top_intersect_matches_expansion(g, data):
+    # Expand the product of g+1 linear forms and contract it by hand.
+    classes = [
+        NSClass(g, *(data.draw(rationals) for _ in range(3))) for _ in range(g + 1)
+    ]
+    product = sympy.Mul(*(
+        rational(x.a) * alpha + rational(x.b) * theta + rational(x.c) * Q
+        for x in classes
+    ))
+    assert contract(product, g, -2) == rational(top_intersect(classes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), positive, rationals, nonneg)
+def test_cone_minimum_is_stationary_point(g, A, C, excess):
+    # t* is the zero of d/dt g!(B + g A t^2 - 2 t C), and the minimum there
+    # is the infimum; B sits on or above the nef wall A B = g C^2.
+    B = g * C * C / A + excess
+    report = cone_minimum(NSClass(g, A, B, C))
+    t = sympy.symbols("t")
+    objective = factorial(g) * (rational(B) + g * rational(A) * t**2 - 2 * t * rational(C))
+    assert sympy.solve(sympy.diff(objective, t), t) == [rational(report.t_star)]
+    assert objective.subs(t, rational(report.t_star)) == rational(report.infimum)
