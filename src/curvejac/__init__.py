@@ -18,7 +18,6 @@ from .cones import (
 from .heights import (
     HeightReport,
     PointClass,
-    generic_degree,
     height_curve,
     height_point,
     standard_polarization,
@@ -32,7 +31,6 @@ from .lattice import (
     poincare,
     pullback_theta,
     restrict_to_C_fiber,
-    restrict_to_J_fiber,
     theta2,
     top_intersect,
     zero_class,
@@ -63,7 +61,6 @@ __all__ = [
     "boundary_witness",
     "classify",
     "cone_minimum",
-    "generic_degree",
     "height_curve",
     "height_point",
     "nef_decomposition",
@@ -72,7 +69,6 @@ __all__ = [
     "pullback_theta",
     "rational_sqrt",
     "restrict_to_C_fiber",
-    "restrict_to_J_fiber",
     "standard_polarization",
     "theta2",
     "top_intersect",

@@ -17,12 +17,12 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero,
                      Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
@@ -306,19 +306,6 @@ def _witness(args: argparse.Namespace) -> tuple:
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
 
-def _once(render):
-    """``render`` that formats each distinct value once for as long as the
-    returned function lives."""
-    seen: dict = {}
-
-    def cached(x: Fraction) -> str:
-        if x not in seen:
-            seen[x] = render(x)
-        return seen[x]
-
-    return cached
-
-
 def _audit_record(audit: ZhangAudit) -> tuple:
     """Values of one audit, and e2's decimal, which only the text shows.
 
@@ -327,8 +314,8 @@ def _audit_record(audit: ZhangAudit) -> tuple:
     1500.  Equality is tested, not assumed.  A decimal is derived from the
     exact text of its value, so nothing is converted from binary twice.
     """
-    exact = _once(fmt_rat)
-    decimal = _once(lambda x: decimal_str(x, exact=exact(x)))
+    exact = cache(fmt_rat)
+    decimal = cache(lambda x: decimal_str(x, exact=exact(x)))
     record = {
         "e1": exact(audit.e1),
         "e2": exact(audit.e2),
@@ -449,7 +436,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.format == "csv" and args.command != "table":
             raise CLIError("csv output is only available for the 'table' command")
         record, lines = args.compute(args)
-        print(json.dumps(record) if args.format == "json" else "\n".join(lines))
+        if args.format == "json":
+            import json  # here, not at the top: other formats skip its import
+            lines = [json.dumps(record)]
+        print("\n".join(lines))
         return 0
     except (CLIError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)

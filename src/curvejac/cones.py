@@ -12,13 +12,12 @@ quadric wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .lattice import NSClass, as_fraction, zero_class
+from .lattice import NSClass, _Frozen, as_fraction, zero_class
 
 __all__ = [
     "ConeVerdict",
@@ -38,16 +37,19 @@ class Region(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class ConeVerdict:
+class ConeVerdict(_Frozen):
     """Cone membership report.  is_ample == is_big and is_nef == is_psef."""
 
-    region: Region
-    is_ample: bool
-    is_nef: bool
-    is_big: bool
-    is_psef: bool
-    defect: Fraction
+    __slots__ = ("region", "is_ample", "is_nef", "is_big", "is_psef", "defect")
+
+    def __init__(self, region: Region, is_ample: bool, is_nef: bool, is_big: bool,
+                 is_psef: bool, defect: Fraction) -> None:
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "is_ample", is_ample)
+        object.__setattr__(self, "is_nef", is_nef)
+        object.__setattr__(self, "is_big", is_big)
+        object.__setattr__(self, "is_psef", is_psef)
+        object.__setattr__(self, "defect", defect)
 
 
 def classify(x: NSClass) -> ConeVerdict:
@@ -61,14 +63,8 @@ def classify(x: NSClass) -> ConeVerdict:
         region = Region.BOUNDARY
     else:
         region = Region.OUTSIDE
-    return ConeVerdict(
-        region=region,
-        is_ample=ample,
-        is_nef=nef,
-        is_big=ample,
-        is_psef=nef,
-        defect=defect,
-    )
+    return ConeVerdict(region=region, is_ample=ample, is_nef=nef, is_big=ample,
+                       is_psef=nef, defect=defect)
 
 
 class NefDecomposition(NamedTuple):
@@ -112,21 +108,21 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True)
-class SqrtWitness:
+class SqrtWitness(_Frozen):
     """Exact stand-in for a possibly irrational real: sign * sqrt(square)."""
 
-    square: Fraction
-    sign: int
+    __slots__ = ("square", "sign")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "square", as_fraction(self.square))
-        if self.square < 0:
-            raise ValueError(f"square must be nonnegative, got {self.square}")
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or 1, got {self.sign}")
-        if (self.sign == 0) != (self.square == 0):
+    def __init__(self, square: Fraction, sign: int) -> None:
+        square = as_fraction(square)
+        if square < 0:
+            raise ValueError(f"square must be nonnegative, got {square}")
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0, or 1, got {sign}")
+        if (sign == 0) != (square == 0):
             raise ValueError("sign is 0 exactly when square is 0")
+        object.__setattr__(self, "square", square)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def exact_root(self) -> Optional[Fraction]:

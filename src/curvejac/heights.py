@@ -12,7 +12,6 @@ numerical conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -20,6 +19,7 @@ from .cones import classify
 from .lattice import (
     NSClass,
     RationalLike,
+    _Frozen,
     as_fraction,
     pair_theta_power,
     pullback_theta,
@@ -29,38 +29,39 @@ from .lattice import (
 __all__ = [
     "HeightReport",
     "PointClass",
-    "generic_degree",
     "height_curve",
     "height_point",
     "standard_polarization",
 ]
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(_Frozen):
     """Numerical class of the closure of a point of the generic fiber.
 
     Requires positive degree (the alpha1 coefficient) and pseudo-effectivity;
     both are validated at construction, not assumed.
     """
 
-    cls: NSClass
+    __slots__ = ("cls",)
 
-    def __post_init__(self) -> None:
-        if self.cls.a <= 0:
-            raise ValueError(f"point class needs positive degree, got a = {self.cls.a}")
-        if not classify(self.cls).is_psef:
-            raise ValueError(f"point class must be pseudo-effective, got {self.cls}")
+    def __init__(self, cls: NSClass) -> None:
+        if cls.a <= 0:
+            raise ValueError(f"point class needs positive degree, got a = {cls.a}")
+        if not classify(cls).is_psef:
+            raise ValueError(f"point class must be pseudo-effective, got {cls}")
+        object.__setattr__(self, "cls", cls)
 
     @property
     def degree(self) -> Fraction:
         return self.cls.a
 
 
-@dataclass(frozen=True)
-class HeightReport:
-    height: Fraction
-    degree: Fraction
+class HeightReport(_Frozen):
+    __slots__ = ("height", "degree")
+
+    def __init__(self, height: Fraction, degree: Fraction) -> None:
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "degree", degree)
 
 
 def standard_polarization(g: int) -> NSClass:
@@ -70,11 +71,6 @@ def standard_polarization(g: int) -> NSClass:
     for heights and audits throughout.
     """
     return pullback_theta(g, 1, 1)
-
-
-def generic_degree(L: NSClass) -> Fraction:
-    """Degree of L on the generic curve fiber."""
-    return restrict_to_C_fiber(L)
 
 
 def _base_factor(g: int, base_multiple: RationalLike) -> Fraction:
@@ -105,7 +101,7 @@ def height_point(
 
 def height_curve(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
     """Self-height of the total space: L . L . theta2^(g-1) / (2 deg L)."""
-    deg = generic_degree(L)
+    deg = restrict_to_C_fiber(L)
     if deg <= 0:
         raise ValueError(f"curve height needs positive generic degree, got {deg}")
     factor = _base_factor(L.genus, base_multiple)

@@ -31,16 +31,14 @@ classes alone, in O(1) integer operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "MIN_GENUS",
     "POINCARE_SQUARE_COEFF",
-    "JFiberRestriction",
     "NSClass",
     "RationalLike",
     "alpha1",
@@ -49,7 +47,6 @@ __all__ = [
     "poincare",
     "pullback_theta",
     "restrict_to_C_fiber",
-    "restrict_to_J_fiber",
     "theta2",
     "top_intersect",
     "zero_class",
@@ -96,8 +93,39 @@ def _check_same_genus(x: "NSClass", y: "NSClass") -> None:
         raise ValueError(f"genus mismatch: {x.genus} vs {y.genus}")
 
 
-@dataclass(frozen=True)
-class NSClass:
+class _Frozen:
+    """Base of the immutable value classes: each subclass lists its fields in
+    ``__slots__`` and sets them in its ``__init__`` by ``object.__setattr__``.
+    Equal only to the same class with equal fields; copied and pickled
+    through the constructor, which validates again."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable value")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class NSClass(_Frozen):
     """A divisor class a*alpha1 + b*theta2 + c*Q in genus-g coordinates.
 
     Construction imposes no positivity: any rational triple is a valid
@@ -105,16 +133,15 @@ class NSClass:
     module).
     """
 
-    genus: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ("genus", "a", "b", "c")
 
-    def __post_init__(self) -> None:
-        _check_genus(self.genus)
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        object.__setattr__(self, "c", as_fraction(self.c))
+    def __init__(self, genus: int, a: RationalLike, b: RationalLike,
+                 c: RationalLike) -> None:
+        _check_genus(genus)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "a", as_fraction(a))
+        object.__setattr__(self, "b", as_fraction(b))
+        object.__setattr__(self, "c", as_fraction(c))
 
     @property
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -253,18 +280,6 @@ def pullback_theta(g: int, m: RationalLike, n: RationalLike) -> NSClass:
     m = as_fraction(m)
     n = as_fraction(n)
     return NSClass(g, g * m * m, n * n, m * n)
-
-
-class JFiberRestriction(NamedTuple):
-    """Restriction to a Jacobian fiber {x} x J: theta part plus a Pic^0 part."""
-
-    theta_coeff: Fraction
-    pic0_coeff: Fraction
-
-
-def restrict_to_J_fiber(x: NSClass) -> JFiberRestriction:
-    """Class on {x0} x J: b theta plus a numerically trivial c-part."""
-    return JFiberRestriction(x.b, x.c)
 
 
 def restrict_to_C_fiber(x: NSClass) -> Fraction:

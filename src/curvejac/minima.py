@@ -17,13 +17,12 @@ successive-minima inequalities with exact margins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .cones import classify
 from .heights import PointClass, height_curve, height_point
-from .lattice import NSClass, _factorial, pullback_theta
+from .lattice import NSClass, _factorial, _Frozen, pullback_theta
 
 __all__ = [
     "MinimaReport",
@@ -34,23 +33,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MinimaReport:
+class MinimaReport(_Frozen):
     """Closed-form cone minimum with its minimizer and attainment status.
 
     ``s_star = g * t_star**2`` always: the constraint is active at the
     optimum (or the minimizer is the apex s = t = 0 when C = 0).
     """
 
-    infimum: Fraction
-    s_star: Fraction
-    t_star: Fraction
-    attained_by_witness: bool
-    witness: Optional[PointClass] = None
+    __slots__ = ("infimum", "s_star", "t_star", "attained_by_witness", "witness")
+
+    def __init__(self, infimum: Fraction, s_star: Fraction, t_star: Fraction,
+                 attained_by_witness: bool,
+                 witness: Optional[PointClass] = None) -> None:
+        object.__setattr__(self, "infimum", infimum)
+        object.__setattr__(self, "s_star", s_star)
+        object.__setattr__(self, "t_star", t_star)
+        object.__setattr__(self, "attained_by_witness", attained_by_witness)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class ZhangAudit:
+class ZhangAudit(_Frozen):
     """Exact evaluation of the two successive-minima inequalities for L.
 
     The first inequality is e1 >= h, the second is h >= (e1 + e2) / 2;
@@ -59,13 +61,19 @@ class ZhangAudit:
     False the reported e1, e2 are certified lower bounds only.
     """
 
-    e1: Fraction
-    e2: Fraction
-    h_curve: Fraction
-    first_inequality_holds: bool
-    second_inequality_holds: bool
-    violation_margin: Fraction
-    minima_attained: bool
+    __slots__ = ("e1", "e2", "h_curve", "first_inequality_holds",
+                 "second_inequality_holds", "violation_margin", "minima_attained")
+
+    def __init__(self, e1: Fraction, e2: Fraction, h_curve: Fraction,
+                 first_inequality_holds: bool, second_inequality_holds: bool,
+                 violation_margin: Fraction, minima_attained: bool) -> None:
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "h_curve", h_curve)
+        object.__setattr__(self, "first_inequality_holds", first_inequality_holds)
+        object.__setattr__(self, "second_inequality_holds", second_inequality_holds)
+        object.__setattr__(self, "violation_margin", violation_margin)
+        object.__setattr__(self, "minima_attained", minima_attained)
 
 
 def _minimizing_witness(L: NSClass, t_star: Fraction) -> PointClass:
@@ -104,13 +112,9 @@ def cone_minimum(L: NSClass) -> MinimaReport:
         infimum = gf * (g * A * B - C * C) / (g * A)
     witness = _minimizing_witness(L, t_star)
     attained = height_point(L, witness).height == infimum
-    return MinimaReport(
-        infimum=infimum,
-        s_star=s_star,
-        t_star=t_star,
-        attained_by_witness=attained,
-        witness=witness if attained else None,
-    )
+    return MinimaReport(infimum=infimum, s_star=s_star, t_star=t_star,
+                        attained_by_witness=attained,
+                        witness=witness if attained else None)
 
 
 def witness_sequence(g: int, n: int) -> PointClass:

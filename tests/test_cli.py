@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import subprocess
@@ -19,7 +18,7 @@ from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
 from curvejac.lattice import NSClass
-from curvejac.minima import ZhangAudit, cone_minimum, zhang_audit
+from curvejac.minima import MinimaReport, ZhangAudit, cone_minimum, zhang_audit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -727,17 +726,50 @@ def test_module_entry_point():
     assert result.stdout.strip() == "2 (~2.000000)"
 
 
+# Imports curvejac.cli into a fresh interpreter, prints which of the heavy
+# modules that import added, then runs one JSON command in the same process.
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import curvejac.cli
+print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
+sys.stdout.flush()
+sys.exit(curvejac.cli.main(["audit", "-g", "2", "--format", "json"]))
+"""
+
+
+def test_import_leaves_heavy_modules_out():
+    # -I -S: no environment, user site or site-packages to load json first.
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", IMPORT_PROBE, src],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    added, output = result.stdout.splitlines()
+    assert added == "[]"
+    assert json.loads(output)["genus"] == 2
+
+
 def unattained_minimum(L):
     """cone_minimum with the witness dropped: the branch no real class reaches."""
-    return dataclasses.replace(cone_minimum(L), attained_by_witness=False, witness=None)
+    report = cone_minimum(L)
+    return MinimaReport(report.infimum, report.s_star, report.t_star,
+                        attained_by_witness=False, witness=None)
 
 
 def unattained_audit(L):
     """zhang_audit with the flags flipped, to reach the other audit lines."""
-    return dataclasses.replace(
-        zhang_audit(L),
+    audit = zhang_audit(L)
+    return ZhangAudit(
+        audit.e1,
+        audit.e2,
+        audit.h_curve,
         first_inequality_holds=False,
         second_inequality_holds=True,
+        violation_margin=audit.violation_margin,
         minima_attained=False,
     )
 

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 
 from curvejac.heights import (
     PointClass,
-    generic_degree,
     height_curve,
     height_point,
     standard_polarization,
 )
-from curvejac.lattice import NSClass, alpha1, pullback_theta, theta2
+from curvejac.lattice import NSClass, alpha1, pullback_theta, restrict_to_C_fiber, theta2
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonneg = st.fractions(min_value=0, max_value=20, max_denominator=12)
@@ -49,7 +48,7 @@ class TestStandardPolarization:
         L = standard_polarization(g)
         assert L == NSClass(g, g, 1, 1)
         assert L == pullback_theta(g, 1, 1)
-        assert generic_degree(L) == g
+        assert restrict_to_C_fiber(L) == g
 
 
 class TestHeightPoint:
@@ -160,6 +159,6 @@ class TestHeightCurve:
         n = data.draw(rationals)
         L = pullback_theta(g, m, n) + data.draw(positive) * alpha1(g)
         value = height_curve(L)
-        assert value == pair_theta_power(L, L) / (2 * generic_degree(L))
+        assert value == pair_theta_power(L, L) / (2 * restrict_to_C_fiber(L))
         lam = data.draw(positive)
         assert height_curve(lam * L) == lam * value

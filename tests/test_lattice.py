@@ -17,7 +17,6 @@ from curvejac.lattice import (
     poincare,
     pullback_theta,
     restrict_to_C_fiber,
-    restrict_to_J_fiber,
     theta2,
     top_intersect,
     zero_class,
@@ -337,11 +336,5 @@ class TestPullback:
 
 
 class TestRestrictions:
-    def test_J_fiber(self):
-        cls = NSClass(3, Fraction(7, 2), -1, 5)
-        restriction = restrict_to_J_fiber(cls)
-        assert restriction.theta_coeff == -1
-        assert restriction.pic0_coeff == 5
-
     def test_C_fiber(self):
         assert restrict_to_C_fiber(NSClass(3, Fraction(7, 2), -1, 5)) == Fraction(7, 2)
