@@ -9,27 +9,18 @@ minimum at unbounded degree.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from curvejac.heights import height_point, standard_polarization
 from curvejac.minima import cone_minimum, witness_sequence, zhang_audit
 
 
-@dataclass
-class Config:
-    g_min: int = 2
-    g_max: int = 12
-    witnesses: int = 3
-
-
-def parse_config() -> Config:
+def parse_config() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--g-min", type=int, default=2)
     parser.add_argument("--g-max", type=int, default=12)
     parser.add_argument("--witnesses", type=int, default=3,
                         help="witness family members to print per genus")
-    args = parser.parse_args()
-    return Config(g_min=args.g_min, g_max=args.g_max, witnesses=args.witnesses)
+    return parser.parse_args()
 
 
 def main() -> None:

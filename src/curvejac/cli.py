@@ -34,7 +34,7 @@ __all__ = ["main"]
 
 DEFAULT_TABLE_RANGE = (2, 12)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 class CLIError(Exception):
@@ -43,7 +43,7 @@ class CLIError(Exception):
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional leading sign, no whitespace."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise CLIError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
     num, _, den = text.partition("/")
     if den:
@@ -72,15 +72,13 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded, InvalidOperation, DivisionByZero])
 
 
-def decimal_str(x: Fraction, *, exact: Optional[str] = None) -> str:
-    """Six-place decimal of a rational, rounded half-even.  Display only.
+def decimal_str(exact: str) -> str:
+    """Six-place decimal, rounded half-even, of a rational's ``fmt_rat`` text.
 
-    ``exact`` is ``fmt_rat(x)``, rendered here when not given.  The decimal
-    is worked out from its digits, in time linear in their number, so a
-    caller that prints both forms converts ``x`` from binary once.
+    Display only.  The decimal is worked out from the text's digits, in time
+    linear in their number, so a caller that prints both forms converts the
+    value from binary once.
     """
-    if exact is None:
-        exact = fmt_rat(x)
     num, _, den = exact.partition("/")
     den = Decimal(den or 1)
     quo, rem = _EXACT.divmod(Decimal(num.lstrip("-") + "000000"), den)
@@ -176,7 +174,7 @@ def _value(genus: int, value: Fraction, **inputs) -> tuple:
     """Record and line of a command whose result is one rational."""
     text = fmt_rat(value)
     record = {"genus": genus, **inputs}
-    record.update(value=text, decimal=decimal_str(value, exact=text))
+    record.update(value=text, decimal=decimal_str(text))
     return record, ["{value} (~{decimal})".format_map(record)]
 
 
@@ -240,7 +238,7 @@ def _height(args: argparse.Namespace) -> tuple:
         "bundle": str(L),
         "point": str(point),
         "height": height,
-        "height_dec": decimal_str(report.height, exact=height),
+        "height_dec": decimal_str(height),
         "degree": fmt_rat(report.degree),
     }
     line = "height {height} (~{height_dec}), degree {degree}".format_map(record)
@@ -256,7 +254,7 @@ def _curve_height(args: argparse.Namespace) -> tuple:
         "genus": args.genus,
         "bundle": str(L),
         "height": height,
-        "height_dec": decimal_str(value, exact=height),
+        "height_dec": decimal_str(height),
     }
     return record, ["curve height {height} (~{height_dec})".format_map(record)]
 
@@ -270,7 +268,7 @@ def _minima(args: argparse.Namespace) -> tuple:
         "genus": args.genus,
         "bundle": str(L),
         "infimum": infimum,
-        "infimum_dec": decimal_str(report.infimum, exact=infimum),
+        "infimum_dec": decimal_str(infimum),
         "s_star": fmt_rat(report.s_star),
         "t_star": fmt_rat(report.t_star),
         "attained_by_witness": report.attained_by_witness,
@@ -315,7 +313,7 @@ def _audit_record(audit: ZhangAudit) -> tuple:
     exact text of its value, so nothing is converted from binary twice.
     """
     exact = cache(fmt_rat)
-    decimal = cache(lambda x: decimal_str(x, exact=exact(x)))
+    decimal = cache(lambda x: decimal_str(exact(x)))
     record = {
         "e1": exact(audit.e1),
         "e2": exact(audit.e2),

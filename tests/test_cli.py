@@ -40,7 +40,9 @@ class TestParsing:
         assert parse_rational("+7") == 7
         assert parse_rational("4/6") == Fraction(2, 3)
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "1.5", "1 /2", "a", "1/-2", "--3"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1/0", "1.5", "1 /2", "a", "1/-2", "--3", "1\n", "3/4\n"]
+    )
     def test_malformed_rationals(self, bad):
         with pytest.raises(CLIError):
             parse_rational(bad)
@@ -60,16 +62,16 @@ class TestParsing:
 
 class TestDecimalAnnotation:
     def test_basic(self):
-        assert decimal_str(Fraction(3, 2)) == "1.500000"
-        assert decimal_str(Fraction(16, 3)) == "5.333333"
-        assert decimal_str(Fraction(-1, 2)) == "-0.500000"
-        assert decimal_str(Fraction(700)) == "700.000000"
+        assert decimal_str(fmt_rat(Fraction(3, 2))) == "1.500000"
+        assert decimal_str(fmt_rat(Fraction(16, 3))) == "5.333333"
+        assert decimal_str(fmt_rat(Fraction(-1, 2))) == "-0.500000"
+        assert decimal_str(fmt_rat(Fraction(700))) == "700.000000"
 
     def test_round_half_even(self):
-        assert decimal_str(Fraction(1, 2_000_000)) == "0.000000"
-        assert decimal_str(Fraction(3, 2_000_000)) == "0.000002"
-        assert decimal_str(Fraction(-3, 2_000_000)) == "-0.000002"
-        assert decimal_str(Fraction(-1, 2_000_000)) == "0.000000"
+        assert decimal_str(fmt_rat(Fraction(1, 2_000_000))) == "0.000000"
+        assert decimal_str(fmt_rat(Fraction(3, 2_000_000))) == "0.000002"
+        assert decimal_str(fmt_rat(Fraction(-3, 2_000_000))) == "-0.000002"
+        assert decimal_str(fmt_rat(Fraction(-1, 2_000_000))) == "0.000000"
 
     @staticmethod
     def reference(x: Fraction) -> str:
@@ -101,9 +103,7 @@ class TestDecimalAnnotation:
         # A low ambient precision shows that no step rounds in the caller's
         # decimal context.
         with digit_limit(0), localcontext(Context(prec=3)):
-            expected = self.reference(x)
-            assert decimal_str(x) == expected
-            assert decimal_str(x, exact=fmt_rat(x)) == expected
+            assert decimal_str(fmt_rat(x)) == self.reference(x)
 
     def test_rounding_step_raises(self):
         # decimal_str's context raises rather than round, so an inexact
@@ -207,13 +207,13 @@ class TestAudit:
     def test_equal_values_rendered_once(self, capsys, monkeypatch, argv, records):
         rendered, texts, handed = [], {}, []
         for name in ("fmt_rat", "decimal_str"):
-            def render(x, original=getattr(cli, name), name=name, **kwargs):
+            def render(x, original=getattr(cli, name), name=name):
                 rendered.append((name, x))
-                text = original(x, **kwargs)
+                text = original(x)
                 if name == "fmt_rat":
                     texts[x] = text
                 else:
-                    handed.append((x, kwargs.get("exact")))
+                    handed.append(x)
                 return text
 
             monkeypatch.setattr(cli, name, render)
@@ -224,7 +224,7 @@ class TestAudit:
         # Each decimal is derived from the exact text already made for its
         # value, not from a second conversion of the value.
         assert len(handed) == 2 * records
-        assert all(exact is texts[x] for x, exact in handed)
+        assert all(exact is texts[Fraction(exact)] for exact in handed)
 
     def test_table_renders_no_bundle(self, capsys, monkeypatch):
         # Table rows carry no bundle column, so no class is rendered.
@@ -677,8 +677,8 @@ class TestLargeGenus:
             assert record["h"] == str(audit.h_curve)
             assert record["mean"] == str((audit.e1 + audit.e2) / 2)
             assert record["margin"] == str(audit.violation_margin)
-            assert record["e1_dec"] == decimal_str(audit.e1)
-            assert record["h_dec"] == decimal_str(audit.h_curve)
+            assert record["e1_dec"] == decimal_str(fmt_rat(audit.e1))
+            assert record["h_dec"] == decimal_str(fmt_rat(audit.h_curve))
 
     def test_table_csv(self, capsys):
         with digit_limit(4300):
@@ -692,8 +692,8 @@ class TestLargeGenus:
                 mean = (audit.e1 + audit.e2) / 2
                 assert row[1:] == [
                     str(audit.e1), str(audit.e2), str(audit.h_curve), str(mean),
-                    str(audit.violation_margin), decimal_str(audit.e1),
-                    decimal_str(audit.h_curve),
+                    str(audit.violation_margin), decimal_str(fmt_rat(audit.e1)),
+                    decimal_str(fmt_rat(audit.h_curve)),
                 ]
 
     @pytest.mark.parametrize(
