@@ -8,10 +8,11 @@ the format and prints.  A command line that starts with a subcommand's name
 is parsed by that subcommand's parser alone; any other goes to
 ``build_parser``'s full parser, for top-level help and diagnostics.  Every
 rational is printed exactly as "p/q" (plain integer when q = 1); decimal
-columns are display-only annotations rounded half-even at six places.  An
-annotation is derived from the digits of the value's exact text, so each
-distinct value is converted from binary to decimal once.  Identical
-invocations produce byte-identical output.
+columns are display-only annotations rounded half-even at six places, each
+derived from the digits of its value's exact text.  The g!-sized values are
+built on one decimal of g! per command (``_factorial_texts``), so nothing
+else is converted from binary.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,18 +24,20 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from math import gcd
+from typing import Iterator, Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
-from .heights import height_curve, height_point, standard_polarization
-from .lattice import NSClass, pair_theta_power, pullback_theta, top_intersect
-from .minima import ZhangAudit, cone_minimum, witness_sequence, zhang_audit
+from .heights import _height_curve_r, height_point, standard_polarization
+from .lattice import NSClass, _factorial, pair_theta_power, pullback_theta, top_intersect
+from .minima import ZhangAudit, _cone_minimum_r, _zhang_audit_r, witness_sequence
 
 __all__ = ["main"]
 
 DEFAULT_TABLE_RANGE = (2, 12)
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+# ASCII digits only: \d and int() would also take other scripts' digits.
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 class CLIError(Exception):
@@ -66,6 +69,13 @@ def fmt_rat(x: Fraction) -> str:
     return str(x)
 
 
+def _ascii_int(text: str) -> int:
+    return int(text.encode("ascii"))  # a UnicodeEncodeError is a ValueError
+
+
+_ascii_int.__name__ = "int"  # argparse names the type in its diagnostic
+
+
 # Every step of ``decimal_str`` is exact at any length; one that is not
 # raises instead of rounding.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
@@ -76,11 +86,11 @@ def decimal_str(exact: str) -> str:
     """Six-place decimal, rounded half-even, of a rational's ``fmt_rat`` text.
 
     Display only.  The decimal is worked out from the text's digits, in time
-    linear in their number, so a caller that prints both forms converts the
-    value from binary once.
+    linear in their number, so a caller that prints both forms converts
+    nothing from binary beyond what the text took.
     """
     num, _, den = exact.partition("/")
-    den = Decimal(den or 1)
+    den = Decimal(den or "1")
     quo, rem = _EXACT.divmod(Decimal(num.lstrip("-") + "000000"), den)
     double = _EXACT.multiply(rem, 2)
     digits = str(quo)
@@ -89,6 +99,26 @@ def decimal_str(exact: str) -> str:
     digits = digits.rjust(7, "0")
     sign = "-" if num[0] == "-" and digits.strip("0") else ""
     return f"{sign}{digits[:-6]}.{digits[-6:]}"
+
+
+def _factorial_texts(g_min: int, g_max: int) -> Iterator:
+    """For g = g_min..g_max in turn, the function r -> ``fmt_rat(g! * r)``.
+
+    g! is converted to decimal once, at g_min, then multiplied by each later
+    genus.  g! p/q in lowest terms has numerator (g!/d) p, d = gcd(g!, q),
+    which is worked out on that exact decimal."""
+    gf = _factorial(g_min)
+    gf_dec = Decimal(gf)
+    for g in range(g_min, g_max + 1):
+        if g > g_min:
+            gf, gf_dec = gf * g, _EXACT.multiply(gf_dec, g)
+
+        def text(r: Fraction, gf: int = gf, gf_dec: Decimal = gf_dec) -> str:
+            d = gcd(gf, r.denominator)
+            num = str(_EXACT.multiply(_EXACT.divide_int(gf_dec, d), r.numerator))
+            return num if d == r.denominator else f"{num}/{r.denominator // d}"
+
+        yield text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +150,7 @@ def _arg(*flags: str, **options) -> tuple:
     return flags, options
 
 
-_GENUS = _arg("-g", "--genus", type=int, required=True, help="curve genus (>= 2)")
+_GENUS = _arg("-g", "--genus", type=_ascii_int, required=True, help="curve genus (>= 2)")
 _COEFFS = [
     _arg(f"-{x}", f"--{x}", dest=x, required=True, metavar="RAT",
          help=f"{role} coefficient")
@@ -248,8 +278,8 @@ def _height(args: argparse.Namespace) -> tuple:
 @_command("curve-height", "self-height of the total space", _GENUS, _BUNDLE)
 def _curve_height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    value = height_curve(L)
-    height = fmt_rat(value)
+    r = _height_curve_r(L)
+    height = next(_factorial_texts(args.genus, args.genus))(r)
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -262,8 +292,8 @@ def _curve_height(args: argparse.Namespace) -> tuple:
 @_command("minima", "closed-form cone minimum and minimizer", _GENUS, _BUNDLE)
 def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    report = cone_minimum(L)
-    infimum = fmt_rat(report.infimum)
+    report = _cone_minimum_r(L)
+    infimum = next(_factorial_texts(args.genus, args.genus))(report.infimum)
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -289,7 +319,7 @@ def _minima(args: argparse.Namespace) -> tuple:
 
 
 @_command("witness", "n-th attaining point class for the minimum", _GENUS,
-          _arg("-n", "--index", dest="index", type=int, required=True,
+          _arg("-n", "--index", dest="index", type=_ascii_int, required=True,
                help="witness index (>= 1)"))
 def _witness(args: argparse.Namespace) -> tuple:
     point = witness_sequence(args.genus, args.index)
@@ -304,15 +334,15 @@ def _witness(args: argparse.Namespace) -> tuple:
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
 
-def _audit_record(audit: ZhangAudit) -> tuple:
+def _audit_record(audit: ZhangAudit, exact) -> tuple:
     """Values of one audit, and e2's decimal, which only the text shows.
 
-    Equal values are rendered once: e1, e2 and their mean are equal in every
-    audit the CLI can produce, and each is a ~4000-digit rational at genus
-    1500.  Equality is tested, not assumed.  A decimal is derived from the
-    exact text of its value, so nothing is converted from binary twice.
+    ``audit`` holds each value divided by g!, and ``exact`` maps such an r
+    to the text of g! * r.  Equal values are rendered once: e1, e2 and their
+    mean are equal in every audit the CLI can produce.  Equality is tested,
+    not assumed.  A decimal is derived from the exact text of its value.
     """
-    exact = cache(fmt_rat)
+    exact = cache(exact)
     decimal = cache(lambda x: decimal_str(exact(x)))
     record = {
         "e1": exact(audit.e1),
@@ -332,8 +362,8 @@ def _audit_record(audit: ZhangAudit) -> tuple:
 @_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
 def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    audit = zhang_audit(L)
-    values, e2_dec = _audit_record(audit)
+    audit = _zhang_audit_r(L)
+    values, e2_dec = _audit_record(audit, next(_factorial_texts(args.genus, args.genus)))
     record = {"genus": args.genus, "bundle": str(L), **values}
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",
@@ -359,8 +389,8 @@ _TABLE_COLUMNS = ["g", "e1", "e2", "h", "mean", "margin", "e1_dec", "h_dec"]
 
 
 @_command("table", "audit table over a genus range",
-          _arg("g_min", nargs="?", type=int, default=DEFAULT_TABLE_RANGE[0]),
-          _arg("g_max", nargs="?", type=int, default=DEFAULT_TABLE_RANGE[1]))
+          _arg("g_min", nargs="?", type=_ascii_int, default=DEFAULT_TABLE_RANGE[0]),
+          _arg("g_max", nargs="?", type=_ascii_int, default=DEFAULT_TABLE_RANGE[1]))
 def _table(args: argparse.Namespace) -> tuple:
     g_min, g_max = args.g_min, args.g_max
     if g_min < 2:
@@ -368,8 +398,8 @@ def _table(args: argparse.Namespace) -> tuple:
     if g_min > g_max:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
     rows = []
-    for g in range(g_min, g_max + 1):
-        values, _ = _audit_record(zhang_audit(standard_polarization(g)))
+    for g, exact in zip(range(g_min, g_max + 1), _factorial_texts(g_min, g_max)):
+        values, _ = _audit_record(_zhang_audit_r(standard_polarization(g)), exact)
         rows.append({"g": g, **{col: values[col] for col in _TABLE_COLUMNS[1:]}})
     cells = [_TABLE_COLUMNS]
     cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)

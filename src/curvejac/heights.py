@@ -19,9 +19,10 @@ from .cones import classify
 from .lattice import (
     NSClass,
     RationalLike,
+    _factorial,
     _Frozen,
+    _pair_r,
     as_fraction,
-    pair_theta_power,
     pullback_theta,
     restrict_to_C_fiber,
 )
@@ -94,15 +95,26 @@ def height_point(
     """
     if isinstance(point, NSClass):
         point = PointClass(point)
+    height = _height_point_r(L, point, base_multiple) * _factorial(L.genus)
+    return HeightReport(height=height, degree=point.degree)
+
+
+def _height_point_r(L: NSClass, point: PointClass,
+                    base_multiple: RationalLike = 1) -> Fraction:
+    """``height_point``'s height divided by g!."""
     factor = _base_factor(L.genus, base_multiple)
-    pairing = pair_theta_power(point.cls, L)
-    return HeightReport(height=factor * pairing / point.degree, degree=point.degree)
+    return factor * _pair_r(point.cls, L) / point.degree
 
 
 def height_curve(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
     """Self-height of the total space: L . L . theta2^(g-1) / (2 deg L)."""
+    return _height_curve_r(L, base_multiple) * _factorial(L.genus)
+
+
+def _height_curve_r(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
+    """``height_curve(L)`` divided by g!."""
     deg = restrict_to_C_fiber(L)
     if deg <= 0:
         raise ValueError(f"curve height needs positive generic degree, got {deg}")
     factor = _base_factor(L.genus, base_multiple)
-    return factor * pair_theta_power(L, L) / (2 * deg)
+    return factor * _pair_r(L, L) / (2 * deg)

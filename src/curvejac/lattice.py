@@ -202,8 +202,9 @@ def poincare(g: int) -> NSClass:
     return NSClass(g, 0, 0, 1)
 
 
-# g! by one memo: an audit asks for it several times at the same genus.
-_factorial = lru_cache(maxsize=None)(factorial)
+# g! of the last genus asked: a public function asks for it once per call,
+# and a command once for its whole output.
+_factorial = lru_cache(maxsize=1)(factorial)
 
 
 def top_intersect(classes: Sequence[NSClass]) -> Fraction:
@@ -230,11 +231,11 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
             f"top_intersect at genus {g} needs exactly {g + 1} classes, "
             f"got {len(classes)}"
         )
-    return _recurrence(g, classes)
+    return _factorial(g) * _recurrence(classes)
 
 
-def _recurrence(g: int, classes: Sequence[NSClass]) -> Fraction:
-    """Run the ``top_intersect`` recurrence over ``classes`` at genus g.
+def _recurrence(classes: Sequence[NSClass]) -> Fraction:
+    """The ``top_intersect`` recurrence over ``classes``, divided by g!.
 
     No argument checks: the callers make them.
     """
@@ -255,8 +256,7 @@ def _recurrence(g: int, classes: Sequence[NSClass]) -> Fraction:
             xb * s02 + xc * s01,
             xb * s10 + xa * s00,
         )
-    total = s10 + POINCARE_SQUARE_COEFF * s02
-    return Fraction(_factorial(g) * total, scale)
+    return Fraction(s10 + POINCARE_SQUARE_COEFF * s02, scale)
 
 
 def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
@@ -266,8 +266,13 @@ def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
     recurrence coefficient to itself, so the g-1 of them are left out and
     the recurrence runs on x and y alone: O(1) integer operations.
     """
+    return _pair_r(x, y) * _factorial(x.genus)
+
+
+def _pair_r(x: NSClass, y: NSClass) -> Fraction:
+    """``pair_theta_power(x, y)`` divided by g!."""
     _check_same_genus(x, y)
-    return _recurrence(x.genus, (x, y))
+    return _recurrence((x, y))
 
 
 def pullback_theta(g: int, m: RationalLike, n: RationalLike) -> NSClass:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cones import classify
-from .heights import PointClass, height_curve, height_point
+from .heights import PointClass, _height_curve_r, _height_point_r
 from .lattice import NSClass, _factorial, _Frozen, pullback_theta
 
 __all__ = [
@@ -94,24 +94,27 @@ def cone_minimum(L: NSClass) -> MinimaReport:
     the minimizing ray is rebuilt and its height recomputed through the
     intersection engine before the flag is set.
     """
+    r = _cone_minimum_r(L)
+    return MinimaReport(r.infimum * _factorial(L.genus), r.s_star, r.t_star,
+                        r.attained_by_witness, r.witness)
+
+
+def _cone_minimum_r(L: NSClass) -> MinimaReport:
+    """``cone_minimum(L)`` with the infimum divided by g!, as is the witness
+    height that the attainment check compares it with."""
     verdict = classify(L)
     if not verdict.is_nef:
         raise ValueError(
             f"cone_minimum needs a nef class, got {L} with defect {verdict.defect}"
         )
     g = L.genus
-    gf = _factorial(g)
     A, B, C = L.a, L.b, L.c
-    if A == 0:  # nef forces -g C^2 >= 0 here, so C = 0
-        t_star = Fraction(0)
-        s_star = Fraction(0)
-        infimum = gf * B
-    else:
-        t_star = C / (g * A)
-        s_star = C * C / (g * A * A)
-        infimum = gf * (g * A * B - C * C) / (g * A)
+    # With A = 0 nefness forces -g C^2 >= 0, so C = 0 and t* = 0.
+    t_star = C / (g * A) if A else Fraction(0)
+    s_star = g * t_star * t_star
+    infimum = B - A * s_star  # (g A B - C^2) / (g A) when A > 0
     witness = _minimizing_witness(L, t_star)
-    attained = height_point(L, witness).height == infimum
+    attained = _height_point_r(L, witness) == infimum
     return MinimaReport(infimum=infimum, s_star=s_star, t_star=t_star,
                         attained_by_witness=attained,
                         witness=witness if attained else None)
@@ -139,17 +142,20 @@ def zhang_audit(L: NSClass) -> ZhangAudit:
     records whether that certification went through; if not, the values
     stand as lower bounds.
     """
-    report = cone_minimum(L)
-    h = height_curve(L)
-    e1 = report.infimum
-    e2 = report.infimum
+    r = _zhang_audit_r(L)
+    gf = _factorial(L.genus)
+    return ZhangAudit(r.e1 * gf, r.e2 * gf, r.h_curve * gf,
+                      r.first_inequality_holds, r.second_inequality_holds,
+                      r.violation_margin * gf, r.minima_attained)
+
+
+def _zhang_audit_r(L: NSClass) -> ZhangAudit:
+    """``zhang_audit(L)`` with e1, e2, the curve height and the margin
+    divided by g!.  g! > 0, so the inequalities read the same."""
+    report = _cone_minimum_r(L)
+    h = _height_curve_r(L)
+    e1 = e2 = report.infimum
     mean = (e1 + e2) / 2
-    return ZhangAudit(
-        e1=e1,
-        e2=e2,
-        h_curve=h,
-        first_inequality_holds=e1 >= h,
-        second_inequality_holds=h >= mean,
-        violation_margin=mean - h,
-        minima_attained=report.attained_by_witness,
-    )
+    return ZhangAudit(e1, e2, h, first_inequality_holds=e1 >= h,
+                      second_inequality_holds=h >= mean, violation_margin=mean - h,
+                      minima_attained=report.attained_by_witness)

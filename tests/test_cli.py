@@ -8,6 +8,7 @@ import subprocess
 import sys
 from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -17,8 +18,9 @@ from hypothesis import example, given, settings
 from curvejac import cli
 from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
-from curvejac.lattice import NSClass
-from curvejac.minima import MinimaReport, ZhangAudit, cone_minimum, zhang_audit
+from curvejac.lattice import NSClass, _factorial
+from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
+                             zhang_audit)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,7 +43,9 @@ class TestParsing:
         assert parse_rational("4/6") == Fraction(2, 3)
 
     @pytest.mark.parametrize(
-        "bad", ["", "1/0", "1.5", "1 /2", "a", "1/-2", "--3", "1\n", "3/4\n"]
+        "bad",
+        ["", "1/0", "1.5", "1 /2", "a", "1/-2", "--3", "1\n", "3/4\n",
+         "\u0661", "\uff12", "1/\u0663"],  # Arabic-Indic 1, fullwidth 2, 1/(Arabic-Indic 3)
     )
     def test_malformed_rationals(self, bad):
         with pytest.raises(CLIError):
@@ -130,6 +134,18 @@ class TestTable:
         assert len(rows) == 1 + 11  # header plus genus 2..12
         assert rows[1].startswith("2,") and rows[-1].startswith("12,")
 
+    def test_asks_for_one_factorial(self, capsys):
+        # A table carries g! from row to row, so it asks for it once, and
+        # the memo keeps no more than one, also after a command at another
+        # genus.
+        _factorial.cache_clear()
+        assert run_cli(capsys, "table", "2", "50")[0] == 0
+        info = _factorial.cache_info()
+        assert info.currsize <= 1
+        assert info.hits + info.misses == 1
+        assert run_cli(capsys, "audit", "-g", "60")[0] == 0
+        assert _factorial.cache_info().currsize <= 1
+
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "2", "3", "--format", "json")
         assert code == 0
@@ -182,19 +198,19 @@ class TestAudit:
 
     def test_e2_line_shows_e2_decimal(self, capsys, monkeypatch):
         # Every real audit has e1 == e2, so force them apart to see which
-        # value the e2 line annotates.
+        # value the e2 line annotates.  The values are divided by 2! = 2.
         def distinct_minima(L):
             return ZhangAudit(
-                e1=Fraction(3, 2),
-                e2=Fraction(7, 4),
-                h_curve=Fraction(1),
+                e1=Fraction(3, 4),
+                e2=Fraction(7, 8),
+                h_curve=Fraction(1, 2),
                 first_inequality_holds=True,
                 second_inequality_holds=False,
-                violation_margin=Fraction(5, 8),
+                violation_margin=Fraction(5, 16),
                 minima_attained=True,
             )
 
-        monkeypatch.setattr(cli, "zhang_audit", distinct_minima)
+        monkeypatch.setattr(cli, "_zhang_audit_r", distinct_minima)
         code, out, _ = run_cli(capsys, "audit", "-g", "2")
         assert code == 0
         lines = out.splitlines()
@@ -202,29 +218,36 @@ class TestAudit:
         assert lines[2] == "e2 = 7/4 (~1.750000)"
 
     @pytest.mark.parametrize(
-        "argv,records", [(["audit", "-g", "5"], 1), (["table", "5", "6"], 2)]
+        "argv,g_min", [(["audit", "-g", "5"], 5), (["table", "2", "40"], 2)]
     )
-    def test_equal_values_rendered_once(self, capsys, monkeypatch, argv, records):
-        rendered, texts, handed = [], {}, []
-        for name in ("fmt_rat", "decimal_str"):
-            def render(x, original=getattr(cli, name), name=name):
-                rendered.append((name, x))
-                text = original(x)
-                if name == "fmt_rat":
-                    texts[x] = text
-                else:
-                    handed.append(x)
-                return text
+    def test_factorial_converted_once(self, capsys, monkeypatch, argv, g_min):
+        # The only int the command hands to Decimal is g!, once: an audit's
+        # at its genus, a table's at its first row.
+        converted, handed = [], []
 
-            monkeypatch.setattr(cli, name, render)
-        assert run_cli(capsys, *argv)[0] == 0
-        per_record = 3 + 2  # e1 = e2 = mean, h, margin; decimals of e1 = e2, h
-        assert len(rendered) == per_record * records
-        assert len(set(rendered)) == len(rendered)
-        # Each decimal is derived from the exact text already made for its
-        # value, not from a second conversion of the value.
-        assert len(handed) == 2 * records
-        assert all(exact is texts[Fraction(exact)] for exact in handed)
+        def to_decimal(value, original=Decimal):
+            if not isinstance(value, str):
+                converted.append(value)
+            return original(value)
+
+        def decimal(exact, original=cli.decimal_str):
+            handed.append(exact)
+            return original(exact)
+
+        monkeypatch.setattr(cli, "Decimal", to_decimal)
+        monkeypatch.setattr(cli, "decimal_str", decimal)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert converted == [factorial(g_min)]
+        records = json.loads(out)
+        records = records if isinstance(records, list) else [records]
+        # Each decimal still gets its value's exact text, once per distinct
+        # value: e1 = e2, then h.
+        assert handed == [record[key] for record in records for key in ("e1", "h")]
+        with digit_limit(0):
+            for record in records:
+                audit = zhang_audit(standard_polarization(record.get("genus", record.get("g"))))
+                assert (record["e1"], record["h"]) == (str(audit.e1), str(audit.h_curve))
 
     def test_table_renders_no_bundle(self, capsys, monkeypatch):
         # Table rows carry no bundle column, so no class is rendered.
@@ -415,10 +438,27 @@ class TestErrorPaths:
         def no_audit(L):
             raise AssertionError("audit computed before the format was checked")
 
-        monkeypatch.setattr(cli, "zhang_audit", no_audit)
+        monkeypatch.setattr(cli, "_zhang_audit_r", no_audit)
         code, out, err = run_cli(capsys, "audit", "-g", "2", "--format", "csv")
         assert (code, out) == (2, "")
         assert err == "error: csv output is only available for the 'table' command\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "-g", "\uff12"],  # fullwidth 2
+            ["pair", "-g", "2", "\u0661,1,1", "2,1,1"],  # Arabic-Indic 1
+            ["classify", "-g", "2", "-a", "\uff12", "-b", "1", "-c", "1"],
+            ["witness", "-g", "2", "-n", "\u0661"],
+            ["table", "\uff12", "4"],
+            ["table", "2", "\u0664"],  # Arabic-Indic 4
+        ],
+    )
+    def test_non_ascii_digits(self, capsys, argv):
+        # int() and \d take any script's decimal digits; literals here are ASCII.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # A valid command line per command; the fuzz test edits them at random.
@@ -754,15 +794,15 @@ def test_import_leaves_heavy_modules_out():
 
 
 def unattained_minimum(L):
-    """cone_minimum with the witness dropped: the branch no real class reaches."""
-    report = cone_minimum(L)
+    """_cone_minimum_r with the witness dropped: the branch no real class reaches."""
+    report = _cone_minimum_r(L)
     return MinimaReport(report.infimum, report.s_star, report.t_star,
                         attained_by_witness=False, witness=None)
 
 
 def unattained_audit(L):
-    """zhang_audit with the flags flipped, to reach the other audit lines."""
-    audit = zhang_audit(L)
+    """_zhang_audit_r with the flags flipped, to reach the other audit lines."""
+    audit = _zhang_audit_r(L)
     return ZhangAudit(
         audit.e1,
         audit.e2,
@@ -790,11 +830,11 @@ GOLDEN_RUNS = {
     "height": (["height", "-g", "2", "-L", "8,1,2", "32,1,4"], {}),
     "curve_height": (["curve-height", "-g", "5"], {}),
     "minima": (["minima", "-g", "2", "-L", "8,1,2"], {}),
-    "minima_no_witness": (["minima", "-g", "3"], {"cone_minimum": unattained_minimum}),
+    "minima_no_witness": (["minima", "-g", "3"], {"_cone_minimum_r": unattained_minimum}),
     "witness": (["witness", "-g", "3", "-n", "2"], {}),
     "audit": (["audit", "-g", "4"], {}),
     "audit_bundle": (["audit", "-g", "2", "-L", "1,1,0"], {}),
-    "audit_flags": (["audit", "-g", "3"], {"zhang_audit": unattained_audit}),
+    "audit_flags": (["audit", "-g", "3"], {"_zhang_audit_r": unattained_audit}),
     "table_2_6": (["table", "2", "6"], {}),
 }
 

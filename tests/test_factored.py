@@ -1,0 +1,169 @@
+"""The factored route: every height-like value is g! times a rational r.
+
+The public functions return g! times their private ``_r`` function, and the
+command line renders g! * r from one exact decimal of g!.  Both are checked
+here against g! * r formed with ``math.factorial`` and ``str``, at genus
+2..2000.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from fractions import Fraction
+from math import factorial
+
+import hypothesis.strategies as st
+import pytest
+import sympy
+from hypothesis import given, settings
+
+from curvejac.cli import _factorial_texts, main
+from curvejac.heights import (PointClass, _height_curve_r, _height_point_r, height_curve,
+                              height_point)
+from curvejac.lattice import (NSClass, _pair_r, _recurrence, alpha1, pair_theta_power,
+                              pullback_theta, theta2, top_intersect)
+from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
+                             cone_minimum, zhang_audit)
+
+genera = st.integers(min_value=2, max_value=2000)
+rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
+nonneg = st.fractions(min_value=0, max_value=15, max_denominator=10)
+positive = st.fractions(min_value=Fraction(1, 10), max_value=15, max_denominator=10)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def expanded(g, r):
+    """The text of g! * r, the way the expanded route makes it."""
+    with no_digit_limit():
+        return str(factorial(g) * r)
+
+
+def factored(g, r):
+    """The text of g! * r from the command line's renderer at genus g."""
+    (text,) = _factorial_texts(g, g)
+    with no_digit_limit():  # as ``main`` lifts it around each command
+        return text(r)
+
+
+@st.composite
+def multipliers(draw, g):
+    """r = p/q of either sign, with q of each kind that meets g! differently."""
+    kind = draw(st.sampled_from(["zero", "small", "divides", "prime", "large"]))
+    if kind == "zero":
+        return Fraction(0)
+    p = draw(st.integers(1, 10**40)) * draw(st.sampled_from([1, -1]))
+    if kind == "small":
+        q = draw(st.integers(1, 10**6))
+    elif kind == "divides":  # q | g!: small, or g! over a small factor
+        k = draw(st.integers(1, g))
+        q = draw(st.sampled_from([k, factorial(g) // k]))
+    elif kind == "prime":  # prime q > g, so gcd(g!, q) = 1
+        q = sympy.nextprime(g + draw(st.integers(0, 10**6)))
+    else:  # under 4300 digits, so that hypothesis can print a failing r
+        q = draw(st.integers(10**30, 10**4000))
+    return Fraction(p, q)
+
+
+def nef_class(g, m, n, s, t):
+    """A nef class with A > 0 (m > 0): a pullback plus s alpha1 + t theta2."""
+    return pullback_theta(g, m, n) + s * alpha1(g) + t * theta2(g)
+
+
+class TestFactoredText:
+    @pytest.mark.parametrize("g", [2, 3, 12, 1500, 2000])
+    @pytest.mark.parametrize(
+        "r", [Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 4), Fraction(1, 2003),
+              Fraction(-5, 10**80 + 1)]
+    )
+    def test_edge_cases(self, g, r):
+        assert factored(g, r) == expanded(g, r)
+
+    @pytest.mark.parametrize("g", [2, 7, 2000])
+    def test_denominator_g_factorial(self, g):
+        gf = factorial(g)
+        for r in (Fraction(1, gf), Fraction(-3, gf), Fraction(gf + 1, 2 * gf)):
+            assert factored(g, r) == expanded(g, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_str_of_product(self, data):
+        g = data.draw(genera)
+        r = data.draw(multipliers(g))
+        assert factored(g, r) == expanded(g, r)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 1990), st.integers(0, 10), st.data())
+    def test_carried_rows_match_per_row(self, g_min, span, data):
+        # A table multiplies g!'s decimal from row to row; each row renders
+        # as a fresh conversion at its own genus would.
+        g_max = g_min + span
+        rows = list(_factorial_texts(g_min, g_max))
+        assert len(rows) == span + 1
+        for g, carried in zip(range(g_min, g_max + 1), rows):
+            (alone,) = _factorial_texts(g, g)
+            for r in (data.draw(multipliers(g)), Fraction(1, g), Fraction(g + 1, 2)):
+                with no_digit_limit():
+                    texts = carried(r), alone(r)
+                assert texts == (expanded(g, r),) * 2
+
+
+class TestPublicWrappers:
+    """Each public function is g! times its ``_r`` function (same Fractions)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(genera, positive, rationals, nonneg, nonneg, positive, st.data())
+    def test_factorial_times_r(self, g, m, n, s, t, lam, data):
+        gf = factorial(g)
+        L = nef_class(g, m, n, s, t)
+        x = NSClass(g, *(data.draw(rationals) for _ in range(3)))
+        assert pair_theta_power(x, L) == gf * _pair_r(x, L)
+        classes = [x, L, *[NSClass(g, data.draw(nonneg), 1, 0)] * (g - 1)]
+        assert top_intersect(classes) == gf * _recurrence(classes)
+        point = PointClass(L)
+        assert height_point(L, point, lam).height == gf * _height_point_r(L, point, lam)
+        assert height_curve(L, lam) == gf * _height_curve_r(L, lam)
+        r = _cone_minimum_r(L)
+        assert cone_minimum(L) == MinimaReport(gf * r.infimum, r.s_star, r.t_star,
+                                               r.attained_by_witness, r.witness)
+        a = _zhang_audit_r(L)
+        assert zhang_audit(L) == ZhangAudit(
+            gf * a.e1, gf * a.e2, gf * a.h_curve, a.first_inequality_holds,
+            a.second_inequality_holds, gf * a.violation_margin, a.minima_attained,
+        )
+
+
+def run_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=15, deadline=None)
+@given(genera, positive, rationals, nonneg, nonneg)
+def test_cli_matches_expanded_values(g, m, n, s, t):
+    # The commands that render g! * r print what the public functions'
+    # expanded Fractions print.
+    L = nef_class(g, m, n, s, t)
+    bundle = ",".join(map(str, L.coefficients))
+    audit = zhang_audit(L)
+    minimum = cone_minimum(L)
+    records = [run_json(command, "-g", str(g), "-L", bundle, "--format", "json")
+               for command in ("audit", "minima", "curve-height")]
+    with no_digit_limit():
+        assert [records[0][key] for key in ("e1", "e2", "h", "mean", "margin")] == [
+            str(audit.e1), str(audit.e2), str(audit.h_curve),
+            str((audit.e1 + audit.e2) / 2), str(audit.violation_margin),
+        ]
+        assert records[1]["infimum"] == str(minimum.infimum)
+        assert records[2]["height"] == str(height_curve(L))

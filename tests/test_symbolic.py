@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 
 from curvejac.lattice import POINCARE_SQUARE_COEFF, NSClass, poincare, theta2, top_intersect
-from curvejac.minima import cone_minimum
+from curvejac.minima import _zhang_audit_r, cone_minimum
 
 alpha, theta, Q = sympy.symbols("alpha theta Q")
 
@@ -71,3 +71,42 @@ def test_cone_minimum_is_stationary_point(g, A, C, excess):
     objective = factorial(g) * (rational(B) + g * rational(A) * t**2 - 2 * t * rational(C))
     assert sympy.solve(sympy.diff(objective, t), t) == [rational(report.t_star)]
     assert objective.subs(t, rational(report.t_star)) == rational(report.infimum)
+
+
+
+def audit_r_forms():
+    """(g, A, B, C, r(e1), r(h)) in symbols, r being a value divided by g!.
+
+    r(e1) is the minimum over t of the slice objective B + g A t^2 - 2 t C;
+    r(h) is L . L . theta2^(g-1) / g! over 2 A, contracted from L^2 by the
+    two nonzero monomials (theta2^(g-1) only shifts the theta degree).
+    """
+    g, A = sympy.symbols("g A", positive=True)
+    B, C, t = sympy.symbols("B C t", real=True)
+    objective = B + g * A * t**2 - 2 * t * C
+    (t_star,) = sympy.solve(sympy.diff(objective, t), t)
+    assert sympy.diff(objective, t, 2) == 2 * g * A  # > 0: a minimum
+    square = sympy.Poly(sympy.expand((A * alpha + B * theta + C * Q) ** 2), alpha, theta, Q)
+    pairing = (square.coeff_monomial(alpha * theta)
+               + POINCARE_SQUARE_COEFF * square.coeff_monomial(Q**2))
+    return g, A, B, C, objective.subs(t, t_star), pairing / (2 * A)
+
+
+def test_margin_in_r_space():
+    # The cone-wide theorem in symbolic g, A, B, C with A > 0:
+    # r(e1) - r(h) = (g-1) C^2 / (g A).  So e1 >= h on the whole nef cone,
+    # with equality exactly when C = 0.
+    g, A, B, C, r_e1, r_h = audit_r_forms()
+    assert sympy.simplify(r_e1 - r_h - (g - 1) * C**2 / (g * A)) == 0
+    assert sympy.solve(r_e1 - r_h, C) == [0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), positive, rationals, nonneg)
+def test_runtime_r_values_match_symbolic_forms(g, A, C, excess):
+    B = g * C * C / A + excess
+    audit = _zhang_audit_r(NSClass(g, A, B, C))
+    symbols = audit_r_forms()
+    values = dict(zip(symbols[:4], map(rational, (g, A, B, C))))
+    assert rational(audit.e1) == symbols[4].subs(values)
+    assert rational(audit.h_curve) == symbols[5].subs(values)
