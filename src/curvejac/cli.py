@@ -6,18 +6,21 @@ compute function in ``_COMMANDS`` that turns parsed arguments into a record
 (the JSON output) and its text lines; ``main`` is the one place that picks
 the format and prints.  A command line that starts with a subcommand's name
 is parsed by that subcommand's parser alone; any other goes to
-``build_parser``'s full parser, for top-level help and diagnostics.  Every
-rational is printed exactly as "p/q" (plain integer when q = 1); decimal
-columns are display-only annotations rounded half-even at six places, each
-derived from the digits of its value's exact text.  The g!-sized values are
-built on one decimal of g! per command (``_factorial_texts``), so nothing
-else is converted from binary.  Identical invocations produce
-byte-identical output.
+``build_parser``'s full parser, for top-level help and diagnostics.  A class
+literal 'a,b,c' is read in one regular-expression match, and ``intersect``
+renders its input classes only for ``--format json``, the one format that
+prints them.  Every rational is printed exactly as "p/q" (plain integer
+when q = 1); decimal columns are display-only annotations rounded half-even
+at six places, each derived from the digits of its value's exact text.  The
+g!-sized values are built on one decimal of g! per command
+(``_factorial_texts``), so nothing else is converted from binary.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero,
@@ -37,32 +40,52 @@ __all__ = ["main"]
 DEFAULT_TABLE_RANGE = (2, 12)
 
 # ASCII digits only: \d and int() would also take other scripts' digits.
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+# Groups: numerator, then denominator (None without '/q').
+_RATIONAL = r"([+-]?\d+)(?:/(\d+))?"
+_RATIONAL_RE = re.compile(_RATIONAL, re.ASCII)
+_CLASS_RE = re.compile(",".join([_RATIONAL] * 3), re.ASCII)
 
 
 class CLIError(Exception):
     """User-facing error: one-line diagnostic, nonzero exit."""
 
 
+def _rational(num: str, den: Optional[str]) -> Fraction:
+    """The rational of one matched literal's numerator and denominator."""
+    if den is None:
+        return Fraction(int(num))
+    d = int(den)
+    if not d:
+        raise CLIError(f"zero denominator in rational literal {num + '/' + den!r}")
+    return Fraction(int(num), d)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional leading sign, no whitespace."""
-    if not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         raise CLIError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
-    num, _, den = text.partition("/")
-    if den:
-        if int(den) == 0:
-            raise CLIError(f"zero denominator in rational literal {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    return _rational(*match.groups())
 
 
 def parse_class(text: str, genus: int) -> NSClass:
-    """Parse a class literal 'a,b,c' of rational components."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
-    a, b, c = (parse_rational(part) for part in parts)
-    return NSClass(genus, a, b, c)
+    """Parse a class literal 'a,b,c' of rational components.
+
+    One match of the whole literal, then three ``Fraction``s: time linear
+    in the literal's length on top of the int conversions (quadratic in a
+    component's digits on Python 3.10 and 3.11) and each component's gcd.
+    """
+    match = _CLASS_RE.fullmatch(text)
+    if match is None:
+        # Only to word the diagnostic, as a split into components does:
+        # a wrong comma count, else the first bad component's message.
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
+        for part in parts:
+            parse_rational(part)  # some component does not match, so this raises
+    an, ad, bn, bd, cn, cd = match.groups()
+    return NSClass(genus, _rational(an, ad), _rational(bn, bd), _rational(cn, cd))
 
 
 def fmt_rat(x: Fraction) -> str:
@@ -70,7 +93,10 @@ def fmt_rat(x: Fraction) -> str:
 
 
 def _ascii_int(text: str) -> int:
-    return int(text.encode("ascii"))  # a UnicodeEncodeError is a ValueError
+    # A rational literal with no '/q'; int() would also take '1_0' and ' 3'.
+    if not _RATIONAL_RE.fullmatch(text) or "/" in text:
+        raise ValueError(text)  # argparse words it as "invalid int value"
+    return int(text)
 
 
 _ascii_int.__name__ = "int"  # argparse names the type in its diagnostic
@@ -131,9 +157,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # argparse's default error handler prints usage plus the message; fold
-    # everything into the single-line diagnostic channel instead.
+    # everything into the single-line diagnostic channel instead.  argparse
+    # echoes some tokens as they are ("unrecognized arguments: 3\n").
     def error(self, message: str):  # noqa: D102
-        raise CLIError(message)
+        raise CLIError(message.replace("\n", "\\n"))
+
+    # After -h: a reader of the help that has gone is met in ``main``.
+    def exit(self, status: int = 0, message: Optional[str] = None):  # noqa: D102
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def _bundle_from(args: argparse.Namespace) -> NSClass:
@@ -221,7 +253,9 @@ def _pair(args: argparse.Namespace) -> tuple:
 def _intersect(args: argparse.Namespace) -> tuple:
     classes = [parse_class(text, args.genus) for text in args.classes]
     value = top_intersect(classes)
-    return _value(args.genus, value, classes=[str(cls) for cls in classes])
+    # Only the JSON record shows the inputs; text output skips rendering them.
+    inputs = {"classes": [str(cls) for cls in classes]} if args.format == "json" else {}
+    return _value(args.genus, value, **inputs)
 
 
 @_command("pullback", "theta pullback class for rational (m, n)", _GENUS,
@@ -441,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; return its exit status (0, or 2 after a diagnostic).
+    """Run one command; return its exit status: 0, 2 after a diagnostic, or 1
+    with nothing more written when stdout's reader has gone (``| head -1``).
 
     Every result is computed before anything is printed, so an error never
     leaves partial output.  Output is exact at every genus: CPython's digit
@@ -468,10 +503,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             import json  # here, not at the top: other formats skip its import
             lines = [json.dumps(record)]
         print("\n".join(lines))
+        sys.stdout.flush()  # a reader that has gone is met here, not at exit
         return 0
     except (CLIError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE does: fd 1 goes to devnull,
+        # so the interpreter's last flush of stdout cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         sys.set_int_max_str_digits(digit_limit)
 

@@ -215,10 +215,14 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
     ``alpha1^i Q^k`` with i <= 1 and k <= 2; the theta2 exponent is fixed by
     the degree.  Each factor (a, b, c) updates them as
     ``s_ik <- b s_ik + a s_(i-1)k + c s_i(k-1)``, dropping a term whose
-    index falls below zero: a fixed handful of integer operations per
-    factor, so a call costs O(g) of them.  ``s_11`` and ``s_12`` feed
-    neither result monomial nor any coefficient that does, so only the other
-    four are kept.  Symmetric and multilinear in its arguments.
+    index falls below zero.  ``s_11`` and ``s_12`` feed neither result
+    monomial nor any coefficient that does, so only the other four are kept.
+    Symmetric and multilinear in its arguments.
+
+    Cost: a fixed handful of integer operations per factor, so O(g) of them
+    per call, plus one product with g!.  The integers grow to the summed
+    length of the factors' cleared numerators and denominators, so for g+1
+    classes of bounded size the digit work is O(g^2).
     """
     classes = list(classes)
     if not classes:
@@ -244,12 +248,14 @@ def _recurrence(classes: Sequence[NSClass]) -> Fraction:
     scale = 1
     s00, s01, s02, s10 = 1, 0, 0, 0
     for cls in classes:
-        a, b, c = cls.a, cls.b, cls.c
-        den = lcm(a.denominator, b.denominator, c.denominator)
+        an, ad = cls.a.as_integer_ratio()
+        bn, bd = cls.b.as_integer_ratio()
+        cn, cd = cls.c.as_integer_ratio()
+        den = lcm(ad, bd, cd)
         scale *= den
-        xa = a.numerator * (den // a.denominator)
-        xb = b.numerator * (den // b.denominator)
-        xc = c.numerator * (den // c.denominator)
+        xa = an * (den // ad)
+        xb = bn * (den // bd)
+        xc = cn * (den // cd)
         s00, s01, s02, s10 = (
             xb * s00,
             xb * s01 + xc * s00,

@@ -9,8 +9,11 @@ them.
   that contract an expanded product against the table.
 * ``pair_theta_power_closed`` - the closed form of the theta-power pairing.
 * ``grid_oracle`` - a brute-force minimum of the cone-slice objective.
+* ``split_parse_rational`` / ``split_parse_class`` - the command line's
+  literal parsers as one match per component after a split at commas.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +21,7 @@ from itertools import product
 from math import factorial, lcm
 from typing import Iterator, Optional
 
+from curvejac.cli import CLIError
 from curvejac.cones import classify
 from curvejac.lattice import (
     POINCARE_SQUARE_COEFF,
@@ -186,3 +190,27 @@ def grid_oracle(
             best = val
     assert best is not None
     return Fraction(gf * best, den * q * q)
+
+
+_SPLIT_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
+def split_parse_rational(text: str) -> Fraction:
+    """``cli.parse_rational`` by a match, a split at '/' and ``int``s."""
+    if not _SPLIT_RATIONAL_RE.fullmatch(text):
+        raise CLIError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
+    num, _, den = text.partition("/")
+    if den:
+        if int(den) == 0:
+            raise CLIError(f"zero denominator in rational literal {text!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(num))
+
+
+def split_parse_class(text: str, genus: int) -> NSClass:
+    """``cli.parse_class`` by a split at commas and one parse per component."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
+    a, b, c = (split_parse_rational(part) for part in parts)
+    return NSClass(genus, a, b, c)

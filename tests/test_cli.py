@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from decimal import Context, Decimal, Inexact, localcontext
@@ -22,6 +23,8 @@ from curvejac.lattice import NSClass, _factorial
 from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
                              zhang_audit)
 
+from oracles import split_parse_class, split_parse_rational
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -33,6 +36,32 @@ def run_cli(capsys, *argv):
 
 # 2^63: past the C long that math.factorial takes, on every platform.
 HUGE_GENUS = str(2**63)
+
+
+# Pieces of class literal components: signs, leading zeros, zero
+# denominators, empty and spaced parts, underscores, newlines, other
+# scripts' digits, 20-digit parts.
+LITERAL_PIECES = st.sampled_from([
+    "", "0", "1", "7", "00", "007", "12345678901234567890", "-", "+", "/", "/0",
+    "/00", "/3", " ", "\n", "_", "1_0", ".", "a", "\u0661", "\uff12",
+])
+WELL_FORMED_PART = st.builds(
+    "{}{}{}".format, st.sampled_from(["", "-", "+"]),
+    st.sampled_from(["0", "1", "42", "007", "12345678901234567890"]),
+    st.sampled_from(["", "/1", "/6", "/0", "/00", "/000123", "/98765432109876543210"]),
+)
+LITERAL_PART = st.one_of(WELL_FORMED_PART, st.lists(LITERAL_PIECES, max_size=4).map("".join))
+# Mostly three components, as a class literal has.
+CLASS_LITERALS = st.sampled_from([3, 3, 3, 1, 2, 4, 5]).flatmap(
+    lambda n: st.lists(LITERAL_PART, min_size=n, max_size=n)).map(",".join)
+
+
+def parse_outcome(parse, *args):
+    """What ``parse(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return parse(*args)
+    except (CLIError, ValueError) as err:
+        return type(err), str(err)
 
 
 class TestParsing:
@@ -62,6 +91,20 @@ class TestParsing:
     @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=977))
     def test_round_trip(self, x):
         assert parse_rational(fmt_rat(x)) == x
+
+    @settings(max_examples=600, deadline=None)
+    @given(CLASS_LITERALS)
+    @example("1/0,x,1")  # the first bad component words the diagnostic
+    @example("x,1/00,1")
+    @example("1,2/0,3/0")
+    @example("1,1,1\n")
+    @example("-007/0006,+0,12345678901234567890/98765432109876543210")
+    def test_matches_split_parse(self, text):
+        # The one-match parse gives the split route's class, or its exact
+        # diagnostic; each component is compared the same way.
+        assert parse_outcome(parse_class, text, 2) == parse_outcome(split_parse_class, text, 2)
+        for part in text.split(","):
+            assert parse_outcome(parse_rational, part) == parse_outcome(split_parse_rational, part)
 
 
 class TestDecimalAnnotation:
@@ -262,6 +305,24 @@ class TestAudit:
         assert rendered == []
 
 
+@pytest.mark.parametrize("fmt,renders", [("text", 0), ("json", 6)])
+def test_intersect_renders_classes_for_json_only(capsys, monkeypatch, fmt, renders):
+    # Only the JSON record lists the g+1 input classes.
+    rendered = []
+
+    def render(cls, original=NSClass.__str__):
+        rendered.append(cls)
+        return original(cls)
+
+    monkeypatch.setattr(NSClass, "__str__", render)
+    classes = ["1/2,1,0", "0,1,0", "0,1,-1", "2,1,1", "0,1,0", "1,1,1"]
+    code, out, _ = run_cli(capsys, "intersect", "-g", "5", "--format", fmt, "--", *classes)
+    assert code == 0
+    assert len(rendered) == renders
+    if fmt == "json":
+        assert json.loads(out)["classes"] == [f"({text})" for text in classes]
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "coeffs,expected",
@@ -404,6 +465,7 @@ class TestErrorPaths:
             ["witness", "-g", "2", "-n", "0"],
             ["curve-height", "-g", "2", "-L", "0,1,0"],
             ["audit", "-g", "2", "--format", "csv"],
+            ["audit", "-g", "2", "3\n"],  # argparse echoes the stray token
             ["nonsense"],
         ],
     )
@@ -460,6 +522,29 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["audit", "-g", "1_0"], "argument -g/--genus: invalid int value: '1_0'"),
+            (["audit", "-g", " 3"], "argument -g/--genus: invalid int value: ' 3'"),
+            (["audit", "-g", "3\n"], "argument -g/--genus: invalid int value: '3\\n'"),
+            (["audit", "-g", "4/2"], "argument -g/--genus: invalid int value: '4/2'"),
+            (["witness", "-g", "2", "-n", "1_0"],
+             "argument -n/--index: invalid int value: '1_0'"),
+            (["table", "2_0", "2_1"], "argument g_min: invalid int value: '2_0'"),
+            (["audit", "-g", "-3"], "genus must be >= 2, got -3"),
+        ],
+    )
+    def test_integer_arguments_read_as_literals(self, capsys, argv, message):
+        # An integer argument is a rational literal's integer part, which
+        # int() alone widens by underscores and surrounding whitespace.
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_integer_argument_forms(self, capsys):
+        # A sign and leading zeros are part of the literal form.
+        expected = run_cli(capsys, "audit", "-g", "3")
+        assert run_cli(capsys, "audit", "-g", "+003") == expected
+
 
 # A valid command line per command; the fuzz test edits them at random.
 FUZZ_BASE = {
@@ -481,7 +566,8 @@ FUZZ_TOKENS = st.sampled_from([
     "-n", "--index", "-L", "--bundle", "--format", "--format=csv", "--format=json",
     "text", "json", "csv", "--", "-h", "-x", "0", "1", "2", "3", "12", "30", "-1",
     "-2", "1/2", "-1/2", "1/0", "1.5", "a", "", "0,0,0", "1,1,1", "2,1,1", "8,1,2",
-    "-1,1,0", "0,1,0", "1,1", "1,1,1,1", "1/0,1,1", "1,-1/2,1",
+    "-1,1,0", "0,1,0", "1,1", "1,1,1,1", "1/0,1,1", "1,-1/2,1", "1_0", " 3", "3\n",
+    "+3", "007", "1_0,1,1",
 ])
 
 
@@ -764,6 +850,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "2 (~2.000000)"
+
+
+@pytest.mark.parametrize(
+    "argv,lines_read",
+    [(["table", "2", "300"], 1), (["audit", "-g", "2"], 0), (["audit", "-h"], 0)],
+    ids=["table", "audit", "help"],
+)
+def test_reader_gone_leaves_stderr_empty(argv, lines_read):
+    # As `curvejac table 2 300 | head -1` and `curvejac audit -g 2 | true`
+    # (or `-h | true`): the read end closes while output is pending.  The
+    # table's ~1.3 MB fills the pipe; the audit's few lines wait in stdout's
+    # buffer (the default, so PYTHONUNBUFFERED is dropped) for the flush.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "curvejac", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 # Imports curvejac.cli into a fresh interpreter, prints which of the heavy

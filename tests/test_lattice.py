@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from curvejac.lattice import (
     NSClass,
+    _recurrence,
     alpha1,
     as_fraction,
     pair_theta_power,
@@ -204,7 +205,8 @@ class TestTopIntersect:
     @pytest.mark.parametrize("g", [2, 3, 5, 12, 50, 100])
     def test_matches_dict_expansion(self, g):
         # Zero coefficients, integer-only classes, denominators up to 10^6,
-        # and the pairing shape [x, y] + [theta2] * (g - 1).
+        # and the pairing shape [x, y] + [theta2] * (g - 1); the recurrence
+        # itself, before the product with g!, too.
         rng = random.Random(4100 + g)
 
         def coeff(max_den):
@@ -224,6 +226,7 @@ class TestTopIntersect:
         ]
         for classes in cases:
             assert top_intersect(classes) == dict_top_intersect(classes)
+            assert _recurrence(classes) == dict_top_intersect(classes) / factorial(g)
 
     @given(st.data(), st.integers(min_value=2, max_value=5))
     @settings(max_examples=60)
