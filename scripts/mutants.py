@@ -36,9 +36,8 @@ MUTANTS = [
      "den = lcm(ad, bd, cd)", "den = lcm(ad, bd)",
      "tests/test_lattice.py::TestTopIntersect"),
     ("src/curvejac/lattice.py",
-     "_factorial = lru_cache(maxsize=1)(factorial)",
-     "_factorial = lru_cache(maxsize=None)(factorial)",
-     "tests/test_cli.py::TestTable"),
+     "if len(classes) != g + 1:", "if len(classes) > g + 1:",
+     "tests/test_lattice.py::TestTopIntersect"),
     ("src/curvejac/minima.py",
      "t_star = C / (g * A) if A", "t_star = 2 * C / (g * A) if A",
      "tests/test_minima.py"),
@@ -49,6 +48,9 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      "d = gcd(gf, r.denominator)", "d = 1",
      "tests/test_factored.py"),
+    ("src/curvejac/cli.py",
+     "gf, gf_dec = gf * g,", "gf, gf_dec = factorial(g),",
+     "tests/test_cli.py::TestTable"),
     ("src/curvejac/cli.py",
      "except (CLIError, ValueError, OverflowError) as err:",
      "except (CLIError, ValueError) as err:",

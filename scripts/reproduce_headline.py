@@ -20,7 +20,14 @@ def parse_config() -> argparse.Namespace:
     parser.add_argument("--g-max", type=int, default=12)
     parser.add_argument("--witnesses", type=int, default=3,
                         help="witness family members to print per genus")
-    return parser.parse_args()
+    config = parser.parse_args()
+    if config.g_min < 2:
+        parser.error(f"--g-min must be at least 2, got {config.g_min}")
+    if config.g_min > config.g_max:
+        parser.error(f"empty genus range: --g-min {config.g_min} > --g-max {config.g_max}")
+    if config.witnesses < 0:
+        parser.error(f"--witnesses must be at least 0, got {config.witnesses}")
+    return config
 
 
 def main() -> None:

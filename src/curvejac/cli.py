@@ -11,10 +11,10 @@ literal 'a,b,c' is read in one regular-expression match, and ``intersect``
 renders its input classes only for ``--format json``, the one format that
 prints them.  Every rational is printed exactly as "p/q" (plain integer
 when q = 1); decimal columns are display-only annotations rounded half-even
-at six places, each derived from the digits of its value's exact text.  The
-g!-sized values are built on one decimal of g! per command
-(``_factorial_texts``), so nothing else is converted from binary.  Identical
-invocations produce byte-identical output.
+at six places, each derived from the digits of its value's exact text.  A
+g!-sized value is g! times a small rational from the library's ``_r``
+functions, printed from one decimal of g! per command (``_factorial_texts``).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
 from functools import cache
-from math import gcd
-from typing import Iterator, Optional, Sequence
+from math import factorial, gcd
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
-from .heights import _height_curve_r, height_point, standard_polarization
-from .lattice import NSClass, _factorial, pair_theta_power, pullback_theta, top_intersect
+from .heights import PointClass, _height_curve_r, _height_point_r, standard_polarization
+from .lattice import NSClass, _pair_r, _top_intersect_r, pullback_theta
 from .minima import ZhangAudit, _cone_minimum_r, _zhang_audit_r, witness_sequence
 
 __all__ = ["main"]
@@ -88,10 +88,6 @@ def parse_class(text: str, genus: int) -> NSClass:
     return NSClass(genus, _rational(an, ad), _rational(bn, bd), _rational(cn, cd))
 
 
-def fmt_rat(x: Fraction) -> str:
-    return str(x)
-
-
 def _ascii_int(text: str) -> int:
     # A rational literal with no '/q'; int() would also take '1_0' and ' 3'.
     if not _RATIONAL_RE.fullmatch(text) or "/" in text:
@@ -109,7 +105,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 
 
 def decimal_str(exact: str) -> str:
-    """Six-place decimal, rounded half-even, of a rational's ``fmt_rat`` text.
+    """Six-place decimal, rounded half-even, of a rational's exact text.
 
     Display only.  The decimal is worked out from the text's digits, in time
     linear in their number, so a caller that prints both forms converts
@@ -128,12 +124,12 @@ def decimal_str(exact: str) -> str:
 
 
 def _factorial_texts(g_min: int, g_max: int) -> Iterator:
-    """For g = g_min..g_max in turn, the function r -> ``fmt_rat(g! * r)``.
+    """For g = g_min..g_max in turn, the function r -> ``str(g! * r)``.
 
-    g! is converted to decimal once, at g_min, then multiplied by each later
-    genus.  g! p/q in lowest terms has numerator (g!/d) p, d = gcd(g!, q),
-    which is worked out on that exact decimal."""
-    gf = _factorial(g_min)
+    g! is computed and converted to decimal once, at g_min, then multiplied
+    by each later genus.  g! p/q in lowest terms has numerator (g!/d) p,
+    d = gcd(g!, q), which is worked out on that exact decimal."""
+    gf = factorial(g_min)
     gf_dec = Decimal(gf)
     for g in range(g_min, g_max + 1):
         if g > g_min:
@@ -145,6 +141,11 @@ def _factorial_texts(g_min: int, g_max: int) -> Iterator:
             return num if d == r.denominator else f"{num}/{r.denominator // d}"
 
         yield text
+
+
+def _factorial_text(g: int) -> Callable:
+    """The function r -> ``str(g! * r)`` at genus g alone."""
+    return next(_factorial_texts(g, g))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,7 +220,7 @@ def _classify(args: argparse.Namespace) -> tuple:
         "is_nef": verdict.is_nef,
         "is_big": verdict.is_big,
         "is_psef": verdict.is_psef,
-        "defect": fmt_rat(verdict.defect),
+        "defect": str(verdict.defect),
     }
     if verdict.region is Region.INTERIOR:
         line = f"interior (ample and big), defect {record['defect']}"
@@ -232,9 +233,9 @@ def _classify(args: argparse.Namespace) -> tuple:
     return record, [line]
 
 
-def _value(genus: int, value: Fraction, **inputs) -> tuple:
-    """Record and line of a command whose result is one rational."""
-    text = fmt_rat(value)
+def _value(genus: int, r: Fraction, **inputs) -> tuple:
+    """Record and line of a command whose result is one rational, g! * r."""
+    text = _factorial_text(genus)(r)
     record = {"genus": genus, **inputs}
     record.update(value=text, decimal=decimal_str(text))
     return record, ["{value} (~{decimal})".format_map(record)]
@@ -245,17 +246,17 @@ def _value(genus: int, value: Fraction, **inputs) -> tuple:
           _arg("y", metavar="CLASS", help="second class 'a,b,c'"))
 def _pair(args: argparse.Namespace) -> tuple:
     x, y = parse_class(args.x, args.genus), parse_class(args.y, args.genus)
-    return _value(args.genus, pair_theta_power(x, y), x=str(x), y=str(y))
+    return _value(args.genus, _pair_r(x, y), x=str(x), y=str(y))
 
 
 @_command("intersect", "top intersection of g+1 classes", _GENUS,
           _arg("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'"))
 def _intersect(args: argparse.Namespace) -> tuple:
     classes = [parse_class(text, args.genus) for text in args.classes]
-    value = top_intersect(classes)
+    r = _top_intersect_r(classes)
     # Only the JSON record shows the inputs; text output skips rendering them.
     inputs = {"classes": [str(cls) for cls in classes]} if args.format == "json" else {}
-    return _value(args.genus, value, **inputs)
+    return _value(args.genus, r, **inputs)
 
 
 @_command("pullback", "theta pullback class for rational (m, n)", _GENUS,
@@ -266,10 +267,10 @@ def _pullback(args: argparse.Namespace) -> tuple:
     cls = pullback_theta(args.genus, m, n)
     record = {
         "genus": args.genus,
-        "m": fmt_rat(m),
-        "n": fmt_rat(n),
+        "m": str(m),
+        "n": str(n),
         "class": str(cls),
-        **{key: fmt_rat(x) for key, x in zip("abc", cls.coefficients)},
+        **{key: str(x) for key, x in zip("abc", cls.coefficients)},
     }
     return record, [record["class"]]
 
@@ -282,7 +283,7 @@ def _decompose(args: argparse.Namespace) -> tuple:
         "genus": cls.genus,
         "class": str(cls),
         "boundary_part": str(part.boundary_part),
-        "alpha_excess": fmt_rat(part.alpha_excess),
+        "alpha_excess": str(part.alpha_excess),
         "degenerate": part.degenerate,
     }
     prefix = "degenerate (b = 0): " if part.degenerate else ""
@@ -294,16 +295,15 @@ def _decompose(args: argparse.Namespace) -> tuple:
           _arg("point", metavar="CLASS", help="point class 'a,b,c'"))
 def _height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    point = parse_class(args.point, args.genus)
-    report = height_point(L, point)
-    height = fmt_rat(report.height)
+    point = PointClass(parse_class(args.point, args.genus))
+    height = _factorial_text(args.genus)(_height_point_r(L, point))
     record = {
         "genus": args.genus,
         "bundle": str(L),
-        "point": str(point),
+        "point": str(point.cls),
         "height": height,
         "height_dec": decimal_str(height),
-        "degree": fmt_rat(report.degree),
+        "degree": str(point.degree),
     }
     line = "height {height} (~{height_dec}), degree {degree}".format_map(record)
     return record, [line]
@@ -313,7 +313,7 @@ def _height(args: argparse.Namespace) -> tuple:
 def _curve_height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     r = _height_curve_r(L)
-    height = next(_factorial_texts(args.genus, args.genus))(r)
+    height = _factorial_text(args.genus)(r)
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -327,14 +327,14 @@ def _curve_height(args: argparse.Namespace) -> tuple:
 def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     report = _cone_minimum_r(L)
-    infimum = next(_factorial_texts(args.genus, args.genus))(report.infimum)
+    infimum = _factorial_text(args.genus)(report.infimum)
     record = {
         "genus": args.genus,
         "bundle": str(L),
         "infimum": infimum,
         "infimum_dec": decimal_str(infimum),
-        "s_star": fmt_rat(report.s_star),
-        "t_star": fmt_rat(report.t_star),
+        "s_star": str(report.s_star),
+        "t_star": str(report.t_star),
         "attained_by_witness": report.attained_by_witness,
         "witness": None if report.witness is None else str(report.witness.cls),
     }
@@ -343,10 +343,8 @@ def _minima(args: argparse.Namespace) -> tuple:
         f"t_star {record['t_star']}, s_star {record['s_star']}",
     ]
     if report.witness is not None:
-        lines.append(
-            f"attained by witness {record['witness']}, "
-            f"degree {fmt_rat(report.witness.degree)}"
-        )
+        lines.append(f"attained by witness {record['witness']}, "
+                     f"degree {report.witness.degree}")
     else:
         lines.append("no attaining witness constructed (value is a lower bound)")
     return record, lines
@@ -357,13 +355,13 @@ def _minima(args: argparse.Namespace) -> tuple:
                help="witness index (>= 1)"))
 def _witness(args: argparse.Namespace) -> tuple:
     point = witness_sequence(args.genus, args.index)
-    report = height_point(standard_polarization(args.genus), point)
+    r = _height_point_r(standard_polarization(args.genus), point)
     record = {
         "genus": args.genus,
         "n": args.index,
         "class": str(point.cls),
-        "degree": fmt_rat(report.degree),
-        "height": fmt_rat(report.height),
+        "degree": str(point.degree),
+        "height": _factorial_text(args.genus)(r),
     }
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
@@ -397,7 +395,7 @@ def _audit_record(audit: ZhangAudit, exact) -> tuple:
 def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     audit = _zhang_audit_r(L)
-    values, e2_dec = _audit_record(audit, next(_factorial_texts(args.genus, args.genus)))
+    values, e2_dec = _audit_record(audit, _factorial_text(args.genus))
     record = {"genus": args.genus, "bundle": str(L), **values}
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",

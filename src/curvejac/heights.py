@@ -13,13 +13,13 @@ numerical conditions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Union
 
 from .cones import classify
 from .lattice import (
     NSClass,
     RationalLike,
-    _factorial,
     _Frozen,
     _pair_r,
     as_fraction,
@@ -95,7 +95,7 @@ def height_point(
     """
     if isinstance(point, NSClass):
         point = PointClass(point)
-    height = _height_point_r(L, point, base_multiple) * _factorial(L.genus)
+    height = _height_point_r(L, point, base_multiple) * factorial(L.genus)
     return HeightReport(height=height, degree=point.degree)
 
 
@@ -108,7 +108,7 @@ def _height_point_r(L: NSClass, point: PointClass,
 
 def height_curve(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
     """Self-height of the total space: L . L . theta2^(g-1) / (2 deg L)."""
-    return _height_curve_r(L, base_multiple) * _factorial(L.genus)
+    return _height_curve_r(L, base_multiple) * factorial(L.genus)
 
 
 def _height_curve_r(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:

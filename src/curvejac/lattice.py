@@ -32,7 +32,6 @@ classes alone, in O(1) integer operations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 from typing import Sequence, Union
 
@@ -202,11 +201,6 @@ def poincare(g: int) -> NSClass:
     return NSClass(g, 0, 0, 1)
 
 
-# g! of the last genus asked: a public function asks for it once per call,
-# and a command once for its whole output.
-_factorial = lru_cache(maxsize=1)(factorial)
-
-
 def top_intersect(classes: Sequence[NSClass]) -> Fraction:
     """Exact top intersection number of g+1 classes of common genus g.
 
@@ -224,7 +218,12 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
     length of the factors' cleared numerators and denominators, so for g+1
     classes of bounded size the digit work is O(g^2).
     """
-    classes = list(classes)
+    classes = list(classes)  # checked by _top_intersect_r before classes[0] is read
+    return _top_intersect_r(classes) * factorial(classes[0].genus)
+
+
+def _top_intersect_r(classes: Sequence[NSClass]) -> Fraction:
+    """``top_intersect(classes)`` divided by g!, with its argument checks."""
     if not classes:
         raise ValueError("top_intersect needs g+1 classes, got none")
     g = classes[0].genus
@@ -235,7 +234,7 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
             f"top_intersect at genus {g} needs exactly {g + 1} classes, "
             f"got {len(classes)}"
         )
-    return _factorial(g) * _recurrence(classes)
+    return _recurrence(classes)
 
 
 def _recurrence(classes: Sequence[NSClass]) -> Fraction:
@@ -272,7 +271,7 @@ def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
     recurrence coefficient to itself, so the g-1 of them are left out and
     the recurrence runs on x and y alone: O(1) integer operations.
     """
-    return _pair_r(x, y) * _factorial(x.genus)
+    return _pair_r(x, y) * factorial(x.genus)
 
 
 def _pair_r(x: NSClass, y: NSClass) -> Fraction:

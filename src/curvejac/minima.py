@@ -18,11 +18,12 @@ successive-minima inequalities with exact margins.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Optional
 
 from .cones import classify
 from .heights import PointClass, _height_curve_r, _height_point_r
-from .lattice import NSClass, _factorial, _Frozen, pullback_theta
+from .lattice import NSClass, _Frozen, pullback_theta
 
 __all__ = [
     "MinimaReport",
@@ -95,7 +96,7 @@ def cone_minimum(L: NSClass) -> MinimaReport:
     intersection engine before the flag is set.
     """
     r = _cone_minimum_r(L)
-    return MinimaReport(r.infimum * _factorial(L.genus), r.s_star, r.t_star,
+    return MinimaReport(r.infimum * factorial(L.genus), r.s_star, r.t_star,
                         r.attained_by_witness, r.witness)
 
 
@@ -143,7 +144,7 @@ def zhang_audit(L: NSClass) -> ZhangAudit:
     stand as lower bounds.
     """
     r = _zhang_audit_r(L)
-    gf = _factorial(L.genus)
+    gf = factorial(L.genus)
     return ZhangAudit(r.e1 * gf, r.e2 * gf, r.h_curve * gf,
                       r.first_inequality_holds, r.second_inequality_holds,
                       r.violation_margin * gf, r.minima_attained)

@@ -16,10 +16,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from curvejac import cli
-from curvejac.cli import CLIError, decimal_str, fmt_rat, main, parse_class, parse_rational
+from curvejac import cli, heights, lattice, minima
+from curvejac.cli import CLIError, decimal_str, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
-from curvejac.lattice import NSClass, _factorial
+from curvejac.lattice import NSClass
 from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
                              zhang_audit)
 
@@ -90,7 +90,7 @@ class TestParsing:
 
     @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=977))
     def test_round_trip(self, x):
-        assert parse_rational(fmt_rat(x)) == x
+        assert parse_rational(str(x)) == x
 
     @settings(max_examples=600, deadline=None)
     @given(CLASS_LITERALS)
@@ -109,16 +109,16 @@ class TestParsing:
 
 class TestDecimalAnnotation:
     def test_basic(self):
-        assert decimal_str(fmt_rat(Fraction(3, 2))) == "1.500000"
-        assert decimal_str(fmt_rat(Fraction(16, 3))) == "5.333333"
-        assert decimal_str(fmt_rat(Fraction(-1, 2))) == "-0.500000"
-        assert decimal_str(fmt_rat(Fraction(700))) == "700.000000"
+        assert decimal_str(str(Fraction(3, 2))) == "1.500000"
+        assert decimal_str(str(Fraction(16, 3))) == "5.333333"
+        assert decimal_str(str(Fraction(-1, 2))) == "-0.500000"
+        assert decimal_str(str(Fraction(700))) == "700.000000"
 
     def test_round_half_even(self):
-        assert decimal_str(fmt_rat(Fraction(1, 2_000_000))) == "0.000000"
-        assert decimal_str(fmt_rat(Fraction(3, 2_000_000))) == "0.000002"
-        assert decimal_str(fmt_rat(Fraction(-3, 2_000_000))) == "-0.000002"
-        assert decimal_str(fmt_rat(Fraction(-1, 2_000_000))) == "0.000000"
+        assert decimal_str(str(Fraction(1, 2_000_000))) == "0.000000"
+        assert decimal_str(str(Fraction(3, 2_000_000))) == "0.000002"
+        assert decimal_str(str(Fraction(-3, 2_000_000))) == "-0.000002"
+        assert decimal_str(str(Fraction(-1, 2_000_000))) == "0.000000"
 
     @staticmethod
     def reference(x: Fraction) -> str:
@@ -150,7 +150,7 @@ class TestDecimalAnnotation:
         # A low ambient precision shows that no step rounds in the caller's
         # decimal context.
         with digit_limit(0), localcontext(Context(prec=3)):
-            assert decimal_str(fmt_rat(x)) == self.reference(x)
+            assert decimal_str(str(x)) == self.reference(x)
 
     def test_rounding_step_raises(self):
         # decimal_str's context raises rather than round, so an inexact
@@ -177,17 +177,40 @@ class TestTable:
         assert len(rows) == 1 + 11  # header plus genus 2..12
         assert rows[1].startswith("2,") and rows[-1].startswith("12,")
 
-    def test_asks_for_one_factorial(self, capsys):
-        # A table carries g! from row to row, so it asks for it once, and
-        # the memo keeps no more than one, also after a command at another
-        # genus.
-        _factorial.cache_clear()
-        assert run_cli(capsys, "table", "2", "50")[0] == 0
-        info = _factorial.cache_info()
-        assert info.currsize <= 1
-        assert info.hits + info.misses == 1
-        assert run_cli(capsys, "audit", "-g", "60")[0] == 0
-        assert _factorial.cache_info().currsize <= 1
+    def test_asks_for_one_factorial(self, capsys, monkeypatch):
+        # Each command that prints g!-sized values computes g! once and
+        # converts it to decimal once; a table carries both from row to
+        # row.  The library's factorial is counted too: the command line
+        # goes through the _r functions, which need none.
+        calls, converted = [], []
+
+        def counted(g):
+            calls.append(g)
+            return factorial(g)
+
+        def to_decimal(value, original=Decimal):
+            if not isinstance(value, str):
+                converted.append(value)
+            return original(value)
+
+        for module in (cli, lattice, heights, minima):
+            monkeypatch.setattr(module, "factorial", counted)
+        monkeypatch.setattr(cli, "Decimal", to_decimal)
+        for g, argv in (
+            (2, ["table", "2", "50"]),
+            (60, ["audit", "-g", "60"]),
+            (60, ["minima", "-g", "60"]),
+            (60, ["curve-height", "-g", "60"]),
+            (60, ["pair", "-g", "60", "1,1,1", "60,1,1"]),
+            (3, ["intersect", "-g", "3", "1,1,1", "3,1,1", "0,1,0", "0,1,0"]),
+            (60, ["height", "-g", "60", "60,1,1"]),
+            (60, ["witness", "-g", "60", "-n", "2"]),
+        ):
+            calls.clear()
+            converted.clear()
+            assert run_cli(capsys, *argv)[0] == 0, argv
+            assert calls == [g], argv
+            assert converted == [factorial(g)], argv
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "2", "3", "--format", "json")
@@ -803,8 +826,8 @@ class TestLargeGenus:
             assert record["h"] == str(audit.h_curve)
             assert record["mean"] == str((audit.e1 + audit.e2) / 2)
             assert record["margin"] == str(audit.violation_margin)
-            assert record["e1_dec"] == decimal_str(fmt_rat(audit.e1))
-            assert record["h_dec"] == decimal_str(fmt_rat(audit.h_curve))
+            assert record["e1_dec"] == decimal_str(str(audit.e1))
+            assert record["h_dec"] == decimal_str(str(audit.h_curve))
 
     def test_table_csv(self, capsys):
         with digit_limit(4300):
@@ -818,8 +841,8 @@ class TestLargeGenus:
                 mean = (audit.e1 + audit.e2) / 2
                 assert row[1:] == [
                     str(audit.e1), str(audit.e2), str(audit.h_curve), str(mean),
-                    str(audit.violation_margin), decimal_str(fmt_rat(audit.e1)),
-                    decimal_str(fmt_rat(audit.h_curve)),
+                    str(audit.violation_margin), decimal_str(str(audit.e1)),
+                    decimal_str(str(audit.h_curve)),
                 ]
 
     @pytest.mark.parametrize(

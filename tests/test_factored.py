@@ -20,11 +20,11 @@ from hypothesis import given, settings
 
 from curvejac.cli import _factorial_texts, main
 from curvejac.heights import (PointClass, _height_curve_r, _height_point_r, height_curve,
-                              height_point)
+                              height_point, standard_polarization)
 from curvejac.lattice import (NSClass, _pair_r, _recurrence, alpha1, pair_theta_power,
                               pullback_theta, theta2, top_intersect)
 from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
-                             cone_minimum, zhang_audit)
+                             cone_minimum, witness_sequence, zhang_audit)
 
 genera = st.integers(min_value=2, max_value=2000)
 rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
@@ -142,6 +142,11 @@ class TestPublicWrappers:
         )
 
 
+def literal(cls):
+    """The command-line literal 'a,b,c' of a class."""
+    return ",".join(map(str, cls.coefficients))
+
+
 def run_json(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -150,16 +155,24 @@ def run_json(*argv):
 
 
 @settings(max_examples=15, deadline=None)
-@given(genera, positive, rationals, nonneg, nonneg)
-def test_cli_matches_expanded_values(g, m, n, s, t):
+@given(genera, positive, rationals, nonneg, nonneg, st.data())
+def test_cli_matches_expanded_values(g, m, n, s, t, data):
     # The commands that render g! * r print what the public functions'
     # expanded Fractions print.
     L = nef_class(g, m, n, s, t)
-    bundle = ",".join(map(str, L.coefficients))
+    x = NSClass(g, *(data.draw(rationals) for _ in range(3)))
+    point = nef_class(g, *(data.draw(part) for part in (positive, rationals, nonneg, nonneg)))
+    classes = [x, L, *[NSClass(g, data.draw(nonneg), 1, 0)] * (g - 1)]
+    index = data.draw(st.integers(1, 5))
     audit = zhang_audit(L)
     minimum = cone_minimum(L)
-    records = [run_json(command, "-g", str(g), "-L", bundle, "--format", "json")
+    records = [run_json(command, "-g", str(g), "-L", literal(L), "--format", "json")
                for command in ("audit", "minima", "curve-height")]
+    options = ("-g", str(g), "--format", "json")
+    pair = run_json("pair", *options, "--", literal(x), literal(L))
+    intersect = run_json("intersect", *options, "--", *map(literal, classes))
+    height = run_json("height", "-L", literal(L), *options, "--", literal(point))
+    witness = run_json("witness", "-n", str(index), *options)
     with no_digit_limit():
         assert [records[0][key] for key in ("e1", "e2", "h", "mean", "margin")] == [
             str(audit.e1), str(audit.e2), str(audit.h_curve),
@@ -167,3 +180,8 @@ def test_cli_matches_expanded_values(g, m, n, s, t):
         ]
         assert records[1]["infimum"] == str(minimum.infimum)
         assert records[2]["height"] == str(height_curve(L))
+        assert pair["value"] == str(pair_theta_power(x, L))
+        assert intersect["value"] == str(top_intersect(classes))
+        assert height["height"] == str(height_point(L, point).height)
+        assert witness["height"] == str(height_point(
+            standard_polarization(g), witness_sequence(g, index)).height)

@@ -181,6 +181,8 @@ class TestTopIntersect:
         with pytest.raises(ValueError):
             top_intersect([theta2(2)] * 4)
         with pytest.raises(ValueError):
+            top_intersect([theta2(2)] * 2)
+        with pytest.raises(ValueError):
             top_intersect([])
 
     def test_genus_mismatch_rejected(self):
