@@ -36,8 +36,11 @@ MUTANTS = [
      "den = lcm(ad, bd, cd)", "den = lcm(ad, bd)",
      "tests/test_lattice.py::TestTopIntersect"),
     ("src/curvejac/lattice.py",
-     "if len(classes) != g + 1:", "if len(classes) > g + 1:",
+     "if len(factors) != g + 1:", "if len(factors) > g + 1:",
      "tests/test_lattice.py::TestTopIntersect"),
+    ("src/curvejac/lattice.py",
+     "    _check_genus(g)\n    factors.extend(later)", "    factors.extend(later)",
+     "tests/test_cli.py::test_intersect_matches_reference"),
     ("src/curvejac/minima.py",
      "t_star = C / (g * A) if A", "t_star = 2 * C / (g * A) if A",
      "tests/test_minima.py"),
@@ -70,8 +73,11 @@ MUTANTS = [
      'if not _RATIONAL_RE.fullmatch(text) or "/" in text:', 'if "/" in text:',
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",
-     "    if not d:\n", "    if False:\n",
+     "    if 0 in ints[1::2]:\n", "    if False:\n",
      "tests/test_cli.py::TestParsing"),
+    ("src/curvejac/cli.py",
+     "d = gcd(num, den)", "d = 1",
+     "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),
     ("src/curvejac/cli.py",
      'if args.format == "json" else {}', "if args.format else {}",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),

@@ -7,13 +7,15 @@ compute function in ``_COMMANDS`` that turns parsed arguments into a record
 the format and prints.  A command line that starts with a subcommand's name
 is parsed by that subcommand's parser alone; any other goes to
 ``build_parser``'s full parser, for top-level help and diagnostics.  A class
-literal 'a,b,c' is read in one regular-expression match, and ``intersect``
-renders its input classes only for ``--format json``, the one format that
-prints them.  Every rational is printed exactly as "p/q" (plain integer
-when q = 1); decimal columns are display-only annotations rounded half-even
-at six places, each derived from the digits of its value's exact text.  A
-g!-sized value is g! times a small rational from the library's ``_r``
-functions, printed from one decimal of g! per command (``_factorial_texts``).
+literal 'a,b,c' is read in one regular-expression match to its six integers
+as written.  ``intersect`` hands them to the recurrence unreduced and builds
+its input classes' text, in lowest terms, only for ``--format json``, the
+one format that prints them; the other commands build an ``NSClass``.  Every
+rational is printed exactly as "p/q" (plain integer when q = 1); decimal
+columns are display-only annotations rounded half-even at six places, each
+derived from the digits of its value's exact text.  A g!-sized value is g!
+times a small rational from the library's ``_r`` functions, printed from one
+decimal of g! per command (``_factorial_texts``).
 Identical invocations produce byte-identical output.
 """
 
@@ -32,7 +34,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
 from .heights import PointClass, _height_curve_r, _height_point_r, standard_polarization
-from .lattice import NSClass, _pair_r, _top_intersect_r, pullback_theta
+from .lattice import NSClass, _pair_r, _top_intersect_ints, pullback_theta
 from .minima import ZhangAudit, _cone_minimum_r, _zhang_audit_r, witness_sequence
 
 __all__ = ["main"]
@@ -50,14 +52,16 @@ class CLIError(Exception):
     """User-facing error: one-line diagnostic, nonzero exit."""
 
 
-def _rational(num: str, den: Optional[str]) -> Fraction:
-    """The rational of one matched literal's numerator and denominator."""
-    if den is None:
-        return Fraction(int(num))
-    d = int(den)
-    if not d:
+def _integers(match: re.Match) -> tuple:
+    """The integers n1, d1, n2, d2, ... of a matched literal's rationals, as
+    written (unreduced, an absent '/q' read as 1), after a check that no
+    denominator is zero; the first zero one words the diagnostic."""
+    ints = tuple(map(int, match.groups("1")))
+    if 0 in ints[1::2]:
+        i = 2 * ints[1::2].index(0) + 1  # group of that rational's numerator
+        num, den = match.group(i, i + 1)
         raise CLIError(f"zero denominator in rational literal {num + '/' + den!r}")
-    return Fraction(int(num), d)
+    return ints
 
 
 def parse_rational(text: str) -> Fraction:
@@ -65,15 +69,15 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise CLIError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
-    return _rational(*match.groups())
+    return Fraction(*_integers(match))
 
 
-def parse_class(text: str, genus: int) -> NSClass:
-    """Parse a class literal 'a,b,c' of rational components.
+def _class_integers(text: str) -> tuple:
+    """The six integers (an, ad, bn, bd, cn, cd) of a class literal 'a,b,c',
+    as written: one match of the whole literal, then one ``int`` per part.
 
-    One match of the whole literal, then three ``Fraction``s: time linear
-    in the literal's length on top of the int conversions (quadratic in a
-    component's digits on Python 3.10 and 3.11) and each component's gcd.
+    Time linear in the literal's length on top of the int conversions
+    (quadratic in a part's digits on Python 3.10 and 3.11).
     """
     match = _CLASS_RE.fullmatch(text)
     if match is None:
@@ -84,8 +88,28 @@ def parse_class(text: str, genus: int) -> NSClass:
             raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
         for part in parts:
             parse_rational(part)  # some component does not match, so this raises
-    an, ad, bn, bd, cn, cd = match.groups()
-    return NSClass(genus, _rational(an, ad), _rational(bn, bd), _rational(cn, cd))
+    return _integers(match)
+
+
+def parse_class(text: str, genus: int) -> NSClass:
+    """Parse a class literal 'a,b,c' of rational components.
+
+    The literal's integers and diagnostics are ``_class_integers``'; the
+    class is built from three ``Fraction``s, each reduced by its gcd.
+    """
+    an, ad, bn, bd, cn, cd = _class_integers(text)
+    return NSClass(genus, Fraction(an, ad), Fraction(bn, bd), Fraction(cn, cd))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, from the integers."""
+    d = gcd(num, den)
+    return str(num // d) if den == d else f"{num // d}/{den // d}"
+
+
+def _class_text(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> str:
+    """``str(NSClass)`` of the class (an/ad, bn/bd, cn/cd), in lowest terms."""
+    return f"({_ratio_text(an, ad)},{_ratio_text(bn, bd)},{_ratio_text(cn, cd)})"
 
 
 def _ascii_int(text: str) -> int:
@@ -252,10 +276,14 @@ def _pair(args: argparse.Namespace) -> tuple:
 @_command("intersect", "top intersection of g+1 classes", _GENUS,
           _arg("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'"))
 def _intersect(args: argparse.Namespace) -> tuple:
-    classes = [parse_class(text, args.genus) for text in args.classes]
-    r = _top_intersect_r(classes)
+    # Each literal goes straight to the recurrence's integers; the genus is
+    # checked after the first one is read, so of a bad first literal, a bad
+    # genus and a bad later literal, the first in that order is reported.
+    texts = iter(args.classes)
+    factors = [_class_integers(next(texts))]
+    r = _top_intersect_ints(args.genus, factors, map(_class_integers, texts))
     # Only the JSON record shows the inputs; text output skips rendering them.
-    inputs = {"classes": [str(cls) for cls in classes]} if args.format == "json" else {}
+    inputs = {"classes": [_class_text(*f) for f in factors]} if args.format == "json" else {}
     return _value(args.genus, r, **inputs)
 
 

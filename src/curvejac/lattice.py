@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "MIN_GENUS",
@@ -215,8 +215,10 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
 
     Cost: a fixed handful of integer operations per factor, so O(g) of them
     per call, plus one product with g!.  The integers grow to the summed
-    length of the factors' cleared numerators and denominators, so for g+1
-    classes of bounded size the digit work is O(g^2).
+    length of the factors' cleared numerators and denominators as handed to
+    the recurrence: lowest terms here, but the command line hands over its
+    literals as written, unreduced.  For g+1 classes of bounded size the
+    digit work is O(g^2).
     """
     classes = list(classes)  # checked by _top_intersect_r before classes[0] is read
     return _top_intersect_r(classes) * factorial(classes[0].genus)
@@ -229,27 +231,46 @@ def _top_intersect_r(classes: Sequence[NSClass]) -> Fraction:
     g = classes[0].genus
     for cls in classes[1:]:
         _check_same_genus(classes[0], cls)
-    if len(classes) != g + 1:
+    return _top_intersect_ints(g, list(map(_integer_ratios, classes)))
+
+
+def _top_intersect_ints(g: int, factors: list, later: Iterable[tuple] = ()) -> Fraction:
+    """``top_intersect`` divided by g! of factors given as ``_recurrence``
+    takes them, with the genus check and the g+1 count check.
+
+    ``factors`` is extended in place by ``later``, which is drawn after the
+    genus check: a caller that reads its inputs as they are drawn reports a
+    bad first input, then a bad genus, then a bad later input.
+    """
+    _check_genus(g)
+    factors.extend(later)
+    if len(factors) != g + 1:
         raise ValueError(
             f"top_intersect at genus {g} needs exactly {g + 1} classes, "
-            f"got {len(classes)}"
+            f"got {len(factors)}"
         )
-    return _recurrence(classes)
+    return _recurrence(factors)
 
 
-def _recurrence(classes: Sequence[NSClass]) -> Fraction:
-    """The ``top_intersect`` recurrence over ``classes``, divided by g!.
+def _integer_ratios(cls: NSClass) -> tuple:
+    """The six integers (an, ad, bn, bd, cn, cd) of a class's coefficients."""
+    return (*cls.a.as_integer_ratio(), *cls.b.as_integer_ratio(),
+            *cls.c.as_integer_ratio())
 
+
+def _recurrence(factors: Iterable[tuple]) -> Fraction:
+    """The ``top_intersect`` recurrence over ``factors``, divided by g!.
+
+    Each factor is six integers (an, ad, bn, bd, cn, cd), the class
+    (an/ad, bn/bd, cn/cd) with positive denominators, in any terms: the
+    recurrence is multilinear, and the result is reduced once at the end.
     No argument checks: the callers make them.
     """
     # Clear each factor's denominators so the recurrence runs on plain ints;
     # multilinearity restores the combined scale at the end.
     scale = 1
     s00, s01, s02, s10 = 1, 0, 0, 0
-    for cls in classes:
-        an, ad = cls.a.as_integer_ratio()
-        bn, bd = cls.b.as_integer_ratio()
-        cn, cd = cls.c.as_integer_ratio()
+    for an, ad, bn, bd, cn, cd in factors:
         den = lcm(ad, bd, cd)
         scale *= den
         xa = an * (den // ad)
@@ -277,7 +298,7 @@ def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
 def _pair_r(x: NSClass, y: NSClass) -> Fraction:
     """``pair_theta_power(x, y)`` divided by g!."""
     _check_same_genus(x, y)
-    return _recurrence((x, y))
+    return _recurrence((_integer_ratios(x), _integer_ratios(y)))
 
 
 def pullback_theta(g: int, m: RationalLike, n: RationalLike) -> NSClass:

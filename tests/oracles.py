@@ -11,8 +11,12 @@ them.
 * ``grid_oracle`` - a brute-force minimum of the cone-slice objective.
 * ``split_parse_rational`` / ``split_parse_class`` - the command line's
   literal parsers as one match per component after a split at commas.
+* ``half_even_decimal`` - the six-place decimal annotation by an int divmod.
+* ``reference_intersect`` - the ``intersect`` command's exit status, stdout
+  and stderr, from ``split_parse_class`` and ``top_intersect``.
 """
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +34,7 @@ from curvejac.lattice import (
     _check_genus,
     _check_same_genus,
     as_fraction,
+    top_intersect,
 )
 
 
@@ -214,3 +219,36 @@ def split_parse_class(text: str, genus: int) -> NSClass:
         raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
     a, b, c = (split_parse_rational(part) for part in parts)
     return NSClass(genus, a, b, c)
+
+
+def half_even_decimal(x: Fraction) -> str:
+    """Six-place half-even decimal of ``x`` by an exact int ``divmod``."""
+    quo, rem = divmod(x.numerator * 10**6, x.denominator)
+    double = 2 * rem
+    if double > x.denominator or (double == x.denominator and quo % 2 == 1):
+        quo += 1
+    sign = "-" if quo < 0 else ""
+    whole, frac = divmod(abs(quo), 10**6)
+    return f"{sign}{whole}.{frac:06d}"
+
+
+def reference_intersect(genus: int, literals: list, fmt: str) -> tuple:
+    """(exit status, stdout, stderr) of ``curvejac intersect -g genus
+    --format fmt -- *literals``, for fmt "text" or "json".
+
+    Each literal becomes a class in turn, so the first bad literal or a bad
+    genus (found with the first class built) words the diagnostic, and the
+    class count is checked last.  Call it with the int/str digit limit
+    lifted, as ``main`` runs: literals may pass 4300 digits.
+    """
+    try:
+        classes = [split_parse_class(text, genus) for text in literals]
+        value = top_intersect(classes)
+    except (CLIError, ValueError) as err:
+        return 2, "", f"error: {err}\n"
+    text, decimal = str(value), half_even_decimal(value)
+    if fmt == "json":
+        record = {"genus": genus, "classes": [str(cls) for cls in classes],
+                  "value": text, "decimal": decimal}
+        return 0, json.dumps(record) + "\n", ""
+    return 0, f"{text} (~{decimal})\n", ""

@@ -19,11 +19,12 @@ from hypothesis import example, given, settings
 from curvejac import cli, heights, lattice, minima
 from curvejac.cli import CLIError, decimal_str, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
-from curvejac.lattice import NSClass
+from curvejac.lattice import NSClass, top_intersect
 from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
                              zhang_audit)
 
-from oracles import split_parse_class, split_parse_rational
+from oracles import (half_even_decimal, reference_intersect, split_parse_class,
+                     split_parse_rational)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,8 +102,18 @@ class TestParsing:
     @example("-007/0006,+0,12345678901234567890/98765432109876543210")
     def test_matches_split_parse(self, text):
         # The one-match parse gives the split route's class, or its exact
-        # diagnostic; each component is compared the same way.
-        assert parse_outcome(parse_class, text, 2) == parse_outcome(split_parse_class, text, 2)
+        # diagnostic; each component is compared the same way.  The integer
+        # reader behind both gives the same components, as written, or the
+        # same diagnostic.
+        split = parse_outcome(split_parse_class, text, 2)
+        assert parse_outcome(parse_class, text, 2) == split
+        ints = parse_outcome(cli._class_integers, text)
+        if isinstance(split, NSClass):
+            parts = [(part.split("/") + ["1"])[:2] for part in text.split(",")]
+            assert ints == tuple(int(x) for part in parts for x in part)
+            assert tuple(map(Fraction, ints[::2], ints[1::2])) == split.coefficients
+        else:
+            assert ints == split
         for part in text.split(","):
             assert parse_outcome(parse_rational, part) == parse_outcome(split_parse_rational, part)
 
@@ -119,17 +130,6 @@ class TestDecimalAnnotation:
         assert decimal_str(str(Fraction(3, 2_000_000))) == "0.000002"
         assert decimal_str(str(Fraction(-3, 2_000_000))) == "-0.000002"
         assert decimal_str(str(Fraction(-1, 2_000_000))) == "0.000000"
-
-    @staticmethod
-    def reference(x: Fraction) -> str:
-        """Six-place half-even decimal by an exact int ``divmod``."""
-        quo, rem = divmod(x.numerator * 10**6, x.denominator)
-        double = 2 * rem
-        if double > x.denominator or (double == x.denominator and quo % 2 == 1):
-            quo += 1
-        sign = "-" if quo < 0 else ""
-        whole, frac = divmod(abs(quo), 10**6)
-        return f"{sign}{whole}.{frac:06d}"
 
     @given(st.one_of(
         st.builds(Fraction, st.integers(), st.integers(min_value=1)),
@@ -150,7 +150,7 @@ class TestDecimalAnnotation:
         # A low ambient precision shows that no step rounds in the caller's
         # decimal context.
         with digit_limit(0), localcontext(Context(prec=3)):
-            assert decimal_str(str(x)) == self.reference(x)
+            assert decimal_str(str(x)) == half_even_decimal(x)
 
     def test_rounding_step_raises(self):
         # decimal_str's context raises rather than round, so an inexact
@@ -330,20 +330,79 @@ class TestAudit:
 
 @pytest.mark.parametrize("fmt,renders", [("text", 0), ("json", 6)])
 def test_intersect_renders_classes_for_json_only(capsys, monkeypatch, fmt, renders):
-    # Only the JSON record lists the g+1 input classes.
-    rendered = []
+    # The literals go straight to integers: no format builds a class, and
+    # only the JSON record renders the g+1 inputs, in lowest terms.
+    built, rendered = [], []
 
-    def render(cls, original=NSClass.__str__):
-        rendered.append(cls)
-        return original(cls)
+    def build(cls, *args, original=NSClass.__init__):
+        built.append(args)
+        original(cls, *args)
 
-    monkeypatch.setattr(NSClass, "__str__", render)
-    classes = ["1/2,1,0", "0,1,0", "0,1,-1", "2,1,1", "0,1,0", "1,1,1"]
+    def render(*ints, original=cli._class_text):
+        rendered.append(ints)
+        return original(*ints)
+
+    monkeypatch.setattr(NSClass, "__init__", build)
+    monkeypatch.setattr(cli, "_class_text", render)
+    classes = ["2/4,+1,-0", "0,1,0", "0,1,-1", "2,1,1", "0/7,06/6,0", "-3/9,1,1/1"]
     code, out, _ = run_cli(capsys, "intersect", "-g", "5", "--format", fmt, "--", *classes)
     assert code == 0
-    assert len(rendered) == renders
+    assert (built, len(rendered)) == ([], renders)
+    reduced = ["1/2,1,0", "0,1,0", "0,1,-1", "2,1,1", "0,1,0", "-1/3,1,1"]
+    value = str(top_intersect([NSClass(5, *map(Fraction, c.split(","))) for c in reduced]))
     if fmt == "json":
-        assert json.loads(out)["classes"] == [f"({text})" for text in classes]
+        record = json.loads(out)
+        assert record["classes"] == [f"({text})" for text in reduced]
+        assert record["value"] == value
+    else:
+        assert out.startswith(f"{value} (~")
+
+
+# Parts of intersect's class literals: -0, signs, leading zeros, unreduced
+# p/q, and parts past CPython's 4300-digit limit; then parts that spoil one.
+INTERSECT_PARTS = st.sampled_from([
+    "0", "-0", "+3", "-5", "007", "-0012/0004", "2/4", "+6/3", "10/15", "0/9",
+    "9" * 4301, "-1/" + "3" * 4301, "7" * 4400 + "/" + "0" * 50 + "2" * 4350,
+])
+BAD_PARTS = st.sampled_from(["1/0", "-3/00", "0/0", "", "x", "1.5", "1/-2", "+-1", " 1"])
+BAD_LITERALS = st.sampled_from(["1,1", "1,1,1,1", "bad", "1,1,1\n", ""])
+
+
+@st.composite
+def intersect_cases(draw):
+    """(genus, literals, format): g+1 literals or one or two more or fewer,
+    with up to two spoiled by a bad component or a bad comma count."""
+    g = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4, 4]))
+    count = max(1, g + 1 + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1, 2])))
+    literals = [",".join(draw(st.lists(INTERSECT_PARTS, min_size=3, max_size=3)))
+                for _ in range(count)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, count - 1))
+        if draw(st.booleans()):
+            parts = literals[i].split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(BAD_PARTS)
+            literals[i] = ",".join(parts)
+        else:
+            literals[i] = draw(BAD_LITERALS)
+    return g, literals, draw(st.sampled_from(["text", "json"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(intersect_cases())
+@example((1, ["1,1,1", "bad"], "text"))  # the genus check follows the first literal
+@example((1, ["bad", "1,1,1"], "text"))
+@example((0, ["1,1,1", "1,1/0,1"], "json"))
+@example((2, ["1/0,2/0,1", "1,1,3/0", "x"], "text"))  # the first zero denominator
+@example((2, ["1,1,3/0", "1,1,1", "1,1,1", "1,1,1"], "json"))  # before the count
+@example((3, ["2/4,+1,-0", "0,2/2,0", "0,1,0", "0,1,0"], "json"))
+def test_intersect_matches_reference(case):
+    # Exit status, stdout and stderr of intersect equal those of a reference
+    # that builds each class by the split parse and calls top_intersect.
+    g, literals, fmt = case
+    with digit_limit(0):
+        expected = reference_intersect(g, literals, fmt)
+    argv = ["intersect", "-g", str(g), "--format", fmt, "--", *literals]
+    assert outcome(main, argv) == expected
 
 
 class TestClassify:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from curvejac.cli import _factorial_texts, main
 from curvejac.heights import (PointClass, _height_curve_r, _height_point_r, height_curve,
                               height_point, standard_polarization)
-from curvejac.lattice import (NSClass, _pair_r, _recurrence, alpha1, pair_theta_power,
+from curvejac.lattice import (NSClass, _pair_r, _top_intersect_r, alpha1, pair_theta_power,
                               pullback_theta, theta2, top_intersect)
 from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
                              cone_minimum, witness_sequence, zhang_audit)
@@ -128,7 +128,7 @@ class TestPublicWrappers:
         x = NSClass(g, *(data.draw(rationals) for _ in range(3)))
         assert pair_theta_power(x, L) == gf * _pair_r(x, L)
         classes = [x, L, *[NSClass(g, data.draw(nonneg), 1, 0)] * (g - 1)]
-        assert top_intersect(classes) == gf * _recurrence(classes)
+        assert top_intersect(classes) == gf * _top_intersect_r(classes)
         point = PointClass(L)
         assert height_point(L, point, lam).height == gf * _height_point_r(L, point, lam)
         assert height_curve(L, lam) == gf * _height_curve_r(L, lam)

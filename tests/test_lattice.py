@@ -11,7 +11,9 @@ from hypothesis import given, settings
 
 from curvejac.lattice import (
     NSClass,
+    _integer_ratios,
     _recurrence,
+    _top_intersect_ints,
     alpha1,
     as_fraction,
     pair_theta_power,
@@ -228,7 +230,37 @@ class TestTopIntersect:
         ]
         for classes in cases:
             assert top_intersect(classes) == dict_top_intersect(classes)
-            assert _recurrence(classes) == dict_top_intersect(classes) / factorial(g)
+            factors = [_integer_ratios(cls) for cls in classes]
+            assert _recurrence(factors) == dict_top_intersect(classes) / factorial(g)
+
+    @given(st.data(), genera)
+    @settings(max_examples=60)
+    def test_unreduced_ratios(self, data, g):
+        # Each numerator and denominator times its own k >= 1: the same
+        # value, as the command line's unreduced literals rely on.
+        classes = [NSClass(g, *(data.draw(rationals) for _ in range(3)))
+                   for _ in range(g + 1)]
+        factors = []
+        for cls in classes:
+            ints = []
+            for x in cls.coefficients:
+                k = data.draw(st.integers(min_value=1, max_value=10**6))
+                ints += [x.numerator * k, x.denominator * k]
+            factors.append(tuple(ints))
+        assert _recurrence(factors) == dict_top_intersect(classes) / factorial(g)
+
+    def test_integer_entry_checks(self):
+        # The entry the command line calls checks the genus, before drawing
+        # the later factors, and the count.
+        one = (1, 1, 1, 1, 1, 1)
+        later = iter([one])
+        for g in (1, 0, -3):
+            with pytest.raises(ValueError, match="genus must be >= 2"):
+                _top_intersect_ints(g, [one], later)
+        assert next(later) == one
+        with pytest.raises(ValueError, match="needs exactly 3 classes, got 2"):
+            _top_intersect_ints(2, [one], [one])
+        assert _top_intersect_ints(2, [one], [one, (0, 1, 1, 1, 1, 1)]) == -4
 
     @given(st.data(), st.integers(min_value=2, max_value=5))
     @settings(max_examples=60)
