@@ -49,11 +49,14 @@ MUTANTS = [
      "if double >= den:",
      "tests/test_cli.py::TestDecimalAnnotation"),
     ("src/curvejac/cli.py",
-     "d = gcd(gf, r.denominator)", "d = 1",
+     "d = gcd(int(_EXACT.remainder(gf, q_dec)), q)", "d = 1",
      "tests/test_factored.py"),
     ("src/curvejac/cli.py",
-     "gf, gf_dec = gf * g,", "gf, gf_dec = factorial(g),",
+     "gf = _EXACT.multiply(gf, g)", "gf = _decimal_product(0, g)",
      "tests/test_cli.py::TestTable"),
+    ("src/curvejac/cli.py",
+     "_decimal_product(mid, hi)", "_decimal_product(mid + 1, hi)",
+     "tests/test_factored.py"),
     ("src/curvejac/cli.py",
      "except (CLIError, ValueError, OverflowError) as err:",
      "except (CLIError, ValueError) as err:",

@@ -11,11 +11,14 @@ literal 'a,b,c' is read in one regular-expression match to its six integers
 as written.  ``intersect`` hands them to the recurrence unreduced and builds
 its input classes' text, in lowest terms, only for ``--format json``, the
 one format that prints them; the other commands build an ``NSClass``.  Every
-rational is printed exactly as "p/q" (plain integer when q = 1); decimal
-columns are display-only annotations rounded half-even at six places, each
-derived from the digits of its value's exact text.  A g!-sized value is g!
-times a small rational from the library's ``_r`` functions, printed from one
-decimal of g! per command (``_factorial_texts``).
+rational is printed exactly as "p/q" (plain integer when q = 1).  A g!-sized
+value is g! times a small rational r from the library's ``_r`` functions.
+g! is built straight in decimal, once per command, by a product tree of exact
+``Decimal`` multiplications (``_decimal_product``), so no g!-sized int is
+converted.  Each such value has one route, r -> (exact ``Decimal``
+numerator and denominator) in lowest terms (``_factorial_products``); its
+exact text and its decimal column, a display-only annotation rounded
+half-even at six places (``decimal_str``), are both formatted from that pair.
 Identical invocations produce byte-identical output.
 """
 
@@ -28,8 +31,7 @@ import sys
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero,
                      Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
-from functools import cache
-from math import factorial, gcd
+from math import gcd, perm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
@@ -122,54 +124,79 @@ def _ascii_int(text: str) -> int:
 _ascii_int.__name__ = "int"  # argparse names the type in its diagnostic
 
 
-# Every step of ``decimal_str`` is exact at any length; one that is not
-# raises instead of rounding.
+# Every step of the g! route and of ``decimal_str`` is exact at any length;
+# one that is not raises instead of rounding.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded, InvalidOperation, DivisionByZero])
 
 
-def decimal_str(exact: str) -> str:
-    """Six-place decimal, rounded half-even, of a rational's exact text.
+def _decimal_product(lo: int, hi: int) -> Decimal:
+    """(lo + 1)(lo + 2)...hi as an exact ``Decimal``; hi! when lo = 0.
 
-    Display only.  The decimal is worked out from the text's digits, in time
-    linear in their number, so a caller that prints both forms converts
-    nothing from binary beyond what the text took.
+    A product tree: each leaf, of at most ~1000 bits, is converted from one
+    int, and libmpdec multiplies the large halves in subquadratic time, so
+    no conversion grows with the product.
     """
-    num, _, den = exact.partition("/")
-    den = Decimal(den or "1")
-    quo, rem = _EXACT.divmod(Decimal(num.lstrip("-") + "000000"), den)
+    if (hi - lo) * hi.bit_length() <= 1000:
+        return Decimal(perm(hi, hi - lo))
+    mid = (lo + hi) // 2
+    return _EXACT.multiply(_decimal_product(lo, mid), _decimal_product(mid, hi))
+
+
+def _factorial_products(g_min: int, g_max: int) -> Iterator:
+    """For g = g_min..g_max in turn, the function r -> g! * r as (numerator,
+    denominator) in lowest terms, two exact integral ``Decimal``s.
+
+    g! is built in decimal once, at g_min, then multiplied by each later
+    genus.  g! p/q in lowest terms has numerator (g!/d) p, d = gcd(g!, q),
+    and d is gcd(g! mod q, q), so no binary g! is needed.  A g_min that
+    ``math.factorial`` would refuse gets its diagnostic before any work."""
+    if g_min > sys.maxsize:
+        raise OverflowError(f"factorial() argument should not exceed {sys.maxsize}")
+    gf = _decimal_product(0, g_min)
+    for g in range(g_min, g_max + 1):
+        if g > g_min:
+            gf = _EXACT.multiply(gf, g)
+
+        def product(r: Fraction, gf: Decimal = gf) -> tuple:
+            q, q_dec = r.denominator, Decimal(r.denominator)
+            d = gcd(int(_EXACT.remainder(gf, q_dec)), q)
+            return (_EXACT.multiply(_EXACT.divide_int(gf, d), r.numerator),
+                    _EXACT.divide_int(q_dec, d))
+
+        yield product
+
+
+def _factorial_product(g: int) -> Callable:
+    """The function r -> g! * r as (numerator, denominator) at genus g alone."""
+    return next(_factorial_products(g, g))
+
+
+def _exact_text(num: Decimal, den: Decimal) -> str:
+    """``str(Fraction(num, den))`` of a pair in lowest terms."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def decimal_str(num: Decimal, den: Decimal) -> str:
+    """Six-place decimal, rounded half-even, of num/den for integral
+    ``Decimal``s num and den > 0.
+
+    Display only.  Worked out on the decimal digits of num, in time linear
+    in their number, so nothing is converted from binary or parsed again.
+    """
+    quo, rem = _EXACT.divmod(_EXACT.scaleb(num.copy_abs(), 6), den)
     double = _EXACT.multiply(rem, 2)
     digits = str(quo)
     if double > den or (double == den and digits[-1] in "13579"):
         digits = str(_EXACT.add(quo, 1))
     digits = digits.rjust(7, "0")
-    sign = "-" if num[0] == "-" and digits.strip("0") else ""
+    sign = "-" if num < 0 and digits.strip("0") else ""
     return f"{sign}{digits[:-6]}.{digits[-6:]}"
 
 
-def _factorial_texts(g_min: int, g_max: int) -> Iterator:
-    """For g = g_min..g_max in turn, the function r -> ``str(g! * r)``.
-
-    g! is computed and converted to decimal once, at g_min, then multiplied
-    by each later genus.  g! p/q in lowest terms has numerator (g!/d) p,
-    d = gcd(g!, q), which is worked out on that exact decimal."""
-    gf = factorial(g_min)
-    gf_dec = Decimal(gf)
-    for g in range(g_min, g_max + 1):
-        if g > g_min:
-            gf, gf_dec = gf * g, _EXACT.multiply(gf_dec, g)
-
-        def text(r: Fraction, gf: int = gf, gf_dec: Decimal = gf_dec) -> str:
-            d = gcd(gf, r.denominator)
-            num = str(_EXACT.multiply(_EXACT.divide_int(gf_dec, d), r.numerator))
-            return num if d == r.denominator else f"{num}/{r.denominator // d}"
-
-        yield text
-
-
-def _factorial_text(g: int) -> Callable:
-    """The function r -> ``str(g! * r)`` at genus g alone."""
-    return next(_factorial_texts(g, g))
+def _printed(value: tuple) -> tuple:
+    """The exact text and the decimal annotation of a (num, den) pair."""
+    return _exact_text(*value), decimal_str(*value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,9 +286,8 @@ def _classify(args: argparse.Namespace) -> tuple:
 
 def _value(genus: int, r: Fraction, **inputs) -> tuple:
     """Record and line of a command whose result is one rational, g! * r."""
-    text = _factorial_text(genus)(r)
     record = {"genus": genus, **inputs}
-    record.update(value=text, decimal=decimal_str(text))
+    record["value"], record["decimal"] = _printed(_factorial_product(genus)(r))
     return record, ["{value} (~{decimal})".format_map(record)]
 
 
@@ -324,13 +350,13 @@ def _decompose(args: argparse.Namespace) -> tuple:
 def _height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     point = PointClass(parse_class(args.point, args.genus))
-    height = _factorial_text(args.genus)(_height_point_r(L, point))
+    height, height_dec = _printed(_factorial_product(args.genus)(_height_point_r(L, point)))
     record = {
         "genus": args.genus,
         "bundle": str(L),
         "point": str(point.cls),
         "height": height,
-        "height_dec": decimal_str(height),
+        "height_dec": height_dec,
         "degree": str(point.degree),
     }
     line = "height {height} (~{height_dec}), degree {degree}".format_map(record)
@@ -340,13 +366,12 @@ def _height(args: argparse.Namespace) -> tuple:
 @_command("curve-height", "self-height of the total space", _GENUS, _BUNDLE)
 def _curve_height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    r = _height_curve_r(L)
-    height = _factorial_text(args.genus)(r)
+    height, height_dec = _printed(_factorial_product(args.genus)(_height_curve_r(L)))
     record = {
         "genus": args.genus,
         "bundle": str(L),
         "height": height,
-        "height_dec": decimal_str(height),
+        "height_dec": height_dec,
     }
     return record, ["curve height {height} (~{height_dec})".format_map(record)]
 
@@ -355,12 +380,12 @@ def _curve_height(args: argparse.Namespace) -> tuple:
 def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     report = _cone_minimum_r(L)
-    infimum = _factorial_text(args.genus)(report.infimum)
+    infimum, infimum_dec = _printed(_factorial_product(args.genus)(report.infimum))
     record = {
         "genus": args.genus,
         "bundle": str(L),
         "infimum": infimum,
-        "infimum_dec": decimal_str(infimum),
+        "infimum_dec": infimum_dec,
         "s_star": str(report.s_star),
         "t_star": str(report.t_star),
         "attained_by_witness": report.attained_by_witness,
@@ -389,41 +414,46 @@ def _witness(args: argparse.Namespace) -> tuple:
         "n": args.index,
         "class": str(point.cls),
         "degree": str(point.degree),
-        "height": _factorial_text(args.genus)(r),
+        "height": _exact_text(*_factorial_product(args.genus)(r)),
     }
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
 
-def _audit_record(audit: ZhangAudit, exact) -> tuple:
+def _audit_record(audit: ZhangAudit, product) -> tuple:
     """Values of one audit, and e2's decimal, which only the text shows.
 
-    ``audit`` holds each value divided by g!, and ``exact`` maps such an r
-    to the text of g! * r.  Equal values are rendered once: e1, e2 and their
-    mean are equal in every audit the CLI can produce.  Equality is tested,
-    not assumed.  A decimal is derived from the exact text of its value.
+    ``audit`` holds each value divided by g!, and ``product`` maps such an r
+    to g! * r as (numerator, denominator).  e1, e2 and their mean are equal
+    in every audit the CLI can produce, so e2 and the mean reuse e1's
+    strings when e2 == e1: equality is tested, not assumed.
     """
-    exact = cache(exact)
-    decimal = cache(lambda x: decimal_str(exact(x)))
+    e1, e1_dec = _printed(product(audit.e1))
+    h, h_dec = _printed(product(audit.h_curve))
+    if audit.e2 == audit.e1:
+        e2, e2_dec, mean = e1, e1_dec, e1
+    else:
+        e2, e2_dec = _printed(product(audit.e2))
+        mean = _exact_text(*product((audit.e1 + audit.e2) / 2))
     record = {
-        "e1": exact(audit.e1),
-        "e2": exact(audit.e2),
-        "h": exact(audit.h_curve),
-        "mean": exact((audit.e1 + audit.e2) / 2),
-        "margin": exact(audit.violation_margin),
-        "e1_dec": decimal(audit.e1),
-        "h_dec": decimal(audit.h_curve),
+        "e1": e1,
+        "e2": e2,
+        "h": h,
+        "mean": mean,
+        "margin": _exact_text(*product(audit.violation_margin)),
+        "e1_dec": e1_dec,
+        "h_dec": h_dec,
         "first_inequality_holds": audit.first_inequality_holds,
         "second_inequality_holds": audit.second_inequality_holds,
         "minima_attained": audit.minima_attained,
     }
-    return record, decimal(audit.e2)
+    return record, e2_dec
 
 
 @_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
 def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     audit = _zhang_audit_r(L)
-    values, e2_dec = _audit_record(audit, _factorial_text(args.genus))
+    values, e2_dec = _audit_record(audit, _factorial_product(args.genus))
     record = {"genus": args.genus, "bundle": str(L), **values}
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",
@@ -458,8 +488,8 @@ def _table(args: argparse.Namespace) -> tuple:
     if g_min > g_max:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
     rows = []
-    for g, exact in zip(range(g_min, g_max + 1), _factorial_texts(g_min, g_max)):
-        values, _ = _audit_record(_zhang_audit_r(standard_polarization(g)), exact)
+    for g, product in zip(range(g_min, g_max + 1), _factorial_products(g_min, g_max)):
+        values, _ = _audit_record(_zhang_audit_r(standard_polarization(g)), product)
         rows.append({"g": g, **{col: values[col] for col in _TABLE_COLUMNS[1:]}})
     cells = [_TABLE_COLUMNS]
     cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)
@@ -509,8 +539,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     limit on int/str conversion is lifted while the command runs, so input
     literals of any length are accepted too, and the caller's limit is
     restored on return.  The limit is process-wide, so concurrent calls from
-    several threads would see each other's setting.  A genus too large
-    for ``math.factorial`` gets a diagnostic too.
+    several threads would see each other's setting.  A genus past
+    ``sys.maxsize`` gets ``math.factorial``'s one-line diagnostic.  A genus
+    just under 2^63 passes that check and builds g! until it is killed: no
+    digit budget bounds the work yet (ROADMAP item 3).
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:

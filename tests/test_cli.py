@@ -9,7 +9,7 @@ import subprocess
 import sys
 from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -118,18 +118,32 @@ class TestParsing:
             assert parse_outcome(parse_rational, part) == parse_outcome(split_parse_rational, part)
 
 
+def annotation(x: Fraction) -> str:
+    """``decimal_str`` of a Fraction, handed as its exact Decimal numerator
+    and denominator, as the command line hands each value it prints."""
+    return decimal_str(Decimal(x.numerator), Decimal(x.denominator))
+
+
 class TestDecimalAnnotation:
     def test_basic(self):
-        assert decimal_str(str(Fraction(3, 2))) == "1.500000"
-        assert decimal_str(str(Fraction(16, 3))) == "5.333333"
-        assert decimal_str(str(Fraction(-1, 2))) == "-0.500000"
-        assert decimal_str(str(Fraction(700))) == "700.000000"
+        assert annotation(Fraction(3, 2)) == "1.500000"
+        assert annotation(Fraction(16, 3)) == "5.333333"
+        assert annotation(Fraction(-1, 2)) == "-0.500000"
+        assert annotation(Fraction(-16, 3)) == "-5.333333"
+        assert annotation(Fraction(700)) == "700.000000"
+
+    def test_zero(self):
+        assert annotation(Fraction(0)) == "0.000000"
+        assert decimal_str(Decimal("-0"), Decimal(7)) == "0.000000"
 
     def test_round_half_even(self):
-        assert decimal_str(str(Fraction(1, 2_000_000))) == "0.000000"
-        assert decimal_str(str(Fraction(3, 2_000_000))) == "0.000002"
-        assert decimal_str(str(Fraction(-3, 2_000_000))) == "-0.000002"
-        assert decimal_str(str(Fraction(-1, 2_000_000))) == "0.000000"
+        assert annotation(Fraction(1, 2_000_000)) == "0.000000"
+        assert annotation(Fraction(3, 2_000_000)) == "0.000002"
+        assert annotation(Fraction(-3, 2_000_000)) == "-0.000002"
+        assert annotation(Fraction(-1, 2_000_000)) == "0.000000"
+        assert annotation(Fraction(5, 2)) == "2.500000"
+        assert annotation(Fraction(2_000_001, 2_000_000)) == "1.000000"
+        assert annotation(Fraction(-2_000_003, 2_000_000)) == "-1.000002"
 
     @given(st.one_of(
         st.builds(Fraction, st.integers(), st.integers(min_value=1)),
@@ -150,7 +164,7 @@ class TestDecimalAnnotation:
         # A low ambient precision shows that no step rounds in the caller's
         # decimal context.
         with digit_limit(0), localcontext(Context(prec=3)):
-            assert decimal_str(str(x)) == half_even_decimal(x)
+            assert annotation(x) == half_even_decimal(x)
 
     def test_rounding_step_raises(self):
         # decimal_str's context raises rather than round, so an inexact
@@ -178,39 +192,49 @@ class TestTable:
         assert rows[1].startswith("2,") and rows[-1].startswith("12,")
 
     def test_asks_for_one_factorial(self, capsys, monkeypatch):
-        # Each command that prints g!-sized values computes g! once and
-        # converts it to decimal once; a table carries both from row to
-        # row.  The library's factorial is counted too: the command line
-        # goes through the _r functions, which need none.
-        calls, converted = [], []
+        # Each command that prints g!-sized values builds g! once, as one
+        # product tree whose leaves cover 1..g in order, once each; a table
+        # carries it from row to row.  The library's factorial is never
+        # asked for: the command line goes through the _r functions.  At
+        # genus 5000, a tree of many leaves, no int wider than a leaf's
+        # 1000 bits is converted to Decimal (r's denominators here are
+        # small), so g! is never converted from binary.
+        calls, leaves, converted = [], [], []
 
         def counted(g):
             calls.append(g)
             return factorial(g)
 
+        def leaf(n, k):
+            leaves.extend(range(n - k + 1, n + 1))
+            return perm(n, k)
+
         def to_decimal(value, original=Decimal):
-            if not isinstance(value, str):
-                converted.append(value)
+            converted.append(value)
             return original(value)
 
-        for module in (cli, lattice, heights, minima):
+        for module in (lattice, heights, minima):
             monkeypatch.setattr(module, "factorial", counted)
+        monkeypatch.setattr(cli, "perm", leaf)
         monkeypatch.setattr(cli, "Decimal", to_decimal)
         for g, argv in (
             (2, ["table", "2", "50"]),
-            (60, ["audit", "-g", "60"]),
-            (60, ["minima", "-g", "60"]),
-            (60, ["curve-height", "-g", "60"]),
-            (60, ["pair", "-g", "60", "1,1,1", "60,1,1"]),
+            (4990, ["table", "4990", "5000"]),
+            (5000, ["audit", "-g", "5000"]),
+            (5000, ["minima", "-g", "5000"]),
+            (5000, ["curve-height", "-g", "5000"]),
+            (5000, ["pair", "-g", "5000", "1,1,1", "5000,1,1"]),
             (3, ["intersect", "-g", "3", "1,1,1", "3,1,1", "0,1,0", "0,1,0"]),
-            (60, ["height", "-g", "60", "60,1,1"]),
-            (60, ["witness", "-g", "60", "-n", "2"]),
+            (5000, ["height", "-g", "5000", "5000,1,1"]),
+            (5000, ["witness", "-g", "5000", "-n", "2"]),
         ):
             calls.clear()
+            leaves.clear()
             converted.clear()
             assert run_cli(capsys, *argv)[0] == 0, argv
-            assert calls == [g], argv
-            assert converted == [factorial(g)], argv
+            assert calls == [], argv
+            assert leaves == list(range(1, g + 1)), argv
+            assert max(value.bit_length() for value in converted) <= 1000, argv
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "2", "3", "--format", "json")
@@ -287,32 +311,37 @@ class TestAudit:
         "argv,g_min", [(["audit", "-g", "5"], 5), (["table", "2", "40"], 2)]
     )
     def test_factorial_converted_once(self, capsys, monkeypatch, argv, g_min):
-        # The only int the command hands to Decimal is g!, once: an audit's
-        # at its genus, a table's at its first row.
+        # The ints the command hands to Decimal are g!, once, as the one
+        # leaf of its tree (genus <= 100), and the denominator of each
+        # distinct value printed, to reduce it against g!: e1 = e2 = mean,
+        # h, then the margin.  No text is parsed back.  Each decimal
+        # annotation reads its value's numerator once, as handed with the
+        # denominator: e1's, then h's.
         converted, handed = [], []
 
         def to_decimal(value, original=Decimal):
-            if not isinstance(value, str):
-                converted.append(value)
+            converted.append(value)
             return original(value)
 
-        def decimal(exact, original=cli.decimal_str):
-            handed.append(exact)
-            return original(exact)
+        def decimal(num, den, original=cli.decimal_str):
+            handed.append(cli._exact_text(num, den))
+            return original(num, den)
 
         monkeypatch.setattr(cli, "Decimal", to_decimal)
         monkeypatch.setattr(cli, "decimal_str", decimal)
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        assert converted == [factorial(g_min)]
         records = json.loads(out)
         records = records if isinstance(records, list) else [records]
-        # Each decimal still gets its value's exact text, once per distinct
-        # value: e1 = e2, then h.
+        genera = [record.get("genus", record.get("g")) for record in records]
+        audits = [_zhang_audit_r(standard_polarization(g)) for g in genera]
+        assert converted == [factorial(g_min)] + [
+            r.denominator for a in audits for r in (a.e1, a.h_curve, a.violation_margin)
+        ]
         assert handed == [record[key] for record in records for key in ("e1", "h")]
         with digit_limit(0):
-            for record in records:
-                audit = zhang_audit(standard_polarization(record.get("genus", record.get("g"))))
+            for g, record in zip(genera, records):
+                audit = zhang_audit(standard_polarization(g))
                 assert (record["e1"], record["h"]) == (str(audit.e1), str(audit.h_curve))
 
     def test_table_renders_no_bundle(self, capsys, monkeypatch):
@@ -577,6 +606,17 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_genus_past_factorial_exits_at_once(self):
+        # The genus is checked before any work on g!, so a whole process
+        # ends at once, with math.factorial's words.
+        result = subprocess.run(
+            [sys.executable, "-m", "curvejac", "audit", "-g", HUGE_GENUS],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"error: factorial() argument should not exceed {sys.maxsize}\n")
 
     def test_csv_rejected_before_computing(self, capsys, monkeypatch):
         def no_audit(L):
@@ -885,8 +925,8 @@ class TestLargeGenus:
             assert record["h"] == str(audit.h_curve)
             assert record["mean"] == str((audit.e1 + audit.e2) / 2)
             assert record["margin"] == str(audit.violation_margin)
-            assert record["e1_dec"] == decimal_str(str(audit.e1))
-            assert record["h_dec"] == decimal_str(str(audit.h_curve))
+            assert record["e1_dec"] == half_even_decimal(audit.e1)
+            assert record["h_dec"] == half_even_decimal(audit.h_curve)
 
     def test_table_csv(self, capsys):
         with digit_limit(4300):
@@ -900,8 +940,8 @@ class TestLargeGenus:
                 mean = (audit.e1 + audit.e2) / 2
                 assert row[1:] == [
                     str(audit.e1), str(audit.e2), str(audit.h_curve), str(mean),
-                    str(audit.violation_margin), decimal_str(str(audit.e1)),
-                    decimal_str(str(audit.h_curve)),
+                    str(audit.violation_margin), half_even_decimal(audit.e1),
+                    half_even_decimal(audit.h_curve),
                 ]
 
     @pytest.mark.parametrize(

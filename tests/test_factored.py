@@ -1,9 +1,11 @@
 """The factored route: every height-like value is g! times a rational r.
 
 The public functions return g! times their private ``_r`` function, and the
-command line renders g! * r from one exact decimal of g!.  Both are checked
+command line renders g! * r from one exact decimal of g!, built by a product
+tree, as an exact decimal numerator and a denominator.  Both are checked
 here against g! * r formed with ``math.factorial`` and ``str``, at genus
-2..2000.
+2..2000 and at a few genera past 4000, where the tree has several levels;
+the renderer's decimal annotation is checked against an int ``divmod``.
 """
 
 import contextlib
@@ -18,13 +20,15 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
-from curvejac.cli import _factorial_texts, main
+from curvejac.cli import _exact_text, _factorial_products, decimal_str, main
 from curvejac.heights import (PointClass, _height_curve_r, _height_point_r, height_curve,
                               height_point, standard_polarization)
 from curvejac.lattice import (NSClass, _pair_r, _top_intersect_r, alpha1, pair_theta_power,
                               pullback_theta, theta2, top_intersect)
 from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
                              cone_minimum, witness_sequence, zhang_audit)
+
+from oracles import half_even_decimal
 
 genera = st.integers(min_value=2, max_value=2000)
 rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
@@ -50,9 +54,9 @@ def expanded(g, r):
 
 def factored(g, r):
     """The text of g! * r from the command line's renderer at genus g."""
-    (text,) = _factorial_texts(g, g)
+    (product,) = _factorial_products(g, g)
     with no_digit_limit():  # as ``main`` lifts it around each command
-        return text(r)
+        return _exact_text(*product(r))
 
 
 @st.composite
@@ -101,19 +105,32 @@ class TestFactoredText:
         r = data.draw(multipliers(g))
         assert factored(g, r) == expanded(g, r)
 
+    @pytest.mark.parametrize("g", [4001, 5003, 8191])
+    @settings(max_examples=8, deadline=None)
+    @given(st.data())
+    def test_matches_past_one_leaf(self, g, data):
+        # Past genus ~125 g! is a tree of leaves of at most 1000 bits; at
+        # these genera it has several levels.
+        r = data.draw(multipliers(g))
+        (product,) = _factorial_products(g, g)
+        value = product(r)
+        with no_digit_limit():
+            assert _exact_text(*value) == expanded(g, r)
+            assert decimal_str(*value) == half_even_decimal(factorial(g) * r)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 1990), st.integers(0, 10), st.data())
     def test_carried_rows_match_per_row(self, g_min, span, data):
         # A table multiplies g!'s decimal from row to row; each row renders
         # as a fresh conversion at its own genus would.
         g_max = g_min + span
-        rows = list(_factorial_texts(g_min, g_max))
+        rows = list(_factorial_products(g_min, g_max))
         assert len(rows) == span + 1
         for g, carried in zip(range(g_min, g_max + 1), rows):
-            (alone,) = _factorial_texts(g, g)
+            (alone,) = _factorial_products(g, g)
             for r in (data.draw(multipliers(g)), Fraction(1, g), Fraction(g + 1, 2)):
                 with no_digit_limit():
-                    texts = carried(r), alone(r)
+                    texts = _exact_text(*carried(r)), _exact_text(*alone(r))
                 assert texts == (expanded(g, r),) * 2
 
 
