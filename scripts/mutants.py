@@ -42,8 +42,15 @@ MUTANTS = [
      "    _check_genus(g)\n    factors.extend(later)", "    factors.extend(later)",
      "tests/test_cli.py::test_intersect_matches_reference"),
     ("src/curvejac/minima.py",
-     "t_star = C / (g * A) if A", "t_star = 2 * C / (g * A) if A",
+     "n, m = ((cn // k) * (ad // j),", "n, m = (2 * (cn // k) * (ad // j),",
      "tests/test_minima.py"),
+    ("src/curvejac/minima.py",
+     "infimum = Fraction(bn * cd * g * m - cn * n * bd,",
+     "infimum = Fraction(bn * cd * g * m - cn * n,",
+     "tests/test_kernels.py::test_cone_minimum_matches_formulas"),
+    ("src/curvejac/cones.py",
+     "num = an * bn * cd * cd - ", "num = an * bn * cd - ",
+     "tests/test_kernels.py::test_classify_matches_defect"),
     ("src/curvejac/cli.py",
      'if double > den or (double == den and digits[-1] in "13579"):',
      "if double >= den:",

@@ -8,6 +8,9 @@ The four standard cones collapse pairwise on this surface: ample = big
 with strict inequalities for the open pair.  ``defect`` always means
 a b - g c^2, reported raw so callers can see how far a class sits from the
 quadric wall.
+
+``classify`` runs on the coefficients' integers and reduces the defect once,
+into the ``Fraction`` it returns.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .lattice import NSClass, _Frozen, as_fraction, zero_class
+from .lattice import NSClass, _Frozen, _integer_ratios, as_fraction, zero_class
 
 __all__ = [
     "ConeVerdict",
@@ -54,9 +57,10 @@ class ConeVerdict(_Frozen):
 
 def classify(x: NSClass) -> ConeVerdict:
     """Locate a class relative to the nested ample/nef cone pair."""
-    defect = x.a * x.b - x.genus * x.c * x.c
-    nef = x.a >= 0 and x.b >= 0 and defect >= 0
-    ample = x.a > 0 and x.b > 0 and defect > 0
+    an, ad, bn, bd, cn, cd = _integer_ratios(x)
+    num = an * bn * cd * cd - x.genus * cn * cn * ad * bd
+    nef = an >= 0 and bn >= 0 and num >= 0
+    ample = an > 0 and bn > 0 and num > 0
     if ample:
         region = Region.INTERIOR
     elif nef:
@@ -64,7 +68,7 @@ def classify(x: NSClass) -> ConeVerdict:
     else:
         region = Region.OUTSIDE
     return ConeVerdict(region=region, is_ample=ample, is_nef=nef, is_big=ample,
-                       is_psef=nef, defect=defect)
+                       is_psef=nef, defect=Fraction(num, ad * bd * cd * cd))
 
 
 class NefDecomposition(NamedTuple):

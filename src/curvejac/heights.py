@@ -8,6 +8,9 @@ of the total space come out as exact rationals.
 Whether a given pseudo-effective class is actually realized by a point of
 the generic fiber is the caller's concern; this module validates only the
 numerical conditions.
+
+Both heights run on the integers of the pairing (``lattice._pair_ratio``),
+the base multiple and the degree, and reduce once, into their ``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .lattice import (
     NSClass,
     RationalLike,
     _Frozen,
-    _pair_r,
+    _pair_ratio,
     as_fraction,
     pullback_theta,
     restrict_to_C_fiber,
@@ -74,13 +77,17 @@ def standard_polarization(g: int) -> NSClass:
     return pullback_theta(g, 1, 1)
 
 
-def _base_factor(g: int, base_multiple: RationalLike) -> Fraction:
-    # Rescaling the base polarization theta -> lam * theta multiplies the
-    # theta^(g-1) factor in every height by lam^(g-1).
+def _height_r(x: NSClass, L: NSClass, base_multiple: RationalLike, k: int) -> Fraction:
+    """lam^(g-1) (x . L . theta2^(g-1)) / (k deg x g!) for lam = base_multiple:
+    rescaling theta -> lam theta scales the theta^(g-1) factor by lam^(g-1).
+    deg x's denominator divides x's share of the pairing's scale."""
     lam = as_fraction(base_multiple)
     if lam <= 0:
         raise ValueError(f"base polarization multiple must be positive, got {lam}")
-    return lam ** (g - 1)
+    num, scale = _pair_ratio(x, L)
+    dn, dd = x.a.as_integer_ratio()
+    return Fraction(lam.numerator ** (L.genus - 1) * num,
+                    lam.denominator ** (L.genus - 1) * (scale // dd) * k * dn)
 
 
 def height_point(
@@ -102,8 +109,7 @@ def height_point(
 def _height_point_r(L: NSClass, point: PointClass,
                     base_multiple: RationalLike = 1) -> Fraction:
     """``height_point``'s height divided by g!."""
-    factor = _base_factor(L.genus, base_multiple)
-    return factor * _pair_r(point.cls, L) / point.degree
+    return _height_r(point.cls, L, base_multiple, 1)
 
 
 def height_curve(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
@@ -116,5 +122,4 @@ def _height_curve_r(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
     deg = restrict_to_C_fiber(L)
     if deg <= 0:
         raise ValueError(f"curve height needs positive generic degree, got {deg}")
-    factor = _base_factor(L.genus, base_multiple)
-    return factor * _pair_r(L, L) / (2 * deg)
+    return _height_r(L, L, base_multiple, 2)

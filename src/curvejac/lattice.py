@@ -249,7 +249,7 @@ def _top_intersect_ints(g: int, factors: list, later: Iterable[tuple] = ()) -> F
             f"top_intersect at genus {g} needs exactly {g + 1} classes, "
             f"got {len(factors)}"
         )
-    return _recurrence(factors)
+    return Fraction(*_recurrence(factors))
 
 
 def _integer_ratios(cls: NSClass) -> tuple:
@@ -258,13 +258,13 @@ def _integer_ratios(cls: NSClass) -> tuple:
             *cls.c.as_integer_ratio())
 
 
-def _recurrence(factors: Iterable[tuple]) -> Fraction:
-    """The ``top_intersect`` recurrence over ``factors``, divided by g!.
+def _recurrence(factors: Iterable[tuple]) -> tuple:
+    """Unreduced (num, scale), scale > 0, with num/scale = ``top_intersect`` / g!.
 
     Each factor is six integers (an, ad, bn, bd, cn, cd), the class
     (an/ad, bn/bd, cn/cd) with positive denominators, in any terms: the
-    recurrence is multilinear, and the result is reduced once at the end.
-    No argument checks: the callers make them.
+    recurrence is multilinear, and the caller reduces once, when it builds
+    the value it returns.  No argument checks: the callers make them.
     """
     # Clear each factor's denominators so the recurrence runs on plain ints;
     # multilinearity restores the combined scale at the end.
@@ -282,7 +282,7 @@ def _recurrence(factors: Iterable[tuple]) -> Fraction:
             xb * s02 + xc * s01,
             xb * s10 + xa * s00,
         )
-    return Fraction(s10 + POINCARE_SQUARE_COEFF * s02, scale)
+    return s10 + POINCARE_SQUARE_COEFF * s02, scale
 
 
 def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
@@ -297,6 +297,12 @@ def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
 
 def _pair_r(x: NSClass, y: NSClass) -> Fraction:
     """``pair_theta_power(x, y)`` divided by g!."""
+    return Fraction(*_pair_ratio(x, y))
+
+
+def _pair_ratio(x: NSClass, y: NSClass) -> tuple:
+    """``_pair_r(x, y)`` as the recurrence's unreduced (num, scale), with the
+    genus check: the one route from two classes to their pairing."""
     _check_same_genus(x, y)
     return _recurrence((_integer_ratios(x), _integer_ratios(y)))
 
@@ -308,9 +314,9 @@ def pullback_theta(g: int, m: RationalLike, n: RationalLike) -> NSClass:
     a, b >= 0 with ab = g c^2 exactly.
     """
     _check_genus(g)
-    m = as_fraction(m)
-    n = as_fraction(n)
-    return NSClass(g, g * m * m, n * n, m * n)
+    (mn, md), (nn, nd) = as_fraction(m).as_integer_ratio(), as_fraction(n).as_integer_ratio()
+    return NSClass(g, Fraction(g * mn * mn, md * md), Fraction(nn * nn, nd * nd),
+                   Fraction(mn * nn, md * nd))
 
 
 def restrict_to_C_fiber(x: NSClass) -> Fraction:

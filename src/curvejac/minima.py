@@ -13,17 +13,22 @@ test suite cross-checks it against a brute-force grid oracle),
 attaining the minimum for the standard polarization, and ``zhang_audit``
 compares the minima against the curve height, evaluating both
 successive-minima inequalities with exact margins.
+
+The kernels run on the coefficients' integers and build one ``Fraction``
+per returned value.  Its reduction is a gcd, quadratic in the length of its
+terms, so they cancel the common factors they know of first: the ray's cross
+factors and the margin's shared denominator (README: cost on huge classes).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Optional
 
 from .cones import classify
 from .heights import PointClass, _height_curve_r, _height_point_r
-from .lattice import NSClass, _Frozen, pullback_theta
+from .lattice import NSClass, _Frozen, _integer_ratios, pullback_theta
 
 __all__ = [
     "MinimaReport",
@@ -77,14 +82,6 @@ class ZhangAudit(_Frozen):
         object.__setattr__(self, "minima_attained", minima_attained)
 
 
-def _minimizing_witness(L: NSClass, t_star: Fraction) -> PointClass:
-    # A pullback class (g m^2, n^2, m n) normalizes to t = n / (g m), so the
-    # minimizing ray is hit by taking n/m = g t_star in lowest terms.
-    ratio = L.genus * t_star
-    m, n = ratio.denominator, ratio.numerator
-    return PointClass(pullback_theta(L.genus, m, n))
-
-
 def cone_minimum(L: NSClass) -> MinimaReport:
     """Exact infimum of the normalized height of point classes against L.
 
@@ -109,12 +106,17 @@ def _cone_minimum_r(L: NSClass) -> MinimaReport:
             f"cone_minimum needs a nef class, got {L} with defect {verdict.defect}"
         )
     g = L.genus
-    A, B, C = L.a, L.b, L.c
-    # With A = 0 nefness forces -g C^2 >= 0, so C = 0 and t* = 0.
-    t_star = C / (g * A) if A else Fraction(0)
-    s_star = g * t_star * t_star
-    infimum = B - A * s_star  # (g A B - C^2) / (g A) when A > 0
-    witness = _minimizing_witness(L, t_star)
+    an, ad, bn, bd, cn, cd = _integer_ratios(L)
+    # A pullback class (g m^2, n^2, m n) normalizes to t = n / (g m): the ray
+    # is n/m = g t* = C/A, in lowest terms by cancelling cross factors.  With
+    # A = 0 nefness forces -g C^2 >= 0, so C = 0 and t* = 0.
+    k, j = gcd(cn, an), gcd(ad, cd)
+    n, m = ((cn // k) * (ad // j), (an // k) * (cd // j)) if an else (0, 1)
+    t_star = Fraction(n, g * m)
+    s_star = Fraction(n * n, g * m * m)
+    # B - A s* = B - C n / (g m), which is (g A B - C^2) / (g A) when A > 0.
+    infimum = Fraction(bn * cd * g * m - cn * n * bd, bd * cd * g * m)
+    witness = PointClass(pullback_theta(g, m, n))
     attained = _height_point_r(L, witness) == infimum
     return MinimaReport(infimum=infimum, s_star=s_star, t_star=t_star,
                         attained_by_witness=attained,
@@ -155,8 +157,10 @@ def _zhang_audit_r(L: NSClass) -> ZhangAudit:
     divided by g!.  g! > 0, so the inequalities read the same."""
     report = _cone_minimum_r(L)
     h = _height_curve_r(L)
-    e1 = e2 = report.infimum
-    mean = (e1 + e2) / 2
-    return ZhangAudit(e1, e2, h, first_inequality_holds=e1 >= h,
-                      second_inequality_holds=h >= mean, violation_margin=mean - h,
-                      minima_attained=report.attained_by_witness)
+    e = report.infimum
+    (en, ed), (hn, hd) = e.as_integer_ratio(), h.as_integer_ratio()
+    # e1 = e2 = mean = e, so e1 - h and the margin mean - h are num / lcm(ed, hd).
+    d = gcd(ed, hd)
+    num = en * (hd // d) - hn * (ed // d)
+    return ZhangAudit(e, e, h, num >= 0, num <= 0, Fraction(num, ed // d * hd),
+                      report.attained_by_witness)

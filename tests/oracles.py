@@ -9,6 +9,9 @@ them.
   that contract an expanded product against the table.
 * ``pair_theta_power_closed`` - the closed form of the theta-power pairing.
 * ``grid_oracle`` - a brute-force minimum of the cone-slice objective.
+* ``defect``, ``cone_minimum_closed``, ``height_point_closed``,
+  ``height_curve_closed`` and ``audit_closed`` - the cone, minimum, height
+  and audit kernels as ``Fraction`` formulas on the coefficients.
 * ``split_parse_rational`` / ``split_parse_class`` - the command line's
   literal parsers as one match per component after a split at commas.
 * ``half_even_decimal`` - the six-place decimal annotation by an int divmod.
@@ -146,8 +149,49 @@ def pair_theta_power_closed(x: NSClass, y: NSClass) -> Fraction:
     proved equal by the test suite, not assumed.
     """
     _check_same_genus(x, y)
-    gf = monomial_table(x.genus).g_factorial
-    return gf * (x.a * y.b + x.b * y.a - 2 * x.c * y.c)
+    return monomial_table(x.genus).g_factorial * _pair_closed_r(x, y)
+
+
+def _pair_closed_r(x: NSClass, y: NSClass) -> Fraction:
+    return x.a * y.b + x.b * y.a - 2 * x.c * y.c
+
+
+def defect(x: NSClass) -> Fraction:
+    """The cone defect a b - g c^2 of ``classify``."""
+    return x.a * x.b - x.genus * x.c * x.c
+
+
+def cone_minimum_closed(L: NSClass) -> tuple[Fraction, Fraction, Fraction]:
+    """(t*, s*, infimum / g!) of ``cone_minimum`` for a nef L:
+    t* = C / (g A), or 0 when A = 0, s* = g t*^2 and B - A s*."""
+    g, A, B, C = L.genus, L.a, L.b, L.c
+    t_star = C / (g * A) if A else Fraction(0)
+    s_star = g * t_star * t_star
+    return t_star, s_star, B - A * s_star
+
+
+def _base_factor(g: int, base_multiple: RationalLike) -> Fraction:
+    return as_fraction(base_multiple) ** (g - 1)
+
+
+def height_point_closed(L: NSClass, x: NSClass, base_multiple: RationalLike = 1) -> Fraction:
+    """``height_point`` divided by g!: factor * pair / degree, with the
+    closed pairing and factor = base_multiple^(g-1)."""
+    return _base_factor(L.genus, base_multiple) * _pair_closed_r(x, L) / x.a
+
+
+def height_curve_closed(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
+    """``height_curve`` divided by g!: factor * pair(L, L) / (2 deg L)."""
+    return _base_factor(L.genus, base_multiple) * _pair_closed_r(L, L) / (2 * L.a)
+
+
+def audit_closed(L: NSClass) -> tuple:
+    """(e1, e2, h, e1 >= h, h >= mean, (e1 + e2)/2 - h) of ``zhang_audit``,
+    the values divided by g!."""
+    e1 = e2 = cone_minimum_closed(L)[2]
+    h = height_curve_closed(L)
+    mean = (e1 + e2) / 2
+    return e1, e2, h, e1 >= h, h >= mean, mean - h
 
 
 def grid_oracle(

@@ -985,13 +985,13 @@ def test_reader_gone_leaves_stderr_empty(argv, lines_read):
     # table's ~1.3 MB fills the pipe; the audit's few lines wait in stdout's
     # buffer (the default, so PYTHONUNBUFFERED is dropped) for the flush.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen([sys.executable, "-m", "curvejac", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    for _ in range(lines_read):
-        assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    with subprocess.Popen([sys.executable, "-m", "curvejac", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 # Imports curvejac.cli into a fresh interpreter, prints which of the heavy

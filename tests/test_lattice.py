@@ -231,7 +231,7 @@ class TestTopIntersect:
         for classes in cases:
             assert top_intersect(classes) == dict_top_intersect(classes)
             factors = [_integer_ratios(cls) for cls in classes]
-            assert _recurrence(factors) == dict_top_intersect(classes) / factorial(g)
+            assert Fraction(*_recurrence(factors)) == dict_top_intersect(classes) / factorial(g)
 
     @given(st.data(), genera)
     @settings(max_examples=60)
@@ -247,7 +247,7 @@ class TestTopIntersect:
                 k = data.draw(st.integers(min_value=1, max_value=10**6))
                 ints += [x.numerator * k, x.denominator * k]
             factors.append(tuple(ints))
-        assert _recurrence(factors) == dict_top_intersect(classes) / factorial(g)
+        assert Fraction(*_recurrence(factors)) == dict_top_intersect(classes) / factorial(g)
 
     def test_integer_entry_checks(self):
         # The entry the command line calls checks the genus, before drawing
