@@ -92,6 +92,15 @@ MUTANTS = [
      'if args.format == "json" else {}', "if args.format else {}",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),
     ("src/curvejac/cli.py",
+     "(run if dashed else", "(True if dashed else",
+     "tests/test_cli.py::TestPlainReader"),
+    ("src/curvejac/cli.py",
+     'options["dest"] in given or ', "",
+     "tests/test_cli.py::TestPlainReader"),
+    ("src/curvejac/cli.py",
+     'if value not in options.get("choices", [value]):', "if False:",
+     "tests/test_cli.py::TestPlainReader"),
+    ("src/curvejac/cli.py",
      "        sys.stdout.flush()  # a reader", "        pass  # a reader",
      "tests/test_cli.py::test_reader_gone_leaves_stderr_empty"),
     ("src/curvejac/cli.py",

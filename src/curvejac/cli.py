@@ -4,9 +4,16 @@ Subcommands mirror the library: classify, pair, intersect, pullback,
 decompose, height, curve-height, minima, witness, audit, table.  Each is one
 compute function in ``_COMMANDS`` that turns parsed arguments into a record
 (the JSON output) and its text lines; ``main`` is the one place that picks
-the format and prints.  A command line that starts with a subcommand's name
-is parsed by that subcommand's parser alone; any other goes to
-``build_parser``'s full parser, for top-level help and diagnostics.  A class
+the format and prints.  A plain command line is read straight from the
+command's specs by ``_read_plain``, to the namespace argparse would return,
+and builds no parser.  Plain: the subcommand's name, then options spelled
+exactly as declared ('-g V', '--genus V' or '--genus=V', V non-empty and not
+option-like), each at most once, and one run of positionals that opens the
+line, follows every option, or follows a single '--' with tokens after it
+(``table``'s optional bounds only in a run that opens the line), each value
+of its type and choices.  Any other line, -h, abbreviations, '-g3' and every
+diagnostic included, goes to argparse: the subcommand's parser alone, or
+``build_parser``'s full parser when no subcommand is named.  A class
 literal 'a,b,c' is read in one regular-expression match to its six integers
 as written.  ``intersect`` hands them to the recurrence unreduced and builds
 its input classes' text, in lowest terms, only for ``--format json``, the
@@ -48,6 +55,8 @@ DEFAULT_TABLE_RANGE = (2, 12)
 _RATIONAL = r"([+-]?\d+)(?:/(\d+))?"
 _RATIONAL_RE = re.compile(_RATIONAL, re.ASCII)
 _CLASS_RE = re.compile(",".join([_RATIONAL] * 3), re.ASCII)
+# A value, not an option, to argparse and ``_read_plain``: no option starts with a digit.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 class CLIError(Exception):
@@ -204,9 +213,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # argparse takes only '-<digits>' and '-<decimal>' for negative
         # numbers and any other leading '-' for an option, which would
-        # swallow '-1/2' and '-1,1,0'.  No option here starts with a digit,
-        # so every '-<digit>' token is a value.
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # swallow '-1/2' and '-1,1,0'.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     # argparse's default error handler prints usage plus the message; fold
     # everything into the single-line diagnostic channel instead.  argparse
@@ -234,15 +242,16 @@ def _arg(*flags: str, **options) -> tuple:
     return flags, options
 
 
-_GENUS = _arg("-g", "--genus", type=_ascii_int, required=True, help="curve genus (>= 2)")
+_GENUS = _arg("-g", "--genus", dest="genus", type=_ascii_int, required=True,
+              help="curve genus (>= 2)")
 _COEFFS = [
     _arg(f"-{x}", f"--{x}", dest=x, required=True, metavar="RAT",
          help=f"{role} coefficient")
     for x, role in (("a", "alpha1"), ("b", "theta2"), ("c", "universal-class"))
 ]
-_BUNDLE = _arg("-L", "--bundle", metavar="CLASS", default=None,
+_BUNDLE = _arg("-L", "--bundle", dest="bundle", metavar="CLASS", default=None,
                help="polarizing class 'a,b,c' (default: standard polarization)")
-_FORMAT = _arg("--format", choices=("text", "csv", "json"), default="text",
+_FORMAT = _arg("--format", dest="format", choices=("text", "csv", "json"), default="text",
                help="output format (csv is table-only)")
 
 # name -> (help, compute, arguments before --format), filled in --help order
@@ -512,6 +521,64 @@ def _command_parser(name: str, parser: _Parser) -> _Parser:
     return parser
 
 
+def _is_value(token: str) -> bool:
+    """Whether ``token`` is not option-like: argparse reads it as a value."""
+    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
+
+
+def _typed(options: dict, text: str):
+    """``text`` through an argument's type and choices; ValueError if refused."""
+    value = options.get("type", str)(text)
+    if value not in options.get("choices", [value]):
+        raise ValueError(text)
+    return value
+
+
+def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
+    """The namespace subcommand ``name``'s parser returns for a plain ``argv``
+    (see the module docstring), read from the same specs; else None."""
+    _, compute, arguments = _COMMANDS[name]
+    flags = {flag: o for names, o in [*arguments, _FORMAT] if "dest" in o for flag in names}
+    positionals = [(names[0], o) for names, o in arguments if "dest" not in o]
+    found = {o["dest"]: o.get("default") for o in flags.values()}
+    found.update(compute=compute, command=name)
+    lead = next((i for i, token in enumerate(argv) if not _is_value(token)), len(argv))
+    i, given = lead, set()
+    try:
+        while i < len(argv) and argv[i] != "--" and not _is_value(argv[i]):
+            flag, eq, value = argv[i].partition("=")
+            if not eq and i + 1 < len(argv):
+                value = argv[i + 1]
+            options = flags.get(flag)
+            if (options is None or options["dest"] in given or not value
+                    or not _is_value(value) or eq and not flag.startswith("--")):
+                return None
+            given.add(options["dest"])
+            found[options["dest"]] = _typed(options, value)
+            i += 1 if eq else 2
+        dashed = argv[i:i + 1] == ["--"]
+        run = argv[i + dashed:]
+        if "--" in run or not (run if dashed else all(map(_is_value, run))):
+            return None
+        if run and (lead or any(o.get("nargs") == "?" for _, o in positionals)):
+            return None
+        run = run or argv[:lead]
+        for dest, options in positionals:
+            if run and options.get("nargs") == "+":
+                found[dest], run = [_typed(options, text) for text in run], []
+            elif run:
+                found[dest], run = _typed(options, run[0]), run[1:]
+            elif options.get("nargs") == "?":
+                found[dest] = options["default"]
+            else:
+                return None
+    except ValueError:
+        return None
+    if run or not given >= {o["dest"] for o in flags.values() if o.get("required")}:
+        return None
+    return argparse.Namespace(**found)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Parser with every subcommand and its arguments.
 
@@ -534,6 +601,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status: 0, 2 after a diagnostic, or 1
     with nothing more written when stdout's reader has gone (``| head -1``).
 
+    A plain command line (see the module docstring) builds no parser; any
+    other goes to argparse, which words help and every usage diagnostic.
     Every result is computed before anything is printed, so an error never
     leaves partial output.  Output is exact at every genus: CPython's digit
     limit on int/str conversion is lifted while the command runs, so input
@@ -545,15 +614,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     digit budget bounds the work yet (ROADMAP item 3).
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        parser = _command_parser(argv[0], _Parser(prog=f"curvejac {argv[0]}"))
-        argv = argv[1:]
-    else:
-        parser = build_parser()
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _read_plain(argv[0], argv[1:])
+            if args is None:
+                parser = _command_parser(argv[0], _Parser(prog=f"curvejac {argv[0]}"))
+                args = parser.parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
         if args.format == "csv" and args.command != "table":
             raise CLIError("csv output is only available for the 'table' command")
         record, lines = args.compute(args)

@@ -830,10 +830,13 @@ class TestLazyParser:
 
     @pytest.mark.parametrize(
         "argv,parsers",
-        [(None, 12), (["audit", "-g", "2"], 1), (["nonsense"], 12)],
-        ids=["build_parser", "audit", "nonsense"],
+        [(None, 12), (["audit", "-g", "2"], 0), (["audit", "-h"], 1),
+         (["audit", "-g", "2", "--"], 1), (["nonsense"], 12), (["-h"], 12)],
+        ids=["build_parser", "audit", "audit-help", "audit-deferred", "nonsense", "help"],
     )
-    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
+    def test_parsers_built(self, monkeypatch, argv, parsers):
+        # A plain line is read from the specs and builds no parser; any
+        # other line naming a subcommand builds its parser alone.
         built = []
 
         def init(self, *args, original=cli._Parser.__init__, **kwargs):
@@ -844,7 +847,7 @@ class TestLazyParser:
         if argv is None:
             cli.build_parser()
         else:
-            run_cli(capsys, *argv)
+            outcome(main, argv)
         assert len(built) == parsers
 
     def test_subparsers_match_command_parsers(self):
@@ -881,9 +884,10 @@ class TestLazyParser:
 
         monkeypatch.setattr(cli._Parser, "__init__", init)
         assert [outcome(main, argv) for argv in argvs] == expected
-        # A call that names a subcommand builds its parser alone; the two
-        # others build the full parser and every subparser once.
-        assert len(built) == (len(argvs) - 2) + 2 * (1 + len(cli._COMMANDS))
+        # The three plain lines build no parser; 'audit -h' and 'pair
+        # --bogus' build their subcommand's parser alone; '-h' and
+        # 'nonsense' build the full parser and every subparser once.
+        assert len(built) == 2 + 2 * (1 + len(cli._COMMANDS))
 
     def test_one_parser_parsed_twice(self):
         parser = cli.build_parser()
@@ -896,6 +900,98 @@ class TestLazyParser:
         code, out, err = run_cli(capsys, "nonsense")
         assert (code, out, err.count("\n")) == (2, "", 1)
         assert err.startswith("error: argument command: invalid choice: 'nonsense'")
+
+
+def command_namespace(argv):
+    """``vars`` of the namespace the subcommand ``argv[0]``'s parser returns
+    for the rest of ``argv``."""
+    parser = cli._command_parser(argv[0], cli._Parser(prog=f"curvejac {argv[0]}"))
+    return vars(parser.parse_args(argv[1:]))
+
+
+# Spellings that only argparse reads: a bare or trailing '--', a short flag
+# with its value attached, an empty '=' value, an abbreviation, help, and
+# values that are option-like or empty.
+ARGPARSE_ONLY_TOKENS = st.sampled_from(
+    ["--", "-g=3", "-g3", "--genus=", "--gen", "-h", "x y", "-x y", "-", ""])
+
+
+def draw_plain_reader_argv(data):
+    """``draw_argv``, then maybe a trailing '--', a token that only argparse
+    reads, or a repeated token pair (such as a flag and its value)."""
+    argv = draw_argv(data)
+    edit = data.draw(st.sampled_from(["none", "dashes", "token", "repeat"]))
+    if edit == "dashes":
+        argv.append("--")
+    elif edit == "token":
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(ARGPARSE_ONLY_TOKENS))
+    elif edit == "repeat" and len(argv) > 1:
+        i = data.draw(st.integers(1, len(argv) - 1))
+        argv[len(argv):] = argv[i:i + 2]
+    return argv
+
+
+class TestPlainReader:
+    """``_read_plain`` reads a plain command line to the namespace that
+    argparse returns for it, and leaves every other line to argparse."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_agrees_with_argparse(self, data):
+        argv = draw_plain_reader_argv(data)
+        if argv and argv[0] in cli._COMMANDS:
+            plain = cli._read_plain(argv[0], argv[1:])
+            if plain is not None:
+                assert vars(plain) == command_namespace(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "-g", "2"],
+        ["audit", "--genus=12", "--bundle", "8,1,2", "--format", "json"],
+        ["classify", "-g", "3", "-a", "1", "--b=2/3", "--c=-1/2", "--format=json"],
+        ["pullback", "-g", "3", "-m", "-1/2", "--n", "5"],
+        ["pair", "-g", "2", "1,1,1", "-1,1,0"],
+        ["pair", "1,1,1", "2,1,1", "-g", "2"],
+        ["intersect", "-g", "2", "--format", "json", "--", "1,1,1", "-x", "0,1,0"],
+        ["height", "-g", "2", "-L", "8,1,2", "32,1,4"],
+        ["witness", "--genus", "3", "--index=2"],
+        ["table"],
+        ["table", "--format", "csv"],
+        ["table", "2"],
+        ["table", "2", "6", "--format", "csv"],
+    ])
+    def test_reads_plain_lines(self, argv):
+        plain = cli._read_plain(argv[0], argv[1:])
+        assert plain is not None and vars(plain) == command_namespace(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "-g", "2", "--"],  # argparse: "unrecognized arguments: --"
+        ["audit", "-g", "2", "--", "--"],
+        ["intersect", "-g", "2", "--", "1,1,1", "--", "0,1,0"],
+        # argparse 3.11 gives g_min and g_max their defaults before the
+        # option, then refuses 2 and 4.
+        ["table", "--format", "csv", "2", "4"],
+        ["table", "--", "2", "4"],
+        ["audit", "-g", "3", "-g", "4"],  # argparse: the last one wins
+        ["audit", "-g", "3", "--genus=4"],
+        ["intersect", "a", "b", "-g", "2", "c"],
+        ["pair", "-g", "2", "1,1,1", "--format", "json", "2,1,1"],
+        ["audit", "-g=3"], ["audit", "-g3"], ["audit", "--genus="], ["audit", "--gen", "3"],
+        ["audit", "-h"], ["audit", "-g", "2", "--help"], ["audit", "-g", "-x"],
+        ["audit", "-g", "2", "-L", ""], ["audit", "-g"], ["audit"],
+        ["table", "--format", "xml"], ["audit", "-g", "1_0"], ["table", "2", "3", "4"],
+        ["pair", "-g", "2", "1,1,1"], ["intersect", "-g", "2"], ["curve-height", "-g", "2", "x"],
+    ])
+    def test_defers_to_argparse(self, argv):
+        assert cli._read_plain(argv[0], argv[1:]) is None
+
+    def test_repeated_flag_reaches_argparse(self, capsys):
+        code, out, _ = run_cli(capsys, "audit", "-g", "3", "-g", "4", "--format", "json")
+        assert code == 0 and json.loads(out)["genus"] == 4
+
+    def test_trailing_separator_refused(self, capsys):
+        code, out, err = run_cli(capsys, "audit", "-g", "2", "--")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @contextlib.contextmanager
