@@ -48,6 +48,9 @@ MUTANTS = [
      "infimum = Fraction(bn * cd * g * m - cn * n * bd,",
      "infimum = Fraction(bn * cd * g * m - cn * n,",
      "tests/test_kernels.py::test_cone_minimum_matches_formulas"),
+    ("src/curvejac/minima.py",
+     "r.violation_margin * gf, r.minima_attained)", "r.violation_margin, r.minima_attained)",
+     "tests/test_factored.py::TestPublicWrappers"),
     ("src/curvejac/cones.py",
      "num = an * bn * cd * cd - ", "num = an * bn * cd - ",
      "tests/test_kernels.py::test_classify_matches_defect"),

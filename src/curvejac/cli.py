@@ -19,14 +19,12 @@ as written.  ``intersect`` hands them to the recurrence unreduced and builds
 its input classes' text, in lowest terms, only for ``--format json``, the
 one format that prints them; the other commands build an ``NSClass``.  Every
 rational is printed exactly as "p/q" (plain integer when q = 1).  A g!-sized
-value is g! times a small rational r from the library's ``_r`` functions.
-g! is built straight in decimal, once per command, by a product tree of exact
-``Decimal`` multiplications (``_decimal_product``), so no g!-sized int is
-converted.  Each such value has one route, r -> (exact ``Decimal``
-numerator and denominator) in lowest terms (``_factorial_products``); its
-exact text and its decimal column, a display-only annotation rounded
-half-even at six places (``decimal_str``), are both formatted from that pair.
-Identical invocations produce byte-identical output.
+value is g! times a small rational r from the library's ``_coeff`` functions:
+g! is built in decimal once per command (``_decimal_product``), g! * r goes
+to an exact ``Decimal`` numerator and denominator in lowest terms
+(``_factorial_products``), and its exact text and its six-place decimal
+annotation (``decimal_str``) are both formatted from that pair, so no
+g!-sized int is converted.  Identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -42,9 +40,9 @@ from math import gcd, perm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
-from .heights import PointClass, _height_curve_r, _height_point_r, standard_polarization
-from .lattice import NSClass, _pair_r, _top_intersect_ints, pullback_theta
-from .minima import ZhangAudit, _cone_minimum_r, _zhang_audit_r, witness_sequence
+from .heights import PointClass, height_curve_coeff, height_point_coeff, standard_polarization
+from .lattice import NSClass, _top_intersect_ints, pair_theta_power_coeff, pullback_theta
+from .minima import ZhangAudit, cone_minimum_coeff, witness_sequence, zhang_audit_coeff
 
 __all__ = ["main"]
 
@@ -305,7 +303,7 @@ def _value(genus: int, r: Fraction, **inputs) -> tuple:
           _arg("y", metavar="CLASS", help="second class 'a,b,c'"))
 def _pair(args: argparse.Namespace) -> tuple:
     x, y = parse_class(args.x, args.genus), parse_class(args.y, args.genus)
-    return _value(args.genus, _pair_r(x, y), x=str(x), y=str(y))
+    return _value(args.genus, pair_theta_power_coeff(x, y), x=str(x), y=str(y))
 
 
 @_command("intersect", "top intersection of g+1 classes", _GENUS,
@@ -359,7 +357,7 @@ def _decompose(args: argparse.Namespace) -> tuple:
 def _height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     point = PointClass(parse_class(args.point, args.genus))
-    height, height_dec = _printed(_factorial_product(args.genus)(_height_point_r(L, point)))
+    height, height_dec = _printed(_factorial_product(args.genus)(height_point_coeff(L, point)))
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -375,7 +373,7 @@ def _height(args: argparse.Namespace) -> tuple:
 @_command("curve-height", "self-height of the total space", _GENUS, _BUNDLE)
 def _curve_height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    height, height_dec = _printed(_factorial_product(args.genus)(_height_curve_r(L)))
+    height, height_dec = _printed(_factorial_product(args.genus)(height_curve_coeff(L)))
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -388,7 +386,7 @@ def _curve_height(args: argparse.Namespace) -> tuple:
 @_command("minima", "closed-form cone minimum and minimizer", _GENUS, _BUNDLE)
 def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    report = _cone_minimum_r(L)
+    report = cone_minimum_coeff(L)
     infimum, infimum_dec = _printed(_factorial_product(args.genus)(report.infimum))
     record = {
         "genus": args.genus,
@@ -417,7 +415,7 @@ def _minima(args: argparse.Namespace) -> tuple:
                help="witness index (>= 1)"))
 def _witness(args: argparse.Namespace) -> tuple:
     point = witness_sequence(args.genus, args.index)
-    r = _height_point_r(standard_polarization(args.genus), point)
+    r = height_point_coeff(standard_polarization(args.genus), point)
     record = {
         "genus": args.genus,
         "n": args.index,
@@ -431,7 +429,7 @@ def _witness(args: argparse.Namespace) -> tuple:
 def _audit_record(audit: ZhangAudit, product) -> tuple:
     """Values of one audit, and e2's decimal, which only the text shows.
 
-    ``audit`` holds each value divided by g!, and ``product`` maps such an r
+    ``audit`` is from ``zhang_audit_coeff``, and ``product`` maps such an r
     to g! * r as (numerator, denominator).  e1, e2 and their mean are equal
     in every audit the CLI can produce, so e2 and the mean reuse e1's
     strings when e2 == e1: equality is tested, not assumed.
@@ -461,7 +459,7 @@ def _audit_record(audit: ZhangAudit, product) -> tuple:
 @_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
 def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    audit = _zhang_audit_r(L)
+    audit = zhang_audit_coeff(L)
     values, e2_dec = _audit_record(audit, _factorial_product(args.genus))
     record = {"genus": args.genus, "bundle": str(L), **values}
     lines = [
@@ -498,7 +496,7 @@ def _table(args: argparse.Namespace) -> tuple:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
     rows = []
     for g, product in zip(range(g_min, g_max + 1), _factorial_products(g_min, g_max)):
-        values, _ = _audit_record(_zhang_audit_r(standard_polarization(g)), product)
+        values, _ = _audit_record(zhang_audit_coeff(standard_polarization(g)), product)
         rows.append({"g": g, **{col: values[col] for col in _TABLE_COLUMNS[1:]}})
     cells = [_TABLE_COLUMNS]
     cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)

@@ -9,8 +9,9 @@ Whether a given pseudo-effective class is actually realized by a point of
 the generic fiber is the caller's concern; this module validates only the
 numerical conditions.
 
-Both heights run on the integers of the pairing (``lattice._pair_ratio``),
-the base multiple and the degree, and reduce once, into their ``Fraction``.
+Each height has a ``_coeff`` form, its value divided by g!, that does the
+work: it runs on the integers of the pairing (``lattice._pair_ratio``), the
+base multiple and the degree, and reduces once, into its ``Fraction``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ __all__ = [
     "HeightReport",
     "PointClass",
     "height_curve",
+    "height_curve_coeff",
     "height_point",
+    "height_point_coeff",
     "standard_polarization",
 ]
 
@@ -95,30 +98,35 @@ def height_point(
     point: Union[PointClass, NSClass],
     base_multiple: RationalLike = 1,
 ) -> HeightReport:
-    """Height of a point class against L, normalized by the point's degree.
+    """Height of a point class against L, normalized by the point's degree."""
+    height = height_point_coeff(L, point, base_multiple) * factorial(L.genus)
+    degree = point.degree if isinstance(point, PointClass) else point.a
+    return HeightReport(height=height, degree=degree)
 
-    height = (point . L . theta2^(g-1)) / deg(point), computed through the
-    intersection engine.
+
+def height_point_coeff(L: NSClass, point: Union[PointClass, NSClass],
+                       base_multiple: RationalLike = 1) -> Fraction:
+    """Height of a point class against L, normalized by the point's degree,
+    divided by g!: (point . L . theta2^(g-1)) / (deg(point) g!), computed
+    through the intersection engine.  An ``NSClass`` is validated as a
+    ``PointClass``.  Cost: O(1) integer operations at any genus for
+    ``base_multiple`` 1; any other lam is raised to the power g-1, integers
+    of about (g-1) log2 of lam's numerator and denominator in bits.
     """
     if isinstance(point, NSClass):
         point = PointClass(point)
-    height = _height_point_r(L, point, base_multiple) * factorial(L.genus)
-    return HeightReport(height=height, degree=point.degree)
-
-
-def _height_point_r(L: NSClass, point: PointClass,
-                    base_multiple: RationalLike = 1) -> Fraction:
-    """``height_point``'s height divided by g!."""
     return _height_r(point.cls, L, base_multiple, 1)
 
 
 def height_curve(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
     """Self-height of the total space: L . L . theta2^(g-1) / (2 deg L)."""
-    return _height_curve_r(L, base_multiple) * factorial(L.genus)
+    return height_curve_coeff(L, base_multiple) * factorial(L.genus)
 
 
-def _height_curve_r(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
-    """``height_curve(L)`` divided by g!."""
+def height_curve_coeff(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
+    """Self-height of the total space divided by g!, L . L . theta2^(g-1) /
+    (2 deg L g!).  Cost as ``height_point_coeff``'s: O(1) in g for
+    ``base_multiple`` 1, else a power lam^(g-1) of ~(g-1) log2 lam bits."""
     deg = restrict_to_C_fiber(L)
     if deg <= 0:
         raise ValueError(f"curve height needs positive generic degree, got {deg}")

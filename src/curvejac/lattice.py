@@ -22,11 +22,11 @@ concentrated in two monomials,
 and every other degree-(g+1) monomial vanishes.  The full table of
 monomials is a test-suite specification, not runtime code: the tests
 contract expanded products against it and compare with the engine.
-``top_intersect`` evaluates an arbitrary product of g+1 classes by a linear
-recurrence on the few expansion coefficients that can meet those two
-monomials, in O(g) integer operations.  A ``theta2`` factor maps that
-recurrence state to itself, so ``pair_theta_power`` runs it on its two
-classes alone, in O(1) integer operations.
+``top_intersect_coeff``, the top intersection of g+1 classes divided by g!,
+is a linear recurrence on the few expansion coefficients that can meet
+those two monomials, in O(g) integer operations.  A ``theta2`` factor maps
+that recurrence state to itself, so ``pair_theta_power_coeff`` runs it on
+its two classes alone, in O(1) integer operations.
 """
 
 from __future__ import annotations
@@ -43,11 +43,13 @@ __all__ = [
     "alpha1",
     "as_fraction",
     "pair_theta_power",
+    "pair_theta_power_coeff",
     "poincare",
     "pullback_theta",
     "restrict_to_C_fiber",
     "theta2",
     "top_intersect",
+    "top_intersect_coeff",
     "zero_class",
 ]
 
@@ -202,7 +204,13 @@ def poincare(g: int) -> NSClass:
 
 
 def top_intersect(classes: Sequence[NSClass]) -> Fraction:
-    """Exact top intersection number of g+1 classes of common genus g.
+    """Exact top intersection number of g+1 classes of common genus g."""
+    classes = list(classes)  # checked by top_intersect_coeff before classes[0] is read
+    return top_intersect_coeff(classes) * factorial(classes[0].genus)
+
+
+def top_intersect_coeff(classes: Sequence[NSClass]) -> Fraction:
+    """Top intersection number of g+1 classes of common genus g, divided by g!.
 
     Only ``alpha1 . theta2^g`` and ``Q^2 . theta2^(g-1)`` are nonzero, so
     the product is expanded only up to the six coefficients ``s_ik`` of
@@ -214,18 +222,13 @@ def top_intersect(classes: Sequence[NSClass]) -> Fraction:
     Symmetric and multilinear in its arguments.
 
     Cost: a fixed handful of integer operations per factor, so O(g) of them
-    per call, plus one product with g!.  The integers grow to the summed
-    length of the factors' cleared numerators and denominators as handed to
-    the recurrence: lowest terms here, but the command line hands over its
-    literals as written, unreduced.  For g+1 classes of bounded size the
-    digit work is O(g^2).
+    per call; ``top_intersect`` adds one product with g!.  The integers grow
+    to the summed length of the factors' cleared numerators and denominators
+    as handed to the recurrence: lowest terms here, but the command line
+    hands over its literals as written, unreduced.  For g+1 classes of
+    bounded size the digit work is O(g^2).
     """
-    classes = list(classes)  # checked by _top_intersect_r before classes[0] is read
-    return _top_intersect_r(classes) * factorial(classes[0].genus)
-
-
-def _top_intersect_r(classes: Sequence[NSClass]) -> Fraction:
-    """``top_intersect(classes)`` divided by g!, with its argument checks."""
+    classes = list(classes)
     if not classes:
         raise ValueError("top_intersect needs g+1 classes, got none")
     g = classes[0].genus
@@ -286,23 +289,23 @@ def _recurrence(factors: Iterable[tuple]) -> tuple:
 
 
 def pair_theta_power(x: NSClass, y: NSClass) -> Fraction:
-    """The pairing X . Y . theta2^(g-1), by the ``top_intersect`` recurrence.
+    """The pairing X . Y . theta2^(g-1)."""
+    return pair_theta_power_coeff(x, y) * factorial(x.genus)
+
+
+def pair_theta_power_coeff(x: NSClass, y: NSClass) -> Fraction:
+    """X . Y . theta2^(g-1) / g!, by the ``top_intersect`` recurrence.
 
     A theta2 factor (0, 1, 0) clears no denominator and maps every
     recurrence coefficient to itself, so the g-1 of them are left out and
     the recurrence runs on x and y alone: O(1) integer operations.
     """
-    return _pair_r(x, y) * factorial(x.genus)
-
-
-def _pair_r(x: NSClass, y: NSClass) -> Fraction:
-    """``pair_theta_power(x, y)`` divided by g!."""
     return Fraction(*_pair_ratio(x, y))
 
 
 def _pair_ratio(x: NSClass, y: NSClass) -> tuple:
-    """``_pair_r(x, y)`` as the recurrence's unreduced (num, scale), with the
-    genus check: the one route from two classes to their pairing."""
+    """``pair_theta_power_coeff`` as the recurrence's unreduced (num, scale),
+    with the genus check: the one route from two classes to their pairing."""
     _check_same_genus(x, y)
     return _recurrence((_integer_ratios(x), _integer_ratios(y)))
 

@@ -14,10 +14,11 @@ attaining the minimum for the standard polarization, and ``zhang_audit``
 compares the minima against the curve height, evaluating both
 successive-minima inequalities with exact margins.
 
-The kernels run on the coefficients' integers and build one ``Fraction``
-per returned value.  Its reduction is a gcd, quadratic in the length of its
-terms, so they cancel the common factors they know of first: the ray's cross
-factors and the margin's shared denominator (README: cost on huge classes).
+Both work in ``_coeff`` forms (g!-sized values divided by g!) on the
+coefficients' integers and build one ``Fraction`` per returned value.  Its
+reduction is a gcd, quadratic in the length of its terms, so they cancel the
+common factors they know of first: the ray's cross factors and the margin's
+shared denominator (README: cost on huge classes).
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ from math import factorial, gcd
 from typing import Optional
 
 from .cones import classify
-from .heights import PointClass, _height_curve_r, _height_point_r
+from .heights import PointClass, height_curve_coeff, height_point_coeff
 from .lattice import NSClass, _Frozen, _integer_ratios, pullback_theta
 
 __all__ = [
     "MinimaReport",
     "ZhangAudit",
     "cone_minimum",
+    "cone_minimum_coeff",
     "witness_sequence",
     "zhang_audit",
+    "zhang_audit_coeff",
 ]
 
 
@@ -44,6 +47,7 @@ class MinimaReport(_Frozen):
 
     ``s_star = g * t_star**2`` always: the constraint is active at the
     optimum (or the minimizer is the apex s = t = 0 when C = 0).
+    ``cone_minimum_coeff`` gives ``infimum`` divided by g!.
     """
 
     __slots__ = ("infimum", "s_star", "t_star", "attained_by_witness", "witness")
@@ -65,6 +69,7 @@ class ZhangAudit(_Frozen):
     ``violation_margin`` is the signed quantity (e1 + e2) / 2 - h, positive
     exactly when the second inequality fails.  When ``minima_attained`` is
     False the reported e1, e2 are certified lower bounds only.
+    ``zhang_audit_coeff`` gives e1, e2, h_curve and the margin divided by g!.
     """
 
     __slots__ = ("e1", "e2", "h_curve", "first_inequality_holds",
@@ -83,23 +88,21 @@ class ZhangAudit(_Frozen):
 
 
 def cone_minimum(L: NSClass) -> MinimaReport:
-    """Exact infimum of the normalized height of point classes against L.
-
-    With A > 0 the active-constraint quadratic bottoms out at
-    t* = C / (g A), s* = C^2 / (g A^2), with value g! (g A B - C^2) / (g A).
-    The degenerate case A = 0 (nefness then forces C = 0) has constant
-    objective g! B.  Attainment is certified, not assumed: the witness on
-    the minimizing ray is rebuilt and its height recomputed through the
-    intersection engine before the flag is set.
-    """
-    r = _cone_minimum_r(L)
+    """Exact infimum of the normalized height of point classes against L."""
+    r = cone_minimum_coeff(L)
     return MinimaReport(r.infimum * factorial(L.genus), r.s_star, r.t_star,
                         r.attained_by_witness, r.witness)
 
 
-def _cone_minimum_r(L: NSClass) -> MinimaReport:
-    """``cone_minimum(L)`` with the infimum divided by g!, as is the witness
-    height that the attainment check compares it with."""
+def cone_minimum_coeff(L: NSClass) -> MinimaReport:
+    """Exact infimum of the normalized height of point classes against L,
+    divided by g!.  With A > 0 the active-constraint quadratic bottoms out at
+    t* = C / (g A), s* = C^2 / (g A^2), with value g! (g A B - C^2) / (g A).
+    The degenerate case A = 0 (nefness then forces C = 0) has constant
+    objective g! B.  Attainment is certified, not assumed: the witness on
+    the minimizing ray is rebuilt and its height divided by g! recomputed
+    through the intersection engine before the flag is set.
+    """
     verdict = classify(L)
     if not verdict.is_nef:
         raise ValueError(
@@ -117,7 +120,7 @@ def _cone_minimum_r(L: NSClass) -> MinimaReport:
     # B - A s* = B - C n / (g m), which is (g A B - C^2) / (g A) when A > 0.
     infimum = Fraction(bn * cd * g * m - cn * n * bd, bd * cd * g * m)
     witness = PointClass(pullback_theta(g, m, n))
-    attained = _height_point_r(L, witness) == infimum
+    attained = height_point_coeff(L, witness) == infimum
     return MinimaReport(infimum=infimum, s_star=s_star, t_star=t_star,
                         attained_by_witness=attained,
                         witness=witness if attained else None)
@@ -137,7 +140,19 @@ def witness_sequence(g: int, n: int) -> PointClass:
 
 
 def zhang_audit(L: NSClass) -> ZhangAudit:
-    """Evaluate both successive-minima inequalities for L, exactly.
+    """Evaluate both successive-minima inequalities for L, exactly."""
+    r = zhang_audit_coeff(L)
+    gf = factorial(L.genus)
+    return ZhangAudit(r.e1 * gf, r.e2 * gf, r.h_curve * gf,
+                      r.first_inequality_holds, r.second_inequality_holds,
+                      r.violation_margin * gf, r.minima_attained)
+
+
+def zhang_audit_coeff(L: NSClass) -> ZhangAudit:
+    """Evaluate both successive-minima inequalities for L, exactly, with
+    e1, e2, the curve height and the margin divided by g! (g! > 0, so the
+    inequalities read the same): O(1) integer operations at any genus for
+    classes of bounded size.
 
     e1 and e2 coincide here: the cone minimum bounds every successive
     minimum from below, and the witness family realizes arbitrarily large
@@ -145,18 +160,8 @@ def zhang_audit(L: NSClass) -> ZhangAudit:
     records whether that certification went through; if not, the values
     stand as lower bounds.
     """
-    r = _zhang_audit_r(L)
-    gf = factorial(L.genus)
-    return ZhangAudit(r.e1 * gf, r.e2 * gf, r.h_curve * gf,
-                      r.first_inequality_holds, r.second_inequality_holds,
-                      r.violation_margin * gf, r.minima_attained)
-
-
-def _zhang_audit_r(L: NSClass) -> ZhangAudit:
-    """``zhang_audit(L)`` with e1, e2, the curve height and the margin
-    divided by g!.  g! > 0, so the inequalities read the same."""
-    report = _cone_minimum_r(L)
-    h = _height_curve_r(L)
+    report = cone_minimum_coeff(L)
+    h = height_curve_coeff(L)
     e = report.infimum
     (en, ed), (hn, hd) = e.as_integer_ratio(), h.as_integer_ratio()
     # e1 = e2 = mean = e, so e1 - h and the margin mean - h are num / lcm(ed, hd).

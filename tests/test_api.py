@@ -1,7 +1,11 @@
 """The public API: every exported name resolves, the package binds exactly
 its submodules' public names, and test oracles stay out."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -16,18 +20,26 @@ MODULES = [curvejac, curvejac.heights, curvejac.lattice, curvejac.minima]
 ORACLES = ["MonomialTable", "monomial_table", "pair_theta_power_closed", "grid_oracle"]
 
 # Removed with no runtime route, command or documented use: an alias of
-# restrict_to_C_fiber, and a wrapper returning a class's (b, c).
-REMOVED = ["generic_degree", "restrict_to_J_fiber", "JFiberRestriction"]
+# restrict_to_C_fiber, and a wrapper returning a class's (b, c).  Then the
+# private twins that returned a g!-valued quantity divided by g!: each
+# quantity has one route, its public ``_coeff`` form.
+REMOVED = [
+    "generic_degree", "restrict_to_J_fiber", "JFiberRestriction",
+    "_top_intersect_r", "_pair_r", "_height_point_r", "_height_curve_r",
+    "_cone_minimum_r", "_zhang_audit_r",
+]
 
 # The package re-exports exactly its submodules' __all__ lists.
 PACKAGE_NAMES = [
     "ConeVerdict", "HeightReport", "MIN_GENUS", "MinimaReport", "NSClass",
     "NefDecomposition", "POINCARE_SQUARE_COEFF", "PointClass", "RationalLike",
     "Region", "SqrtWitness", "ZhangAudit", "alpha1", "as_fraction",
-    "boundary_witness", "classify", "cone_minimum", "height_curve", "height_point",
-    "nef_decomposition", "pair_theta_power", "poincare", "pullback_theta",
-    "rational_sqrt", "restrict_to_C_fiber", "standard_polarization", "theta2",
-    "top_intersect", "witness_sequence", "zero_class", "zhang_audit",
+    "boundary_witness", "classify", "cone_minimum", "cone_minimum_coeff",
+    "height_curve", "height_curve_coeff", "height_point", "height_point_coeff",
+    "nef_decomposition", "pair_theta_power", "pair_theta_power_coeff", "poincare",
+    "pullback_theta", "rational_sqrt", "restrict_to_C_fiber", "standard_polarization",
+    "theta2", "top_intersect", "top_intersect_coeff", "witness_sequence", "zero_class",
+    "zhang_audit", "zhang_audit_coeff",
 ]
 
 
@@ -57,3 +69,17 @@ def test_package_binds_only_its_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(public) == PACKAGE_NAMES
+
+
+def test_headline_script_output_pinned():
+    # scripts/reproduce_headline.py reads zhang_audit, cone_minimum and
+    # height_point; its output is pinned byte for byte, as CI diffs it.
+    root = Path(__file__).parents[1]
+    src = str(Path(curvejac.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_headline.py"),
+         "--g-min", "2", "--g-max", "6", "--witnesses", "2"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    expected = (root / "tests" / "golden" / "reproduce_headline_2_6.txt").read_text()
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")

@@ -20,8 +20,8 @@ from curvejac import cli, heights, lattice, minima
 from curvejac.cli import CLIError, decimal_str, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
 from curvejac.lattice import NSClass, top_intersect
-from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
-                             zhang_audit)
+from curvejac.minima import (MinimaReport, ZhangAudit, cone_minimum_coeff, zhang_audit,
+                             zhang_audit_coeff)
 
 from oracles import (half_even_decimal, reference_intersect, split_parse_class,
                      split_parse_rational)
@@ -195,7 +195,7 @@ class TestTable:
         # Each command that prints g!-sized values builds g! once, as one
         # product tree whose leaves cover 1..g in order, once each; a table
         # carries it from row to row.  The library's factorial is never
-        # asked for: the command line goes through the _r functions.  At
+        # asked for: the command line goes through the _coeff functions.  At
         # genus 5000, a tree of many leaves, no int wider than a leaf's
         # 1000 bits is converted to Decimal (r's denominators here are
         # small), so g! is never converted from binary.
@@ -300,7 +300,7 @@ class TestAudit:
                 minima_attained=True,
             )
 
-        monkeypatch.setattr(cli, "_zhang_audit_r", distinct_minima)
+        monkeypatch.setattr(cli, "zhang_audit_coeff", distinct_minima)
         code, out, _ = run_cli(capsys, "audit", "-g", "2")
         assert code == 0
         lines = out.splitlines()
@@ -334,7 +334,7 @@ class TestAudit:
         records = json.loads(out)
         records = records if isinstance(records, list) else [records]
         genera = [record.get("genus", record.get("g")) for record in records]
-        audits = [_zhang_audit_r(standard_polarization(g)) for g in genera]
+        audits = [zhang_audit_coeff(standard_polarization(g)) for g in genera]
         assert converted == [factorial(g_min)] + [
             r.denominator for a in audits for r in (a.e1, a.h_curve, a.violation_margin)
         ]
@@ -622,7 +622,7 @@ class TestErrorPaths:
         def no_audit(L):
             raise AssertionError("audit computed before the format was checked")
 
-        monkeypatch.setattr(cli, "_zhang_audit_r", no_audit)
+        monkeypatch.setattr(cli, "zhang_audit_coeff", no_audit)
         code, out, err = run_cli(capsys, "audit", "-g", "2", "--format", "csv")
         assert (code, out) == (2, "")
         assert err == "error: csv output is only available for the 'table' command\n"
@@ -1118,15 +1118,15 @@ def test_import_leaves_heavy_modules_out():
 
 
 def unattained_minimum(L):
-    """_cone_minimum_r with the witness dropped: the branch no real class reaches."""
-    report = _cone_minimum_r(L)
+    """cone_minimum_coeff with the witness dropped: the branch no real class reaches."""
+    report = cone_minimum_coeff(L)
     return MinimaReport(report.infimum, report.s_star, report.t_star,
                         attained_by_witness=False, witness=None)
 
 
 def unattained_audit(L):
-    """_zhang_audit_r with the flags flipped, to reach the other audit lines."""
-    audit = _zhang_audit_r(L)
+    """zhang_audit_coeff with the flags flipped, to reach the other audit lines."""
+    audit = zhang_audit_coeff(L)
     return ZhangAudit(
         audit.e1,
         audit.e2,
@@ -1154,11 +1154,11 @@ GOLDEN_RUNS = {
     "height": (["height", "-g", "2", "-L", "8,1,2", "32,1,4"], {}),
     "curve_height": (["curve-height", "-g", "5"], {}),
     "minima": (["minima", "-g", "2", "-L", "8,1,2"], {}),
-    "minima_no_witness": (["minima", "-g", "3"], {"_cone_minimum_r": unattained_minimum}),
+    "minima_no_witness": (["minima", "-g", "3"], {"cone_minimum_coeff": unattained_minimum}),
     "witness": (["witness", "-g", "3", "-n", "2"], {}),
     "audit": (["audit", "-g", "4"], {}),
     "audit_bundle": (["audit", "-g", "2", "-L", "1,1,0"], {}),
-    "audit_flags": (["audit", "-g", "3"], {"_zhang_audit_r": unattained_audit}),
+    "audit_flags": (["audit", "-g", "3"], {"zhang_audit_coeff": unattained_audit}),
     "table_2_6": (["table", "2", "6"], {}),
 }
 

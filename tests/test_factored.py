@@ -1,6 +1,6 @@
 """The factored route: every height-like value is g! times a rational r.
 
-The public functions return g! times their private ``_r`` function, and the
+The public functions return g! times their ``_coeff`` forms, and the
 command line renders g! * r from one exact decimal of g!, built by a product
 tree, as an exact decimal numerator and a denominator.  Both are checked
 here against g! * r formed with ``math.factorial`` and ``str``, at genus
@@ -21,12 +21,12 @@ import sympy
 from hypothesis import given, settings
 
 from curvejac.cli import _exact_text, _factorial_products, decimal_str, main
-from curvejac.heights import (PointClass, _height_curve_r, _height_point_r, height_curve,
-                              height_point, standard_polarization)
-from curvejac.lattice import (NSClass, _pair_r, _top_intersect_r, alpha1, pair_theta_power,
-                              pullback_theta, theta2, top_intersect)
-from curvejac.minima import (MinimaReport, ZhangAudit, _cone_minimum_r, _zhang_audit_r,
-                             cone_minimum, witness_sequence, zhang_audit)
+from curvejac.heights import (PointClass, height_curve, height_curve_coeff, height_point,
+                              height_point_coeff, standard_polarization)
+from curvejac.lattice import (NSClass, alpha1, pair_theta_power, pair_theta_power_coeff,
+                              pullback_theta, theta2, top_intersect, top_intersect_coeff)
+from curvejac.minima import (MinimaReport, ZhangAudit, cone_minimum, cone_minimum_coeff,
+                             witness_sequence, zhang_audit, zhang_audit_coeff)
 
 from oracles import half_even_decimal
 
@@ -135,7 +135,7 @@ class TestFactoredText:
 
 
 class TestPublicWrappers:
-    """Each public function is g! times its ``_r`` function (same Fractions)."""
+    """Each g!-valued function is g! times its ``_coeff`` form (same Fractions)."""
 
     @settings(max_examples=40, deadline=None)
     @given(genera, positive, rationals, nonneg, nonneg, positive, st.data())
@@ -143,16 +143,17 @@ class TestPublicWrappers:
         gf = factorial(g)
         L = nef_class(g, m, n, s, t)
         x = NSClass(g, *(data.draw(rationals) for _ in range(3)))
-        assert pair_theta_power(x, L) == gf * _pair_r(x, L)
+        assert pair_theta_power(x, L) == gf * pair_theta_power_coeff(x, L)
         classes = [x, L, *[NSClass(g, data.draw(nonneg), 1, 0)] * (g - 1)]
-        assert top_intersect(classes) == gf * _top_intersect_r(classes)
+        assert top_intersect(classes) == gf * top_intersect_coeff(classes)
         point = PointClass(L)
-        assert height_point(L, point, lam).height == gf * _height_point_r(L, point, lam)
-        assert height_curve(L, lam) == gf * _height_curve_r(L, lam)
-        r = _cone_minimum_r(L)
+        assert height_point(L, point, lam).height == gf * height_point_coeff(L, point, lam)
+        assert height_point(L, L, lam) == height_point(L, point, lam)  # NSClass point
+        assert height_curve(L, lam) == gf * height_curve_coeff(L, lam)
+        r = cone_minimum_coeff(L)
         assert cone_minimum(L) == MinimaReport(gf * r.infimum, r.s_star, r.t_star,
                                                r.attained_by_witness, r.witness)
-        a = _zhang_audit_r(L)
+        a = zhang_audit_coeff(L)
         assert zhang_audit(L) == ZhangAudit(
             gf * a.e1, gf * a.e2, gf * a.h_curve, a.first_inequality_holds,
             a.second_inequality_holds, gf * a.violation_margin, a.minima_attained,

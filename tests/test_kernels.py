@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from curvejac.cones import classify
-from curvejac.heights import PointClass, _height_curve_r, _height_point_r, height_point
+from curvejac.heights import PointClass, height_curve_coeff, height_point, height_point_coeff
 from curvejac.lattice import NSClass
-from curvejac.minima import _cone_minimum_r, _zhang_audit_r, cone_minimum
+from curvejac.minima import cone_minimum, cone_minimum_coeff, zhang_audit_coeff
 
 from oracles import (
     audit_closed,
@@ -81,7 +81,7 @@ def test_classify_matches_defect(case):
 @example((4, NSClass(4, 36, 1, -3)))
 def test_cone_minimum_matches_formulas(case):
     L = case[1]
-    report = _cone_minimum_r(L)
+    report = cone_minimum_coeff(L)
     t_star, s_star, infimum = cone_minimum_closed(L)
     assert (report.t_star, report.s_star, report.infimum) == (t_star, s_star, infimum)
     assert report.attained_by_witness
@@ -96,14 +96,14 @@ def test_height_point_matches_formula(data, case, base_multiple):
     g, L = case
     x = data.draw(classes(g, nef=True).filter(lambda x: x.a > 0))
     expected = height_point_closed(L, x, base_multiple)
-    assert _height_point_r(L, PointClass(x), base_multiple) == expected
+    assert height_point_coeff(L, PointClass(x), base_multiple) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(pairs().filter(lambda case: case[1].a > 0), base_multiples)
 def test_height_curve_matches_formula(case, base_multiple):
     L = case[1]
-    assert _height_curve_r(L, base_multiple) == height_curve_closed(L, base_multiple)
+    assert height_curve_coeff(L, base_multiple) == height_curve_closed(L, base_multiple)
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,7 +111,7 @@ def test_height_curve_matches_formula(case, base_multiple):
 @example((5, NSClass(5, "6/4", "10/6", "-2/8")))
 def test_zhang_audit_matches_formulas(case):
     L = case[1]
-    audit = _zhang_audit_r(L)
+    audit = zhang_audit_coeff(L)
     assert (audit.e1, audit.e2, audit.h_curve, audit.first_inequality_holds,
             audit.second_inequality_holds, audit.violation_margin) == audit_closed(L)
     assert audit.minima_attained
@@ -122,13 +122,13 @@ def test_messages():
         cone_minimum(NSClass(3, 1, 1, 1))
     assert str(err.value) == "cone_minimum needs a nef class, got (1,1,1) with defect -2"
     with pytest.raises(ValueError) as err:
-        _zhang_audit_r(NSClass(3, 0, 1, 0))
+        zhang_audit_coeff(NSClass(3, 0, 1, 0))
     assert str(err.value) == "curve height needs positive generic degree, got 0"
     with pytest.raises(ValueError) as err:
-        _height_curve_r(NSClass(3, "-2/4", 1, 0))
+        height_curve_coeff(NSClass(3, "-2/4", 1, 0))
     assert str(err.value) == "curve height needs positive generic degree, got -1/2"
     with pytest.raises(ValueError) as err:
-        _height_curve_r(NSClass(3, 1, 1, 0), "-3/2")
+        height_curve_coeff(NSClass(3, 1, 1, 0), "-3/2")
     assert str(err.value) == "base polarization multiple must be positive, got -3/2"
     with pytest.raises(ValueError) as err:
         height_point(NSClass(2, 2, 1, 1), NSClass(2, 1, 0, 0), 0)

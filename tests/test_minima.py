@@ -1,5 +1,6 @@
 """Cone minima, the grid oracle, witness families, and the audit."""
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -7,9 +8,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from curvejac.heights import height_curve, height_point, standard_polarization
+from curvejac.heights import height_curve, height_point, height_point_coeff, standard_polarization
 from curvejac.lattice import NSClass, alpha1, pullback_theta, theta2
-from curvejac.minima import cone_minimum, witness_sequence, zhang_audit
+from curvejac.minima import (cone_minimum, cone_minimum_coeff, witness_sequence, zhang_audit,
+                             zhang_audit_coeff)
 
 from oracles import grid_oracle
 
@@ -273,3 +275,23 @@ class TestZhangAudit:
         assert audit.e1 - audit.h_curve == (g - 1) * factorial(g - 1) * C**2 / A
         assert audit.e1 >= audit.h_curve
         assert audit.second_inequality_holds == (C == 0)
+
+
+@pytest.mark.parametrize("g", [10**7, 10**18])
+def test_coeff_forms_at_huge_genus(g):
+    # The public _coeff forms never build g!: at genus 10**18 the audit, the
+    # minimum and a witness height are closed forms in O(1) integer work.
+    start = time.monotonic()
+    L = standard_polarization(g)
+    audit = zhang_audit_coeff(L)
+    minimum = cone_minimum_coeff(L)
+    witness = height_point_coeff(L, witness_sequence(g, 1))
+    elapsed = time.monotonic() - start
+    e = Fraction(g * g - 1, g * g)
+    assert (audit.e1, audit.e2, audit.h_curve, audit.violation_margin) == (
+        e, e, Fraction(g - 1, g), Fraction(g - 1, g * g))
+    assert audit.minima_attained and audit.first_inequality_holds
+    assert not audit.second_inequality_holds
+    assert minimum.infimum == e and minimum.attained_by_witness
+    assert witness == e
+    assert elapsed < 1.0, f"took {elapsed:.3f}s"

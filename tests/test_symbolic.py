@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 
 from curvejac.lattice import POINCARE_SQUARE_COEFF, NSClass, poincare, theta2, top_intersect
-from curvejac.minima import _zhang_audit_r, cone_minimum
+from curvejac.minima import cone_minimum, zhang_audit_coeff
 
 alpha, theta, Q = sympy.symbols("alpha theta Q")
 
@@ -105,7 +105,7 @@ def test_margin_in_r_space():
 @given(st.integers(2, 12), positive, rationals, nonneg)
 def test_runtime_r_values_match_symbolic_forms(g, A, C, excess):
     B = g * C * C / A + excess
-    audit = _zhang_audit_r(NSClass(g, A, B, C))
+    audit = zhang_audit_coeff(NSClass(g, A, B, C))
     symbols = audit_r_forms()
     values = dict(zip(symbols[:4], map(rational, (g, A, B, C))))
     assert rational(audit.e1) == symbols[4].subs(values)
