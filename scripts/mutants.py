@@ -7,7 +7,8 @@ snippet there and runs ``python -m pytest -x -q`` on the named tests against
 that copy.  A mutant is killed when pytest reports failed tests (exit status
 1); a collection error or any other status is not a kill.  The script exits
 1 when a snippet no longer occurs exactly once in its file or a mutant
-survives, else 0.  Standard library only; run from anywhere:
+survives, else 0.  Each entry's line gives its seconds, and the summary
+the three slowest entries.  Standard library only; run from anywhere:
 
     python scripts/mutants.py
 """
@@ -50,7 +51,10 @@ MUTANTS = [
      "tests/test_kernels.py::test_cone_minimum_matches_formulas"),
     ("src/curvejac/minima.py",
      "r.violation_margin * gf, r.minima_attained)", "r.violation_margin, r.minima_attained)",
-     "tests/test_factored.py::TestPublicWrappers"),
+     "tests/test_factored.py::test_factorial_times_coeff_at_small_genera"),
+    ("src/curvejac/heights.py",
+     "lam ** (L.genus - 1)", "lam ** L.genus",
+     "tests/test_kernels.py::test_height_curve_matches_formula"),
     ("src/curvejac/cones.py",
      "num = an * bn * cd * cd - ", "num = an * bn * cd - ",
      "tests/test_kernels.py::test_classify_matches_defect"),
@@ -155,7 +159,7 @@ def imports_from(workdir: Path) -> bool:
 
 
 def main() -> int:
-    bad = 0
+    bad, seconds = 0, []
     with tempfile.TemporaryDirectory(prefix="curvejac-mutants-") as tmp:
         if not imports_from(Path(tmp) / "probe"):
             print("curvejac is not imported from the mutated copy; nothing was judged")
@@ -164,9 +168,13 @@ def main() -> int:
             start = time.monotonic()
             verdict = run_mutant(Path(tmp) / str(index), path, old, new, tests)
             bad += verdict != "killed"
-            first_line = old.strip().splitlines()[0]
-            print(f"{verdict:>8}  {time.monotonic() - start:5.1f} s  {path}: {first_line}")
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+            label = f"{path}: {old.strip().splitlines()[0]}"
+            seconds.append((time.monotonic() - start, label))
+            print(f"{verdict:>8}  {seconds[-1][0]:5.1f} s  {label}")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed"
+          f" in {sum(t for t, _ in seconds):.1f} s; slowest:")
+    for elapsed, label in sorted(seconds, reverse=True)[:3]:
+        print(f"          {elapsed:5.1f} s  {label}")
     return 1 if bad else 0
 
 

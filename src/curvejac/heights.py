@@ -89,8 +89,7 @@ def _height_r(x: NSClass, L: NSClass, base_multiple: RationalLike, k: int) -> Fr
         raise ValueError(f"base polarization multiple must be positive, got {lam}")
     num, scale = _pair_ratio(x, L)
     dn, dd = x.a.as_integer_ratio()
-    return Fraction(lam.numerator ** (L.genus - 1) * num,
-                    lam.denominator ** (L.genus - 1) * (scale // dd) * k * dn)
+    return lam ** (L.genus - 1) * Fraction(num, (scale // dd) * k * dn)
 
 
 def height_point(

@@ -8,7 +8,8 @@ height against L is the linear functional
 
 Minimizing over the cone slice activates the constraint s = g t^2 and leaves
 a one-variable quadratic.  ``cone_minimum`` solves it in closed form (the
-test suite cross-checks it against a brute-force grid oracle),
+test suite cross-checks it against a brute-force grid oracle) and returns
+a witness that attains it by construction (proved in the tests),
 ``witness_sequence`` produces an unbounded-degree family of point classes
 attaining the minimum for the standard polarization, and ``zhang_audit``
 compares the minima against the curve height, evaluating both
@@ -28,7 +29,7 @@ from math import factorial, gcd
 from typing import Optional
 
 from .cones import classify
-from .heights import PointClass, height_curve_coeff, height_point_coeff
+from .heights import PointClass, height_curve_coeff
 from .lattice import NSClass, _Frozen, _integer_ratios, pullback_theta
 
 __all__ = [
@@ -43,10 +44,11 @@ __all__ = [
 
 
 class MinimaReport(_Frozen):
-    """Closed-form cone minimum with its minimizer and attainment status.
+    """Closed-form cone minimum with its minimizer and attaining witness.
 
     ``s_star = g * t_star**2`` always: the constraint is active at the
-    optimum (or the minimizer is the apex s = t = 0 when C = 0).
+    optimum (or the minimizer is the apex s = t = 0 when C = 0).  The
+    witness attains the infimum by construction (proved in the tests).
     ``cone_minimum_coeff`` gives ``infimum`` divided by g!.
     """
 
@@ -67,8 +69,8 @@ class ZhangAudit(_Frozen):
 
     The first inequality is e1 >= h, the second is h >= (e1 + e2) / 2;
     ``violation_margin`` is the signed quantity (e1 + e2) / 2 - h, positive
-    exactly when the second inequality fails.  When ``minima_attained`` is
-    False the reported e1, e2 are certified lower bounds only.
+    exactly when the second inequality fails.  ``minima_attained`` is always
+    True: e1 and e2 are attained by construction, not only lower bounds.
     ``zhang_audit_coeff`` gives e1, e2, h_curve and the margin divided by g!.
     """
 
@@ -99,9 +101,9 @@ def cone_minimum_coeff(L: NSClass) -> MinimaReport:
     divided by g!.  With A > 0 the active-constraint quadratic bottoms out at
     t* = C / (g A), s* = C^2 / (g A^2), with value g! (g A B - C^2) / (g A).
     The degenerate case A = 0 (nefness then forces C = 0) has constant
-    objective g! B.  Attainment is certified, not assumed: the witness on
-    the minimizing ray is rebuilt and its height divided by g! recomputed
-    through the intersection engine before the flag is set.
+    objective g! B.  The witness (g m^2, n^2, m n) on the ray n/m = C/A
+    attains the infimum by construction (``tests/test_symbolic.py`` proves
+    it), so its height is not recomputed.
     """
     verdict = classify(L)
     if not verdict.is_nef:
@@ -119,11 +121,9 @@ def cone_minimum_coeff(L: NSClass) -> MinimaReport:
     s_star = Fraction(n * n, g * m * m)
     # B - A s* = B - C n / (g m), which is (g A B - C^2) / (g A) when A > 0.
     infimum = Fraction(bn * cd * g * m - cn * n * bd, bd * cd * g * m)
-    witness = PointClass(pullback_theta(g, m, n))
-    attained = height_point_coeff(L, witness) == infimum
     return MinimaReport(infimum=infimum, s_star=s_star, t_star=t_star,
-                        attained_by_witness=attained,
-                        witness=witness if attained else None)
+                        attained_by_witness=True,
+                        witness=PointClass(pullback_theta(g, m, n)))
 
 
 def witness_sequence(g: int, n: int) -> PointClass:
@@ -157,8 +157,7 @@ def zhang_audit_coeff(L: NSClass) -> ZhangAudit:
     e1 and e2 coincide here: the cone minimum bounds every successive
     minimum from below, and the witness family realizes arbitrarily large
     degrees on the minimizing ray, pinning them both.  ``minima_attained``
-    records whether that certification went through; if not, the values
-    stand as lower bounds.
+    is the cone minimum's ``attained_by_witness``, true by construction.
     """
     report = cone_minimum_coeff(L)
     h = height_curve_coeff(L)

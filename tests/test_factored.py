@@ -160,6 +160,33 @@ class TestPublicWrappers:
         )
 
 
+@pytest.mark.parametrize("g", [2, 3, 7])
+@pytest.mark.parametrize("off_wall", [False, True], ids=["standard", "off_wall"])
+def test_factorial_times_coeff_at_small_genera(g, off_wall):
+    # TestPublicWrappers' identities, field by field, on fixed small cases:
+    # the standard polarization and a nef class off the wall with C != 0.
+    gf = factorial(g)
+    L = nef_class(g, 1, 1, 1, 0) if off_wall else standard_polarization(g)
+    x = NSClass(g, Fraction(-3, 2), 5, Fraction(7, 3))
+    classes = [x, L, *[theta2(g)] * (g - 1)]
+    assert pair_theta_power(x, L) == gf * pair_theta_power_coeff(x, L)
+    assert top_intersect(classes) == gf * top_intersect_coeff(classes)
+    for lam in (1, Fraction(3, 2)):
+        assert height_point(L, L, lam).height == gf * height_point_coeff(L, L, lam)
+        assert height_curve(L, lam) == gf * height_curve_coeff(L, lam)
+    minimum, r = cone_minimum(L), cone_minimum_coeff(L)
+    assert minimum.infimum == gf * r.infimum
+    assert (minimum.s_star, minimum.t_star, minimum.attained_by_witness, minimum.witness) == (
+        r.s_star, r.t_star, r.attained_by_witness, r.witness)
+    audit, a = zhang_audit(L), zhang_audit_coeff(L)
+    assert (audit.e1, audit.e2, audit.h_curve, audit.violation_margin) == (
+        gf * a.e1, gf * a.e2, gf * a.h_curve, gf * a.violation_margin)
+    assert (audit.first_inequality_holds, audit.second_inequality_holds,
+            audit.minima_attained) == (a.first_inequality_holds,
+                                       a.second_inequality_holds, a.minima_attained)
+    assert audit.violation_margin != 0
+
+
 def literal(cls):
     """The command-line literal 'a,b,c' of a class."""
     return ",".join(map(str, cls.coefficients))

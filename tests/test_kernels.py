@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from curvejac.cones import classify
-from curvejac.heights import PointClass, height_curve_coeff, height_point, height_point_coeff
+from curvejac.heights import (PointClass, height_curve_coeff, height_point, height_point_coeff,
+                              standard_polarization)
 from curvejac.lattice import NSClass
 from curvejac.minima import cone_minimum, cone_minimum_coeff, zhang_audit_coeff
 
@@ -85,9 +86,11 @@ def test_cone_minimum_matches_formulas(case):
     t_star, s_star, infimum = cone_minimum_closed(L)
     assert (report.t_star, report.s_star, report.infimum) == (t_star, s_star, infimum)
     assert report.attained_by_witness
-    # The witness normalizes to (1, s*, t*).
+    # The witness normalizes to (1, s*, t*) and its height is the infimum,
+    # which the kernel takes as proved and does not recompute.
     w = report.witness.cls
     assert (w.b / w.a, w.c / w.a) == (s_star, t_star)
+    assert height_point_coeff(L, report.witness) == infimum
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,6 +104,7 @@ def test_height_point_matches_formula(data, case, base_multiple):
 
 @settings(max_examples=200, deadline=None)
 @given(pairs().filter(lambda case: case[1].a > 0), base_multiples)
+@example((10**5, standard_polarization(10**5)), Fraction(3, 2))
 def test_height_curve_matches_formula(case, base_multiple):
     L = case[1]
     assert height_curve_coeff(L, base_multiple) == height_curve_closed(L, base_multiple)

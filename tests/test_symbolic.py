@@ -78,18 +78,25 @@ def audit_r_forms():
     """(g, A, B, C, r(e1), r(h)) in symbols, r being a value divided by g!.
 
     r(e1) is the minimum over t of the slice objective B + g A t^2 - 2 t C;
-    r(h) is L . L . theta2^(g-1) / g! over 2 A, contracted from L^2 by the
-    two nonzero monomials (theta2^(g-1) only shifts the theta degree).
+    r(h) is L . L . theta2^(g-1) / g! over 2 A.
     """
     g, A = sympy.symbols("g A", positive=True)
     B, C, t = sympy.symbols("B C t", real=True)
     objective = B + g * A * t**2 - 2 * t * C
     (t_star,) = sympy.solve(sympy.diff(objective, t), t)
     assert sympy.diff(objective, t, 2) == 2 * g * A  # > 0: a minimum
-    square = sympy.Poly(sympy.expand((A * alpha + B * theta + C * Q) ** 2), alpha, theta, Q)
-    pairing = (square.coeff_monomial(alpha * theta)
-               + POINCARE_SQUARE_COEFF * square.coeff_monomial(Q**2))
-    return g, A, B, C, objective.subs(t, t_star), pairing / (2 * A)
+    L = (A, B, C)
+    return g, A, B, C, objective.subs(t, t_star), pair_r(L, L) / (2 * A)
+
+
+def pair_r(x, y):
+    """x . y . theta2^(g-1) / g! for classes given as (a, b, c) coefficient
+    triples, contracted by the two nonzero monomials (theta2^(g-1) only
+    shifts the theta degree)."""
+    product = sympy.Mul(*(a * alpha + b * theta + c * Q for a, b, c in (x, y)))
+    square = sympy.Poly(sympy.expand(product), alpha, theta, Q)
+    return (square.coeff_monomial(alpha * theta)
+            + POINCARE_SQUARE_COEFF * square.coeff_monomial(Q**2))
 
 
 def test_margin_in_r_space():
@@ -99,6 +106,25 @@ def test_margin_in_r_space():
     g, A, B, C, r_e1, r_h = audit_r_forms()
     assert sympy.simplify(r_e1 - r_h - (g - 1) * C**2 / (g * A)) == 0
     assert sympy.solve(r_e1 - r_h, C) == [0]
+
+
+def test_witness_attains_cone_minimum():
+    # Why cone_minimum_coeff sets attained_by_witness without computing a
+    # height: in symbolic g, A > 0, B, C, the pullback witness
+    # (g m^2, n^2, m n) on the ray n/m = C/A has height
+    # B + n^2 A / (g m^2) - 2 n C / (g m) against L, which is r(e1) = B - C^2/(gA).
+    g, A, B, C, r_e1, _ = audit_r_forms()
+    m = sympy.symbols("m", positive=True)
+    n = sympy.symbols("n", real=True)
+    L = (A, B, C)
+    height = pair_r((g * m**2, n**2, m * n), L) / (g * m**2)
+    assert sympy.simplify(height - (B + n**2 * A / (g * m**2) - 2 * n * C / (g * m))) == 0
+    on_ray = height.subs(n, C * m / A)
+    assert sympy.simplify(on_ray - (B - C**2 / (g * A))) == 0
+    assert sympy.simplify(on_ray - r_e1) == 0
+    # A = 0: nefness forces C = 0, the witness is (g, 0, 0) (m = 1, n = 0),
+    # and its height is the constant objective B.
+    assert pair_r((g, 0, 0), (0, B, 0)) / g == B
 
 
 @settings(max_examples=40, deadline=None)
