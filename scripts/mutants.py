@@ -72,12 +72,15 @@ MUTANTS = [
      "_decimal_product(mid, hi)", "_decimal_product(mid + 1, hi)",
      "tests/test_factored.py"),
     ("src/curvejac/cli.py",
+     '"mean": e1,', '"mean": h,',
+     "tests/test_cli.py::test_golden_output"),
+    ("src/curvejac/cli.py",
      "except (CLIError, ValueError, OverflowError) as err:",
      "except (CLIError, ValueError) as err:",
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",
-     'parser = _command_parser(argv[0], _Parser(prog=f"curvejac {argv[0]}"))',
-     'parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"curvejac {argv[0]}"))',
+     '    parser = _Parser(\n        prog="curvejac",',
+     '    parser = argparse.ArgumentParser(\n        prog="curvejac",',
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",
      'raise CLIError(message.replace("\\n", "\\\\n"))', "raise CLIError(message)",

@@ -12,19 +12,19 @@ option-like), each at most once, and one run of positionals that opens the
 line, follows every option, or follows a single '--' with tokens after it
 (``table``'s optional bounds only in a run that opens the line), each value
 of its type and choices.  Any other line, -h, abbreviations, '-g3' and every
-diagnostic included, goes to argparse: the subcommand's parser alone, or
-``build_parser``'s full parser when no subcommand is named.  A class
+diagnostic included, goes to ``build_parser``'s full parser.  A class
 literal 'a,b,c' is read in one regular-expression match to its six integers
 as written.  ``intersect`` hands them to the recurrence unreduced and builds
 its input classes' text, in lowest terms, only for ``--format json``, the
 one format that prints them; the other commands build an ``NSClass``.  Every
 rational is printed exactly as "p/q" (plain integer when q = 1).  A g!-sized
 value is g! times a small rational r from the library's ``_coeff`` functions:
-g! is built in decimal once per command (``_decimal_product``), g! * r goes
-to an exact ``Decimal`` numerator and denominator in lowest terms
-(``_factorial_products``), and its exact text and its six-place decimal
-annotation (``decimal_str``) are both formatted from that pair, so no
-g!-sized int is converted.  Identical invocations produce identical bytes.
+g! is built in decimal once per command (``_decimal_factorial``; ``table``
+multiplies it by each later genus), g! * r goes to an exact ``Decimal``
+numerator and denominator in lowest terms (``_times_factorial``), and its
+exact text and its six-place decimal annotation (``decimal_str``) are both
+formatted from that pair (``_printed``), so no g!-sized int is converted.
+Identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
 from math import gcd, perm
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
 from .heights import PointClass, height_curve_coeff, height_point_coeff, standard_polarization
@@ -150,33 +150,24 @@ def _decimal_product(lo: int, hi: int) -> Decimal:
     return _EXACT.multiply(_decimal_product(lo, mid), _decimal_product(mid, hi))
 
 
-def _factorial_products(g_min: int, g_max: int) -> Iterator:
-    """For g = g_min..g_max in turn, the function r -> g! * r as (numerator,
-    denominator) in lowest terms, two exact integral ``Decimal``s.
-
-    g! is built in decimal once, at g_min, then multiplied by each later
-    genus.  g! p/q in lowest terms has numerator (g!/d) p, d = gcd(g!, q),
-    and d is gcd(g! mod q, q), so no binary g! is needed.  A g_min that
-    ``math.factorial`` would refuse gets its diagnostic before any work."""
-    if g_min > sys.maxsize:
+def _decimal_factorial(g: int) -> Decimal:
+    """g! as an exact ``Decimal``.  A genus that ``math.factorial`` would
+    refuse gets its diagnostic before any work."""
+    if g > sys.maxsize:
         raise OverflowError(f"factorial() argument should not exceed {sys.maxsize}")
-    gf = _decimal_product(0, g_min)
-    for g in range(g_min, g_max + 1):
-        if g > g_min:
-            gf = _EXACT.multiply(gf, g)
-
-        def product(r: Fraction, gf: Decimal = gf) -> tuple:
-            q, q_dec = r.denominator, Decimal(r.denominator)
-            d = gcd(int(_EXACT.remainder(gf, q_dec)), q)
-            return (_EXACT.multiply(_EXACT.divide_int(gf, d), r.numerator),
-                    _EXACT.divide_int(q_dec, d))
-
-        yield product
+    return _decimal_product(0, g)
 
 
-def _factorial_product(g: int) -> Callable:
-    """The function r -> g! * r as (numerator, denominator) at genus g alone."""
-    return next(_factorial_products(g, g))
+def _times_factorial(gf: Decimal, r: Fraction) -> tuple:
+    """g! * r as (numerator, denominator) in lowest terms, two exact integral
+    ``Decimal``s, for gf = g! from ``_decimal_factorial``.
+
+    g! p/q in lowest terms has numerator (g!/d) p, d = gcd(g!, q), and d is
+    gcd(g! mod q, q), so no binary g! is needed."""
+    q, q_dec = r.denominator, Decimal(r.denominator)
+    d = gcd(int(_EXACT.remainder(gf, q_dec)), q)
+    return (_EXACT.multiply(_EXACT.divide_int(gf, d), r.numerator),
+            _EXACT.divide_int(q_dec, d))
 
 
 def _exact_text(num: Decimal, den: Decimal) -> str:
@@ -201,8 +192,9 @@ def decimal_str(num: Decimal, den: Decimal) -> str:
     return f"{sign}{digits[:-6]}.{digits[-6:]}"
 
 
-def _printed(value: tuple) -> tuple:
-    """The exact text and the decimal annotation of a (num, den) pair."""
+def _printed(gf: Decimal, r: Fraction) -> tuple:
+    """The exact text and the decimal annotation of g! * r, gf = g!."""
+    value = _times_factorial(gf, r)
     return _exact_text(*value), decimal_str(*value)
 
 
@@ -294,7 +286,7 @@ def _classify(args: argparse.Namespace) -> tuple:
 def _value(genus: int, r: Fraction, **inputs) -> tuple:
     """Record and line of a command whose result is one rational, g! * r."""
     record = {"genus": genus, **inputs}
-    record["value"], record["decimal"] = _printed(_factorial_product(genus)(r))
+    record["value"], record["decimal"] = _printed(_decimal_factorial(genus), r)
     return record, ["{value} (~{decimal})".format_map(record)]
 
 
@@ -357,7 +349,7 @@ def _decompose(args: argparse.Namespace) -> tuple:
 def _height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     point = PointClass(parse_class(args.point, args.genus))
-    height, height_dec = _printed(_factorial_product(args.genus)(height_point_coeff(L, point)))
+    height, height_dec = _printed(_decimal_factorial(args.genus), height_point_coeff(L, point))
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -373,7 +365,7 @@ def _height(args: argparse.Namespace) -> tuple:
 @_command("curve-height", "self-height of the total space", _GENUS, _BUNDLE)
 def _curve_height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    height, height_dec = _printed(_factorial_product(args.genus)(height_curve_coeff(L)))
+    height, height_dec = _printed(_decimal_factorial(args.genus), height_curve_coeff(L))
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -387,7 +379,7 @@ def _curve_height(args: argparse.Namespace) -> tuple:
 def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     report = cone_minimum_coeff(L)
-    infimum, infimum_dec = _printed(_factorial_product(args.genus)(report.infimum))
+    infimum, infimum_dec = _printed(_decimal_factorial(args.genus), report.infimum)
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -396,18 +388,13 @@ def _minima(args: argparse.Namespace) -> tuple:
         "s_star": str(report.s_star),
         "t_star": str(report.t_star),
         "attained_by_witness": report.attained_by_witness,
-        "witness": None if report.witness is None else str(report.witness.cls),
+        "witness": str(report.witness.cls),
     }
-    lines = [
+    return record, [
         f"infimum {record['infimum']} (~{record['infimum_dec']})",
         f"t_star {record['t_star']}, s_star {record['s_star']}",
+        f"attained by witness {record['witness']}, degree {report.witness.degree}",
     ]
-    if report.witness is not None:
-        lines.append(f"attained by witness {record['witness']}, "
-                     f"degree {report.witness.degree}")
-    else:
-        lines.append("no attaining witness constructed (value is a lower bound)")
-    return record, lines
 
 
 @_command("witness", "n-th attaining point class for the minimum", _GENUS,
@@ -421,51 +408,41 @@ def _witness(args: argparse.Namespace) -> tuple:
         "n": args.index,
         "class": str(point.cls),
         "degree": str(point.degree),
-        "height": _exact_text(*_factorial_product(args.genus)(r)),
+        "height": _exact_text(*_times_factorial(_decimal_factorial(args.genus), r)),
     }
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
 
-def _audit_record(audit: ZhangAudit, product) -> tuple:
-    """Values of one audit, and e2's decimal, which only the text shows.
+def _audit_record(audit: ZhangAudit, gf: Decimal) -> dict:
+    """Values of one audit from ``zhang_audit_coeff``, gf = g!.
 
-    ``audit`` is from ``zhang_audit_coeff``, and ``product`` maps such an r
-    to g! * r as (numerator, denominator).  e1, e2 and their mean are equal
-    in every audit the CLI can produce, so e2 and the mean reuse e1's
-    strings when e2 == e1: equality is tested, not assumed.
+    The kernel sets e2 = e1, so e2 and the mean print e1's strings.
     """
-    e1, e1_dec = _printed(product(audit.e1))
-    h, h_dec = _printed(product(audit.h_curve))
-    if audit.e2 == audit.e1:
-        e2, e2_dec, mean = e1, e1_dec, e1
-    else:
-        e2, e2_dec = _printed(product(audit.e2))
-        mean = _exact_text(*product((audit.e1 + audit.e2) / 2))
-    record = {
+    e1, e1_dec = _printed(gf, audit.e1)
+    h, h_dec = _printed(gf, audit.h_curve)
+    return {
         "e1": e1,
-        "e2": e2,
+        "e2": e1,
         "h": h,
-        "mean": mean,
-        "margin": _exact_text(*product(audit.violation_margin)),
+        "mean": e1,
+        "margin": _exact_text(*_times_factorial(gf, audit.violation_margin)),
         "e1_dec": e1_dec,
         "h_dec": h_dec,
         "first_inequality_holds": audit.first_inequality_holds,
         "second_inequality_holds": audit.second_inequality_holds,
         "minima_attained": audit.minima_attained,
     }
-    return record, e2_dec
 
 
 @_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
 def _audit(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
-    audit = zhang_audit_coeff(L)
-    values, e2_dec = _audit_record(audit, _factorial_product(args.genus))
+    values = _audit_record(zhang_audit_coeff(L), _decimal_factorial(args.genus))
     record = {"genus": args.genus, "bundle": str(L), **values}
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",
         f"e1 = {record['e1']} (~{record['e1_dec']})",
-        f"e2 = {record['e2']} (~{e2_dec})",
+        f"e2 = {record['e2']} (~{record['e1_dec']})",
         f"curve height = {record['h']} (~{record['h_dec']})",
         f"mean of minima = {record['mean']}",
     ]
@@ -477,8 +454,6 @@ def _audit(args: argparse.Namespace) -> tuple:
         lines.append(f"second inequality holds (margin {record['margin']})")
     else:
         lines.append(f"second inequality VIOLATED by {record['margin']}")
-    if not record["minima_attained"]:
-        lines.append("note: e1/e2 are lower bounds (no attaining witness)")
     return record, lines
 
 
@@ -495,8 +470,10 @@ def _table(args: argparse.Namespace) -> tuple:
     if g_min > g_max:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
     rows = []
-    for g, product in zip(range(g_min, g_max + 1), _factorial_products(g_min, g_max)):
-        values, _ = _audit_record(zhang_audit_coeff(standard_polarization(g)), product)
+    for g in range(g_min, g_max + 1):
+        # g! in decimal once, at g_min, then carried to each later genus.
+        gf = _EXACT.multiply(gf, g) if g > g_min else _decimal_factorial(g)
+        values = _audit_record(zhang_audit_coeff(standard_polarization(g)), gf)
         rows.append({"g": g, **{col: values[col] for col in _TABLE_COLUMNS[1:]}})
     cells = [_TABLE_COLUMNS]
     cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)
@@ -507,16 +484,6 @@ def _table(args: argparse.Namespace) -> tuple:
         "  ".join(cell.rjust(width) for cell, width in zip(line, widths))
         for line in cells
     ]
-
-
-def _command_parser(name: str, parser: _Parser) -> _Parser:
-    """``parser`` given subcommand ``name``'s arguments, ``--format``, and
-    defaults naming the subcommand and its compute function."""
-    _, compute, arguments = _COMMANDS[name]
-    for flags, options in [*arguments, _FORMAT]:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(compute=compute, command=name)
-    return parser
 
 
 def _is_value(token: str) -> bool:
@@ -533,8 +500,8 @@ def _typed(options: dict, text: str):
 
 
 def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
-    """The namespace subcommand ``name``'s parser returns for a plain ``argv``
-    (see the module docstring), read from the same specs; else None."""
+    """The full parser's namespace for a plain line ``[name, *argv]`` (see
+    the module docstring), read from the same specs; else None."""
     _, compute, arguments = _COMMANDS[name]
     flags = {flag: o for names, o in [*arguments, _FORMAT] if "dest" in o for flag in names}
     positionals = [(names[0], o) for names, o in arguments if "dest" not in o]
@@ -578,20 +545,22 @@ def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Parser with every subcommand and its arguments.
+    """Parser with every subcommand, its arguments and ``--format``; each
+    subcommand's defaults name its compute function.
 
-    ``main`` uses it only when the first argument names no subcommand; a
-    command line that starts with a subcommand's name is parsed the same by
-    that subcommand's parser alone, since argparse hands the subcommand every
-    later token unchanged.
+    ``main`` uses it for every command line that ``_read_plain`` leaves:
+    help, abbreviations, attached values and every usage diagnostic.
     """
     parser = _Parser(
         prog="curvejac",
         description="Exact Neron-Severi calculator for a curve times its Jacobian.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(name, sub.add_parser(name, help=help_text))
+    for name, (help_text, compute, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in [*arguments, _FORMAT]:
+            command.add_argument(*flags, **options)
+        command.set_defaults(compute=compute)
     return parser
 
 
@@ -599,8 +568,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status: 0, 2 after a diagnostic, or 1
     with nothing more written when stdout's reader has gone (``| head -1``).
 
-    A plain command line (see the module docstring) builds no parser; any
-    other goes to argparse, which words help and every usage diagnostic.
+    ``_read_plain`` reads a plain command line (see the module docstring) and
+    builds no parser; ``build_parser``'s parser reads any other line.
     Every result is computed before anything is printed, so an error never
     leaves partial output.  Output is exact at every genus: CPython's digit
     limit on int/str conversion is lifted while the command runs, so input
@@ -615,12 +584,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if argv and argv[0] in _COMMANDS:
-            args = _read_plain(argv[0], argv[1:])
-            if args is None:
-                parser = _command_parser(argv[0], _Parser(prog=f"curvejac {argv[0]}"))
-                args = parser.parse_args(argv[1:])
-        else:
+        args = _read_plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+        if args is None:
             args = build_parser().parse_args(argv)
         if args.format == "csv" and args.command != "table":
             raise CLIError("csv output is only available for the 'table' command")

@@ -48,7 +48,8 @@ class MinimaReport(_Frozen):
 
     ``s_star = g * t_star**2`` always: the constraint is active at the
     optimum (or the minimizer is the apex s = t = 0 when C = 0).  The
-    witness attains the infimum by construction (proved in the tests).
+    witness attains the infimum by construction (proved in the tests), so
+    ``attained_by_witness`` is always True, kept for the API and the JSON.
     ``cone_minimum_coeff`` gives ``infimum`` divided by g!.
     """
 
@@ -70,8 +71,9 @@ class ZhangAudit(_Frozen):
     The first inequality is e1 >= h, the second is h >= (e1 + e2) / 2;
     ``violation_margin`` is the signed quantity (e1 + e2) / 2 - h, positive
     exactly when the second inequality fails.  ``minima_attained`` is always
-    True: e1 and e2 are attained by construction, not only lower bounds.
-    ``zhang_audit_coeff`` gives e1, e2, h_curve and the margin divided by g!.
+    True (e1 and e2 are attained by construction) and e2 = e1; both are kept
+    for the API and the JSON.  ``zhang_audit_coeff`` gives e1, e2, h_curve
+    and the margin divided by g!.
     """
 
     __slots__ = ("e1", "e2", "h_curve", "first_inequality_holds",

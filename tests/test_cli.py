@@ -20,8 +20,7 @@ from curvejac import cli, heights, lattice, minima
 from curvejac.cli import CLIError, decimal_str, main, parse_class, parse_rational
 from curvejac.heights import standard_polarization
 from curvejac.lattice import NSClass, top_intersect
-from curvejac.minima import (MinimaReport, ZhangAudit, cone_minimum_coeff, zhang_audit,
-                             zhang_audit_coeff)
+from curvejac.minima import ZhangAudit, zhang_audit, zhang_audit_coeff
 
 from oracles import (half_even_decimal, reference_intersect, split_parse_class,
                      split_parse_rational)
@@ -285,27 +284,6 @@ class TestAudit:
         code, out, _ = run_cli(capsys, "audit", "-g", "2", "-L", "8,1,2")
         assert code == 0
         assert "e1 = 3/2" in out
-
-    def test_e2_line_shows_e2_decimal(self, capsys, monkeypatch):
-        # Every real audit has e1 == e2, so force them apart to see which
-        # value the e2 line annotates.  The values are divided by 2! = 2.
-        def distinct_minima(L):
-            return ZhangAudit(
-                e1=Fraction(3, 4),
-                e2=Fraction(7, 8),
-                h_curve=Fraction(1, 2),
-                first_inequality_holds=True,
-                second_inequality_holds=False,
-                violation_margin=Fraction(5, 16),
-                minima_attained=True,
-            )
-
-        monkeypatch.setattr(cli, "zhang_audit_coeff", distinct_minima)
-        code, out, _ = run_cli(capsys, "audit", "-g", "2")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[1] == "e1 = 3/2 (~1.500000)"
-        assert lines[2] == "e2 = 7/4 (~1.750000)"
 
     @pytest.mark.parametrize(
         "argv,g_min", [(["audit", "-g", "5"], 5), (["table", "2", "40"], 2)]
@@ -736,7 +714,7 @@ def test_fuzz_argv_one_outcome(data):
 
 def full_parser_main(argv):
     """``main`` with every command line parsed by ``build_parser``'s full
-    parser, never by a subcommand's parser alone."""
+    parser, never by ``_read_plain``."""
     try:
         args = cli.build_parser().parse_args(argv)
         if args.format == "csv" and args.command != "table":
@@ -752,8 +730,8 @@ def full_parser_main(argv):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fuzz_argv_full_parser_agrees(data):
-    """Parsing with the selected subcommand's parser alone changes no exit
-    status and no byte of stdout or stderr."""
+    """Reading plain lines with ``_read_plain`` changes no exit status and no
+    byte of stdout or stderr."""
     argv = draw_argv(data)
     assert outcome(main, argv) == outcome(full_parser_main, argv)
 
@@ -803,10 +781,10 @@ def eager_outcome(argv):
 
 
 class TestLazyParser:
-    """A command line that names a subcommand builds that subcommand's parser
-    only; help and diagnostics match a parser built with every subcommand.
-    Compared on the running interpreter, since help layout differs between
-    Python releases."""
+    """A plain command line builds no parser, any other builds the full
+    parser once; help and diagnostics match a parser built here with every
+    subcommand.  Compared on the running interpreter, since help layout
+    differs between Python releases."""
 
     @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
     def test_help_matches_eager(self, capsys, command):
@@ -830,13 +808,13 @@ class TestLazyParser:
 
     @pytest.mark.parametrize(
         "argv,parsers",
-        [(None, 12), (["audit", "-g", "2"], 0), (["audit", "-h"], 1),
-         (["audit", "-g", "2", "--"], 1), (["nonsense"], 12), (["-h"], 12)],
+        [(None, 12), (["audit", "-g", "2"], 0), (["audit", "-h"], 12),
+         (["audit", "-g", "2", "--"], 12), (["nonsense"], 12), (["-h"], 12)],
         ids=["build_parser", "audit", "audit-help", "audit-deferred", "nonsense", "help"],
     )
     def test_parsers_built(self, monkeypatch, argv, parsers):
         # A plain line is read from the specs and builds no parser; any
-        # other line naming a subcommand builds its parser alone.
+        # other line builds the full parser and every subparser once.
         built = []
 
         def init(self, *args, original=cli._Parser.__init__, **kwargs):
@@ -849,17 +827,6 @@ class TestLazyParser:
         else:
             outcome(main, argv)
         assert len(built) == parsers
-
-    def test_subparsers_match_command_parsers(self):
-        # The full parser's subparsers are the parsers main builds alone.
-        full = next(a.choices for a in cli.build_parser()._actions
-                    if a.dest == "command")
-        assert list(full) == list(cli._COMMANDS)
-        for name, subparser in full.items():
-            alone = cli._command_parser(name, cli._Parser(prog=f"curvejac {name}"))
-            assert subparser.format_help() == alone.format_help()
-            for key in ("compute", "command"):
-                assert subparser.get_default(key) == alone.get_default(key)
 
     def test_argparse_touching_subparsers(self, monkeypatch):
         # An argparse that uses each subparser as it adds it (say, to check
@@ -884,10 +851,9 @@ class TestLazyParser:
 
         monkeypatch.setattr(cli._Parser, "__init__", init)
         assert [outcome(main, argv) for argv in argvs] == expected
-        # The three plain lines build no parser; 'audit -h' and 'pair
-        # --bogus' build their subcommand's parser alone; '-h' and
-        # 'nonsense' build the full parser and every subparser once.
-        assert len(built) == 2 + 2 * (1 + len(cli._COMMANDS))
+        # The three plain lines build no parser; each of the other four
+        # builds the full parser and every subparser once.
+        assert len(built) == 4 * (1 + len(cli._COMMANDS))
 
     def test_one_parser_parsed_twice(self):
         parser = cli.build_parser()
@@ -903,10 +869,9 @@ class TestLazyParser:
 
 
 def command_namespace(argv):
-    """``vars`` of the namespace the subcommand ``argv[0]``'s parser returns
-    for the rest of ``argv``."""
-    parser = cli._command_parser(argv[0], cli._Parser(prog=f"curvejac {argv[0]}"))
-    return vars(parser.parse_args(argv[1:]))
+    """``vars`` of the namespace ``build_parser``'s full parser returns for
+    ``argv``."""
+    return vars(cli.build_parser().parse_args(argv))
 
 
 # Spellings that only argparse reads: a bare or trailing '--', a short flag
@@ -1117,15 +1082,9 @@ def test_import_leaves_heavy_modules_out():
     assert json.loads(output)["genus"] == 2
 
 
-def unattained_minimum(L):
-    """cone_minimum_coeff with the witness dropped: the branch no real class reaches."""
-    report = cone_minimum_coeff(L)
-    return MinimaReport(report.infimum, report.s_star, report.t_star,
-                        attained_by_witness=False, witness=None)
-
-
 def unattained_audit(L):
-    """zhang_audit_coeff with the flags flipped, to reach the other audit lines."""
+    """zhang_audit_coeff with the flags flipped, to reach the other audit
+    lines; ``minima_attained`` shows only in the JSON record."""
     audit = zhang_audit_coeff(L)
     return ZhangAudit(
         audit.e1,
@@ -1154,7 +1113,6 @@ GOLDEN_RUNS = {
     "height": (["height", "-g", "2", "-L", "8,1,2", "32,1,4"], {}),
     "curve_height": (["curve-height", "-g", "5"], {}),
     "minima": (["minima", "-g", "2", "-L", "8,1,2"], {}),
-    "minima_no_witness": (["minima", "-g", "3"], {"cone_minimum_coeff": unattained_minimum}),
     "witness": (["witness", "-g", "3", "-n", "2"], {}),
     "audit": (["audit", "-g", "4"], {}),
     "audit_bundle": (["audit", "-g", "2", "-L", "1,1,0"], {}),

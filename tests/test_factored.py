@@ -20,7 +20,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
-from curvejac.cli import _exact_text, _factorial_products, decimal_str, main
+from curvejac.cli import _decimal_factorial, _exact_text, _times_factorial, decimal_str, main
 from curvejac.heights import (PointClass, height_curve, height_curve_coeff, height_point,
                               height_point_coeff, standard_polarization)
 from curvejac.lattice import (NSClass, alpha1, pair_theta_power, pair_theta_power_coeff,
@@ -54,9 +54,9 @@ def expanded(g, r):
 
 def factored(g, r):
     """The text of g! * r from the command line's renderer at genus g."""
-    (product,) = _factorial_products(g, g)
+    value = _times_factorial(_decimal_factorial(g), r)
     with no_digit_limit():  # as ``main`` lifts it around each command
-        return _exact_text(*product(r))
+        return _exact_text(*value)
 
 
 @st.composite
@@ -112,26 +112,26 @@ class TestFactoredText:
         # Past genus ~125 g! is a tree of leaves of at most 1000 bits; at
         # these genera it has several levels.
         r = data.draw(multipliers(g))
-        (product,) = _factorial_products(g, g)
-        value = product(r)
+        value = _times_factorial(_decimal_factorial(g), r)
         with no_digit_limit():
             assert _exact_text(*value) == expanded(g, r)
             assert decimal_str(*value) == half_even_decimal(factorial(g) * r)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 1990), st.integers(0, 10), st.data())
-    def test_carried_rows_match_per_row(self, g_min, span, data):
-        # A table multiplies g!'s decimal from row to row; each row renders
-        # as a fresh conversion at its own genus would.
+    @given(st.integers(2, 1990), st.integers(0, 10))
+    def test_carried_rows_match_per_row(self, g_min, span):
+        # A table multiplies g!'s decimal from row to row; each row prints
+        # what an audit at its own genus prints, and that is g! * r.
         g_max = g_min + span
-        rows = list(_factorial_products(g_min, g_max))
-        assert len(rows) == span + 1
-        for g, carried in zip(range(g_min, g_max + 1), rows):
-            (alone,) = _factorial_products(g, g)
-            for r in (data.draw(multipliers(g)), Fraction(1, g), Fraction(g + 1, 2)):
-                with no_digit_limit():
-                    texts = _exact_text(*carried(r)), _exact_text(*alone(r))
-                assert texts == (expanded(g, r),) * 2
+        rows = run_json("table", str(g_min), str(g_max), "--format", "json")
+        assert [row["g"] for row in rows] == list(range(g_min, g_max + 1))
+        for row in rows:
+            g = row["g"]
+            record = run_json("audit", "-g", str(g), "--format", "json")
+            assert row == {"g": g, **{key: record[key] for key in row if key != "g"}}
+            audit = zhang_audit_coeff(standard_polarization(g))
+            assert [row["e1"], row["h"], row["margin"]] == [
+                expanded(g, r) for r in (audit.e1, audit.h_curve, audit.violation_margin)]
 
 
 class TestPublicWrappers:
