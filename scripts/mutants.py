@@ -52,9 +52,18 @@ MUTANTS = [
     ("src/curvejac/minima.py",
      "r.violation_margin * gf, r.minima_attained)", "r.violation_margin, r.minima_attained)",
      "tests/test_factored.py::test_factorial_times_coeff_at_small_genera"),
+    ("src/curvejac/minima.py",
+     "minima_attained=True)", "minima_attained=False)",
+     "tests/test_kernels.py::test_zhang_audit_matches_formulas"),
     ("src/curvejac/heights.py",
      "lam ** (L.genus - 1)", "lam ** L.genus",
      "tests/test_kernels.py::test_height_curve_matches_formula"),
+    ("src/curvejac/heights.py",
+     "r if lam == 1 else", "r if lam >= 1 else",
+     "tests/test_kernels.py::test_height_curve_matches_formula"),
+    ("src/curvejac/heights.py",
+     "return NSClass(g, g, 1, 1)", "return NSClass(g, g, 1, g)",
+     "tests/test_heights.py::TestStandardPolarization"),
     ("src/curvejac/cones.py",
      "num = an * bn * cd * cd - ", "num = an * bn * cd - ",
      "tests/test_kernels.py::test_classify_matches_defect"),
@@ -107,6 +116,12 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      'options["dest"] in given or ', "",
      "tests/test_cli.py::TestPlainReader"),
+    ("src/curvejac/cli.py",
+     'required = {o["dest"] for o in flags.values() if o.get("required")}', "required = set()",
+     "tests/test_cli.py::TestPlainReader"),
+    ("src/curvejac/cli.py",
+     "found = dict(defaults)", "found = defaults",
+     "tests/test_cli.py::TestPlainReader::test_calls_do_not_share_namespaces"),
     ("src/curvejac/cli.py",
      'if value not in options.get("choices", [value]):', "if False:",
      "tests/test_cli.py::TestPlainReader"),

@@ -5,9 +5,10 @@ decompose, height, curve-height, minima, witness, audit, table.  Each is one
 compute function in ``_COMMANDS`` that turns parsed arguments into a record
 (the JSON output) and its text lines; ``main`` is the one place that picks
 the format and prints.  A plain command line is read straight from the
-command's specs by ``_read_plain``, to the namespace argparse would return,
-and builds no parser.  Plain: the subcommand's name, then options spelled
-exactly as declared ('-g V', '--genus V' or '--genus=V', V non-empty and not
+command's specs, tabled once when the command is registered, by
+``_read_plain``, to the namespace argparse would return, and builds no
+parser.  Plain: the subcommand's name, then options spelled exactly as
+declared ('-g V', '--genus V' or '--genus=V', V non-empty and not
 option-like), each at most once, and one run of positionals that opens the
 line, follows every option, or follows a single '--' with tokens after it
 (``table``'s optional bounds only in a run that opens the line), each value
@@ -247,11 +248,23 @@ _FORMAT = _arg("--format", dest="format", choices=("text", "csv", "json"), defau
 # name -> (help, compute, arguments before --format), filled in --help order
 # by ``_command``.  Each compute maps parsed arguments to (record, text lines).
 _COMMANDS: dict = {}
+# name -> what ``_read_plain`` reads a line of that command with: flag ->
+# options, the positionals, the namespace's defaults, the required flags'
+# dests and whether a positional is optional; derived from the command's
+# entry of ``_COMMANDS`` by ``_command``.
+_PLAIN: dict = {}
 
 
 def _command(name: str, help_text: str, *arguments: tuple):
     def register(compute):
         _COMMANDS[name] = (help_text, compute, arguments)
+        flags = {flag: o for names, o in [*arguments, _FORMAT] if "dest" in o for flag in names}
+        positionals = [(names[0], o) for names, o in arguments if "dest" not in o]
+        defaults = {o["dest"]: o.get("default") for o in flags.values()}
+        defaults.update(compute=compute, command=name)
+        required = {o["dest"] for o in flags.values() if o.get("required")}
+        optional_run = any(o.get("nargs") == "?" for _, o in positionals)
+        _PLAIN[name] = (flags, positionals, defaults, required, optional_run)
         return compute
 
     return register
@@ -501,12 +514,9 @@ def _typed(options: dict, text: str):
 
 def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
     """The full parser's namespace for a plain line ``[name, *argv]`` (see
-    the module docstring), read from the same specs; else None."""
-    _, compute, arguments = _COMMANDS[name]
-    flags = {flag: o for names, o in [*arguments, _FORMAT] if "dest" in o for flag in names}
-    positionals = [(names[0], o) for names, o in arguments if "dest" not in o]
-    found = {o["dest"]: o.get("default") for o in flags.values()}
-    found.update(compute=compute, command=name)
+    the module docstring), read from the same specs (``_PLAIN``); else None."""
+    flags, positionals, defaults, required, optional_run = _PLAIN[name]
+    found = dict(defaults)
     lead = next((i for i, token in enumerate(argv) if not _is_value(token)), len(argv))
     i, given = lead, set()
     try:
@@ -525,7 +535,7 @@ def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
         run = argv[i + dashed:]
         if "--" in run or not (run if dashed else all(map(_is_value, run))):
             return None
-        if run and (lead or any(o.get("nargs") == "?" for _, o in positionals)):
+        if run and (lead or optional_run):
             return None
         run = run or argv[:lead]
         for dest, options in positionals:
@@ -539,7 +549,7 @@ def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
                 return None
     except ValueError:
         return None
-    if run or not given >= {o["dest"] for o in flags.values() if o.get("required")}:
+    if run or not given >= required:
         return None
     return argparse.Namespace(**found)
 

@@ -27,7 +27,6 @@ from .lattice import (
     _Frozen,
     _pair_ratio,
     as_fraction,
-    pullback_theta,
     restrict_to_C_fiber,
 )
 
@@ -72,24 +71,27 @@ class HeightReport(_Frozen):
 
 
 def standard_polarization(g: int) -> NSClass:
-    """The class (g, 1, 1): theta pulled back along (x, y) -> (x - base) + y.
+    """The class (g, 1, 1): theta pulled back along (x, y) -> (x - base) + y,
+    so it equals ``pullback_theta(g, 1, 1)``, built here directly.
 
     Sits on the nef boundary and has fiber degree g; the default polarization
     for heights and audits throughout.
     """
-    return pullback_theta(g, 1, 1)
+    return NSClass(g, g, 1, 1)
 
 
 def _height_r(x: NSClass, L: NSClass, base_multiple: RationalLike, k: int) -> Fraction:
     """lam^(g-1) (x . L . theta2^(g-1)) / (k deg x g!) for lam = base_multiple:
-    rescaling theta -> lam theta scales the theta^(g-1) factor by lam^(g-1).
-    deg x's denominator divides x's share of the pairing's scale."""
+    rescaling theta -> lam theta scales the theta^(g-1) factor by lam^(g-1),
+    which is skipped for lam = 1.  deg x's denominator divides x's share of
+    the pairing's scale."""
     lam = as_fraction(base_multiple)
     if lam <= 0:
         raise ValueError(f"base polarization multiple must be positive, got {lam}")
     num, scale = _pair_ratio(x, L)
     dn, dd = x.a.as_integer_ratio()
-    return lam ** (L.genus - 1) * Fraction(num, (scale // dd) * k * dn)
+    r = Fraction(num, (scale // dd) * k * dn)
+    return r if lam == 1 else lam ** (L.genus - 1) * r
 
 
 def height_point(

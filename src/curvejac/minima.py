@@ -13,7 +13,9 @@ a witness that attains it by construction (proved in the tests),
 ``witness_sequence`` produces an unbounded-degree family of point classes
 attaining the minimum for the standard polarization, and ``zhang_audit``
 compares the minima against the curve height, evaluating both
-successive-minima inequalities with exact margins.
+successive-minima inequalities with exact margins.  The audit takes the cone
+minimum's value alone: it builds no witness, and sets ``minima_attained``
+from the construction.
 
 Both work in ``_coeff`` forms (g!-sized values divided by g!) on the
 coefficients' integers and build one ``Fraction`` per returned value.  Its
@@ -71,8 +73,9 @@ class ZhangAudit(_Frozen):
     The first inequality is e1 >= h, the second is h >= (e1 + e2) / 2;
     ``violation_margin`` is the signed quantity (e1 + e2) / 2 - h, positive
     exactly when the second inequality fails.  ``minima_attained`` is always
-    True (e1 and e2 are attained by construction) and e2 = e1; both are kept
-    for the API and the JSON.  ``zhang_audit_coeff`` gives e1, e2, h_curve
+    True, set from the construction (e1 and e2 are attained by the cone
+    minimum's witnesses, which the audit does not build), and e2 = e1; both
+    are kept for the API and the JSON.  ``zhang_audit_coeff`` gives e1, e2, h_curve
     and the margin divided by g!.
     """
 
@@ -98,15 +101,10 @@ def cone_minimum(L: NSClass) -> MinimaReport:
                         r.attained_by_witness, r.witness)
 
 
-def cone_minimum_coeff(L: NSClass) -> MinimaReport:
-    """Exact infimum of the normalized height of point classes against L,
-    divided by g!.  With A > 0 the active-constraint quadratic bottoms out at
-    t* = C / (g A), s* = C^2 / (g A^2), with value g! (g A B - C^2) / (g A).
-    The degenerate case A = 0 (nefness then forces C = 0) has constant
-    objective g! B.  The witness (g m^2, n^2, m n) on the ray n/m = C/A
-    attains the infimum by construction (``tests/test_symbolic.py`` proves
-    it), so its height is not recomputed.
-    """
+def _infimum_ray(L: NSClass) -> tuple:
+    """(infimum / g!, m, n) for a nef class L: the cone minimum's coefficient
+    and the coprime minimizing ray n/m = C/A, (m, n) = (1, 0) when A = 0.
+    A class that is not nef gets the cone minimum's diagnostic."""
     verdict = classify(L)
     if not verdict.is_nef:
         raise ValueError(
@@ -119,10 +117,24 @@ def cone_minimum_coeff(L: NSClass) -> MinimaReport:
     # A = 0 nefness forces -g C^2 >= 0, so C = 0 and t* = 0.
     k, j = gcd(cn, an), gcd(ad, cd)
     n, m = ((cn // k) * (ad // j), (an // k) * (cd // j)) if an else (0, 1)
-    t_star = Fraction(n, g * m)
-    s_star = Fraction(n * n, g * m * m)
     # B - A s* = B - C n / (g m), which is (g A B - C^2) / (g A) when A > 0.
     infimum = Fraction(bn * cd * g * m - cn * n * bd, bd * cd * g * m)
+    return infimum, m, n
+
+
+def cone_minimum_coeff(L: NSClass) -> MinimaReport:
+    """Exact infimum of the normalized height of point classes against L,
+    divided by g!.  With A > 0 the active-constraint quadratic bottoms out at
+    t* = C / (g A), s* = C^2 / (g A^2), with value g! (g A B - C^2) / (g A).
+    The degenerate case A = 0 (nefness then forces C = 0) has constant
+    objective g! B.  The witness (g m^2, n^2, m n) on the ray n/m = C/A
+    attains the infimum by construction (``tests/test_symbolic.py`` proves
+    it), so its height is not recomputed.
+    """
+    infimum, m, n = _infimum_ray(L)
+    g = L.genus
+    t_star = Fraction(n, g * m)
+    s_star = Fraction(n * n, g * m * m)
     return MinimaReport(infimum=infimum, s_star=s_star, t_star=t_star,
                         attained_by_witness=True,
                         witness=PointClass(pullback_theta(g, m, n)))
@@ -158,15 +170,17 @@ def zhang_audit_coeff(L: NSClass) -> ZhangAudit:
 
     e1 and e2 coincide here: the cone minimum bounds every successive
     minimum from below, and the witness family realizes arbitrarily large
-    degrees on the minimizing ray, pinning them both.  ``minima_attained``
-    is the cone minimum's ``attained_by_witness``, true by construction.
+    degrees on the minimizing ray, pinning them both.  The audit takes the
+    cone minimum's value alone and builds no witness: ``minima_attained``
+    is set from the construction, as ``attained_by_witness`` is.  A class
+    that is not nef gets the cone minimum's diagnostic before the curve
+    height's degree check.
     """
-    report = cone_minimum_coeff(L)
+    e = _infimum_ray(L)[0]
     h = height_curve_coeff(L)
-    e = report.infimum
     (en, ed), (hn, hd) = e.as_integer_ratio(), h.as_integer_ratio()
     # e1 = e2 = mean = e, so e1 - h and the margin mean - h are num / lcm(ed, hd).
     d = gcd(ed, hd)
     num = en * (hd // d) - hn * (ed // d)
     return ZhangAudit(e, e, h, num >= 0, num <= 0, Fraction(num, ed // d * hd),
-                      report.attained_by_witness)
+                      minima_attained=True)

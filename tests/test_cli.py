@@ -949,6 +949,34 @@ class TestPlainReader:
     def test_defers_to_argparse(self, argv):
         assert cli._read_plain(argv[0], argv[1:]) is None
 
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_table_is_the_parser_grammar(self, name):
+        # The reader's table is derived from the same specs as the parser:
+        # the same flags and the same positionals, in order.
+        flags, positionals, defaults, required, optional_run = cli._PLAIN[name]
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices[name]
+        options = {flag for action in sub._actions for flag in action.option_strings}
+        assert set(flags) == options - {"-h", "--help"}
+        assert [dest for dest, _ in positionals] == [
+            action.dest for action in sub._actions if not action.option_strings]
+        assert required == {action.dest for action in sub._actions
+                            if action.option_strings and action.required}
+        assert optional_run == any(action.nargs == "?" for action in sub._actions)
+        assert defaults["compute"] is sub.get_default("compute")
+
+    def test_calls_do_not_share_namespaces(self):
+        # Each call starts from a copy of the command's defaults: neither a
+        # line's values nor a change to a returned namespace reach the next.
+        first = cli._read_plain("table", ["5", "9", "--format", "csv"])
+        first.g_min, first.extra = 7, 1
+        second = cli._read_plain("table", [])
+        assert vars(second) == command_namespace(["table"])
+        third = cli._read_plain("audit", ["-g", "3", "-L", "1,0,0"])
+        third.bundle = "2,0,0"
+        fourth = cli._read_plain("audit", ["-g", "4"])
+        assert vars(fourth) == command_namespace(["audit", "-g", "4"])
+
     def test_repeated_flag_reaches_argparse(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "-g", "3", "-g", "4", "--format", "json")
         assert code == 0 and json.loads(out)["genus"] == 4

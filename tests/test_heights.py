@@ -43,12 +43,21 @@ class TestPointClass:
 
 
 class TestStandardPolarization:
-    @pytest.mark.parametrize("g", range(2, 13))
+    @pytest.mark.parametrize("g", [*range(2, 65), 10**18])
     def test_is_theta_pullback_at_one_one(self, g):
         L = standard_polarization(g)
         assert L == NSClass(g, g, 1, 1)
         assert L == pullback_theta(g, 1, 1)
         assert restrict_to_C_fiber(L) == g
+        assert all(type(x) is Fraction for x in L.coefficients)
+
+    @pytest.mark.parametrize("g", [1, 0, True, 2.0, "3"])
+    def test_bad_genus_diagnostic_as_pullback(self, g):
+        with pytest.raises((TypeError, ValueError)) as ours:
+            standard_polarization(g)
+        with pytest.raises((TypeError, ValueError)) as pullback:
+            pullback_theta(g, 1, 1)
+        assert (type(ours.value), str(ours.value)) == (type(pullback.value), str(pullback.value))
 
 
 class TestHeightPoint:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from curvejac.cones import classify
 from curvejac.heights import (PointClass, height_curve_coeff, height_point, height_point_coeff,
                               standard_polarization)
-from curvejac.lattice import NSClass
+from curvejac.lattice import NSClass, pair_theta_power_coeff
 from curvejac.minima import cone_minimum, cone_minimum_coeff, zhang_audit_coeff
 
 from oracles import (
@@ -108,6 +108,22 @@ def test_height_point_matches_formula(data, case, base_multiple):
 def test_height_curve_matches_formula(case, base_multiple):
     L = case[1]
     assert height_curve_coeff(L, base_multiple) == height_curve_closed(L, base_multiple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), pairs(nef=True).filter(lambda case: case[1].a > 0),
+       st.sampled_from([1, Fraction(1), "1", "3/3"]))
+def test_unit_base_multiple_is_general_form(data, case, lam):
+    # At lam = 1 the heights skip the power lam^(g-1); the value is still the
+    # general form lam^(g-1) * r, r the pairing over k times the degree.
+    g, L = case
+    x = data.draw(classes(g, nef=True).filter(lambda x: x.a > 0))
+    power = Fraction(lam) ** (g - 1)
+    point = height_point_coeff(L, PointClass(x), lam)
+    curve = height_curve_coeff(L, lam)
+    assert point == power * (pair_theta_power_coeff(x, L) / x.a)
+    assert curve == power * (pair_theta_power_coeff(L, L) / (2 * L.a))
+    assert type(point) is type(curve) is Fraction
 
 
 @settings(max_examples=200, deadline=None)

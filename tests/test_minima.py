@@ -8,7 +8,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from curvejac.heights import height_curve, height_point, height_point_coeff, standard_polarization
+from curvejac import minima
+from curvejac.cli import main
+from curvejac.heights import (PointClass, height_curve, height_point, height_point_coeff,
+                              standard_polarization)
 from curvejac.lattice import NSClass, alpha1, pullback_theta, theta2
 from curvejac.minima import (cone_minimum, cone_minimum_coeff, witness_sequence, zhang_audit,
                              zhang_audit_coeff)
@@ -275,6 +278,61 @@ class TestZhangAudit:
         assert audit.e1 - audit.h_curve == (g - 1) * factorial(g - 1) * C**2 / A
         assert audit.e1 >= audit.h_curve
         assert audit.second_inequality_holds == (C == 0)
+
+
+class TestAuditBuildsNoWitness:
+    """The audit takes the cone minimum's value alone: neither the library
+    audit nor the CLI's audit and table build a witness class, while the
+    cone minimum and the ``minima`` command still do."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"PointClass": 0, "pullback_theta": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(minima, "PointClass", counting("PointClass", minima.PointClass))
+        monkeypatch.setattr(minima, "pullback_theta",
+                            counting("pullback_theta", minima.pullback_theta))
+        return counts
+
+    @pytest.mark.parametrize("L", [standard_polarization(7), NSClass(7, 28, 1, 2),
+                                   NSClass(3, "6/4", "10/6", "-2/8"), NSClass(2, 1, 0, 0)])
+    def test_library_audit(self, built, L):
+        zhang_audit_coeff(L)
+        zhang_audit(L)
+        assert built == {"PointClass": 0, "pullback_theta": 0}
+
+    @pytest.mark.parametrize("argv", [["audit", "-g", "7"],
+                                      ["audit", "-g", "7", "-L", "28,1,2"],
+                                      ["audit", "-g", "7", "--format", "json"],
+                                      ["table", "2", "6"]])
+    def test_cli_audit_and_table(self, built, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert built == {"PointClass": 0, "pullback_theta": 0}
+
+    def test_cone_minimum_builds_its_witness(self, built, capsys):
+        report = cone_minimum_coeff(NSClass(7, 28, 1, 2))
+        assert report.witness == PointClass(pullback_theta(7, 14, 1))
+        assert built == {"PointClass": 1, "pullback_theta": 1}
+        assert main(["minima", "-g", "7", "-L", "28,1,2"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "attained by witness (1372,1,14), degree 1372"
+        assert built == {"PointClass": 2, "pullback_theta": 2}
+
+    def test_nef_check_before_degree_check(self):
+        # (-1, 1, 0) is not nef and has degree -1: the nef check speaks.
+        L = NSClass(3, -1, 1, 0)
+        with pytest.raises(ValueError, match="^cone_minimum needs a nef class, got "
+                                             r"\(-1,1,0\) with defect "):
+            zhang_audit_coeff(L)
+        with pytest.raises(ValueError, match="^curve height needs positive generic degree"):
+            height_curve(L)
 
 
 @pytest.mark.parametrize("g", [10**7, 10**18])
