@@ -99,6 +99,15 @@ MUTANTS = [
      '_CLASS_RE = re.compile(",".join([_RATIONAL] * 3))',
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",
+     '(?:\\n{_BARE_CLASS})*", re.ASCII)', '(?:\\n{_BARE_CLASS})*")',
+     "tests/test_cli.py::test_run_reader_matches_per_literal"),
+    ("src/curvejac/cli.py",
+     "    if len(parts) != 3 * len(texts):\n        return None\n", "",
+     "tests/test_cli.py::test_run_reader_matches_per_literal"),
+    ("src/curvejac/cli.py",
+     "if not all(ints[1::2]):", "if False:",
+     "tests/test_cli.py::test_run_reader_matches_per_literal"),
+    ("src/curvejac/cli.py",
      'if not _RATIONAL_RE.fullmatch(text) or "/" in text:', 'if "/" in text:',
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",

@@ -15,16 +15,20 @@ line, follows every option, or follows a single '--' with tokens after it
 of its type and choices.  Any other line, -h, abbreviations, '-g3' and every
 diagnostic included, goes to ``build_parser``'s full parser.  A class
 literal 'a,b,c' is read in one regular-expression match to its six integers
-as written.  ``intersect`` hands them to the recurrence unreduced and builds
-its input classes' text, in lowest terms, only for ``--format json``, the
-one format that prints them; the other commands build an ``NSClass``.  Every
-rational is printed exactly as "p/q" (plain integer when q = 1).  A g!-sized
-value is g! times a small rational r from the library's ``_coeff`` functions:
-g! is built in decimal once per command (``_decimal_factorial``; ``table``
-multiplies it by each later genus), g! * r goes to an exact ``Decimal``
-numerator and denominator in lowest terms (``_times_factorial``), and its
-exact text and its six-place decimal annotation (``decimal_str``) are both
-formatted from that pair (``_printed``), so no g!-sized int is converted.
+as written.  ``intersect`` reads its whole run of literals in one match, of
+the run joined by newlines, then converts the integers (``_run_integers``);
+only a malformed literal sends the run to the one-literal reader, in order,
+so its diagnostics and their order are unchanged.  It hands the integers to
+the recurrence unreduced and builds its input classes' text, in lowest
+terms, only for ``--format json``, the one format that prints them; the
+other commands build an ``NSClass``.  Every rational is printed exactly as
+"p/q" (plain integer when q = 1).  A g!-sized value is g! times a small
+rational r from the library's ``_coeff`` functions: g! is built in decimal
+once per command (``_decimal_factorial``; ``table`` multiplies it by each
+later genus), g! * r goes to an exact ``Decimal`` numerator and denominator
+in lowest terms (``_times_factorial``), and its exact text and its six-place
+decimal annotation (``decimal_str``) are both formatted from that pair
+(``_printed``), so no g!-sized int is converted.
 Identical invocations produce identical bytes.
 """
 
@@ -51,9 +55,13 @@ DEFAULT_TABLE_RANGE = (2, 12)
 
 # ASCII digits only: \d and int() would also take other scripts' digits.
 # Groups: numerator, then denominator (None without '/q').
-_RATIONAL = r"([+-]?\d+)(?:/(\d+))?"
+_NUMERATOR, _DENOMINATOR = r"[+-]?\d+", r"\d+"
+_RATIONAL = rf"({_NUMERATOR})(?:/({_DENOMINATOR}))?"
 _RATIONAL_RE = re.compile(_RATIONAL, re.ASCII)
 _CLASS_RE = re.compile(",".join([_RATIONAL] * 3), re.ASCII)
+# Class literals joined by newlines, in the same grammar without groups.
+_BARE_CLASS = ",".join([rf"{_NUMERATOR}(?:/{_DENOMINATOR})?"] * 3)
+_RUN_RE = re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*", re.ASCII)
 # A value, not an option, to argparse and ``_read_plain``: no option starts with a digit.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
@@ -99,6 +107,28 @@ def _class_integers(text: str) -> tuple:
         for part in parts:
             parse_rational(part)  # some component does not match, so this raises
     return _integers(match)
+
+
+def _run_integers(texts: list) -> Optional[list]:
+    """``[_class_integers(t) for t in texts]`` read in one pass, or None
+    where that would raise.
+
+    One match checks the literals joined by newlines, and the count of
+    rationals, three per literal, refuses a literal that itself holds a
+    newline; then one split and one ``int`` per integer.  None leaves the
+    diagnostic to ``_class_integers`` on each literal in turn.
+    """
+    run = "\n".join(texts)
+    if _RUN_RE.fullmatch(run) is None:
+        return None
+    parts = run.replace("\n", ",").split(",")
+    if len(parts) != 3 * len(texts):
+        return None
+    # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
+    ints = list(map(int, "/".join([p if "/" in p else p + "/1" for p in parts]).split("/")))
+    if not all(ints[1::2]):  # a zero denominator
+        return None
+    return list(zip(*[iter(ints)] * 6))
 
 
 def parse_class(text: str, genus: int) -> NSClass:
@@ -219,6 +249,13 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status, message)
 
 
+def _point_texts(point: PointClass) -> tuple:
+    """The text of a point's class and of its degree, the class's first
+    component: each component is converted to decimal once."""
+    a, b, c = map(str, point.cls.coefficients)
+    return f"({a},{b},{c})", a
+
+
 def _bundle_from(args: argparse.Namespace) -> NSClass:
     if args.bundle is None:
         return standard_polarization(args.genus)
@@ -314,12 +351,15 @@ def _pair(args: argparse.Namespace) -> tuple:
 @_command("intersect", "top intersection of g+1 classes", _GENUS,
           _arg("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'"))
 def _intersect(args: argparse.Namespace) -> tuple:
-    # Each literal goes straight to the recurrence's integers; the genus is
-    # checked after the first one is read, so of a bad first literal, a bad
-    # genus and a bad later literal, the first in that order is reported.
-    texts = iter(args.classes)
-    factors = [_class_integers(next(texts))]
-    r = _top_intersect_ints(args.genus, factors, map(_class_integers, texts))
+    # The literals go straight to the recurrence's integers, all in one
+    # pass.  If one is malformed they are read again in order, with the
+    # genus checked after the first, so of a bad first literal, a bad genus
+    # and a bad later literal, the first in that order is reported.
+    factors, later = _run_integers(args.classes), ()
+    if factors is None:
+        texts = iter(args.classes)
+        factors, later = [_class_integers(next(texts))], map(_class_integers, texts)
+    r = _top_intersect_ints(args.genus, factors, later)
     # Only the JSON record shows the inputs; text output skips rendering them.
     inputs = {"classes": [_class_text(*f) for f in factors]} if args.format == "json" else {}
     return _value(args.genus, r, **inputs)
@@ -363,13 +403,14 @@ def _height(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     point = PointClass(parse_class(args.point, args.genus))
     height, height_dec = _printed(_decimal_factorial(args.genus), height_point_coeff(L, point))
+    point_text, degree = _point_texts(point)
     record = {
         "genus": args.genus,
         "bundle": str(L),
-        "point": str(point.cls),
+        "point": point_text,
         "height": height,
         "height_dec": height_dec,
-        "degree": str(point.degree),
+        "degree": degree,
     }
     line = "height {height} (~{height_dec}), degree {degree}".format_map(record)
     return record, [line]
@@ -393,6 +434,7 @@ def _minima(args: argparse.Namespace) -> tuple:
     L = _bundle_from(args)
     report = cone_minimum_coeff(L)
     infimum, infimum_dec = _printed(_decimal_factorial(args.genus), report.infimum)
+    witness, degree = _point_texts(report.witness)
     record = {
         "genus": args.genus,
         "bundle": str(L),
@@ -401,12 +443,12 @@ def _minima(args: argparse.Namespace) -> tuple:
         "s_star": str(report.s_star),
         "t_star": str(report.t_star),
         "attained_by_witness": report.attained_by_witness,
-        "witness": str(report.witness.cls),
+        "witness": witness,
     }
     return record, [
         f"infimum {record['infimum']} (~{record['infimum_dec']})",
         f"t_star {record['t_star']}, s_star {record['s_star']}",
-        f"attained by witness {record['witness']}, degree {report.witness.degree}",
+        f"attained by witness {record['witness']}, degree {degree}",
     ]
 
 
@@ -416,11 +458,12 @@ def _minima(args: argparse.Namespace) -> tuple:
 def _witness(args: argparse.Namespace) -> tuple:
     point = witness_sequence(args.genus, args.index)
     r = height_point_coeff(standard_polarization(args.genus), point)
+    point_text, degree = _point_texts(point)
     record = {
         "genus": args.genus,
         "n": args.index,
-        "class": str(point.cls),
-        "degree": str(point.degree),
+        "class": point_text,
+        "degree": degree,
         "height": _exact_text(*_times_factorial(_decimal_factorial(args.genus), r)),
     }
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
@@ -540,7 +583,10 @@ def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
         run = run or argv[:lead]
         for dest, options in positionals:
             if run and options.get("nargs") == "+":
-                found[dest], run = [_typed(options, text) for text in run], []
+                # A run with no type and no choices is taken as it is.
+                typed = "type" in options or "choices" in options
+                found[dest] = [_typed(options, text) for text in run] if typed else run
+                run = []
             elif run:
                 found[dest], run = _typed(options, run[0]), run[1:]
             elif options.get("nargs") == "?":

@@ -371,8 +371,12 @@ INTERSECT_PARTS = st.sampled_from([
     "0", "-0", "+3", "-5", "007", "-0012/0004", "2/4", "+6/3", "10/15", "0/9",
     "9" * 4301, "-1/" + "3" * 4301, "7" * 4400 + "/" + "0" * 50 + "2" * 4350,
 ])
-BAD_PARTS = st.sampled_from(["1/0", "-3/00", "0/0", "", "x", "1.5", "1/-2", "+-1", " 1"])
+BAD_PARTS = st.sampled_from(["1/0", "-3/00", "0/0", "", "x", "1.5", "1/-2", "+-1", " 1",
+                            "\u0661", "1/\uff12"])  # Arabic-Indic 1, fullwidth 2
 BAD_LITERALS = st.sampled_from(["1,1", "1,1,1,1", "bad", "1,1,1\n", ""])
+# Tokens that hold a newline: joined by newlines, they would pass for more literals.
+NEWLINE_LITERALS = st.sampled_from(["1,1,1\n1,1,1", "1,1,1\n", "\n1,1,1", "\n", "1\n,1,1",
+                                    "2/4,1,1\n\n0,1,0"])
 
 
 @st.composite
@@ -402,6 +406,8 @@ def intersect_cases(draw):
 @example((2, ["1/0,2/0,1", "1,1,3/0", "x"], "text"))  # the first zero denominator
 @example((2, ["1,1,3/0", "1,1,1", "1,1,1", "1,1,1"], "json"))  # before the count
 @example((3, ["2/4,+1,-0", "0,2/2,0", "0,1,0", "0,1,0"], "json"))
+@example((1, ["1,1,1\n1,1,1"], "text"))  # one token, not g+1 literals
+@example((2, ["1,1,1\n1,1,1", "0,1,0"], "json"))
 def test_intersect_matches_reference(case):
     # Exit status, stdout and stderr of intersect equal those of a reference
     # that builds each class by the split parse and calls top_intersect.
@@ -410,6 +416,61 @@ def test_intersect_matches_reference(case):
         expected = reference_intersect(g, literals, fmt)
     argv = ["intersect", "-g", str(g), "--format", fmt, "--", *literals]
     assert outcome(main, argv) == expected
+
+
+@st.composite
+def literal_runs(draw):
+    """One to five class literals of ``INTERSECT_PARTS``, up to two of them
+    spoiled by a bad component, a bad comma count or a newline."""
+    literal = st.lists(INTERSECT_PARTS, min_size=3, max_size=3).map(",".join)
+    literals = draw(st.lists(literal, min_size=1, max_size=5))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(literals) - 1))
+        spoil = draw(st.sampled_from(["part", "literal", "newline", "joined"]))
+        if spoil == "part":
+            parts = literals[i].split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(BAD_PARTS)
+            literals[i] = ",".join(parts)
+        elif spoil == "literal":
+            literals[i] = draw(BAD_LITERALS)
+        elif spoil == "newline":
+            literals[i] = draw(NEWLINE_LITERALS)
+        else:  # two good literals in one token
+            literals[i] += "\n" + draw(literal)
+    return literals
+
+
+@settings(max_examples=300, deadline=None)
+@given(literal_runs())
+@example(["1,1,1\n1,1,1"])  # six rationals from one token
+@example(["1,1,1\n1,1,1", "0,1,0"])
+@example(["1,1,1", "\u0661,1,1"])
+@example(["1,1,1", "1,1/0,1"])
+@example(["-0012/0004,+3,0/9", "2/4,-0,007"])
+def test_run_reader_matches_per_literal(texts):
+    # One pass over the run gives each literal's integers as written, or
+    # None exactly where reading the literals one by one raises.
+    with digit_limit(0):
+        expected = parse_outcome(lambda: [cli._class_integers(text) for text in texts])
+        run = cli._run_integers(texts)
+    assert run == (expected if isinstance(expected, list) else None)
+
+
+def test_intersect_reads_a_good_run_in_one_pass(capsys, monkeypatch):
+    # Well-formed literals are read by the one pass alone; a malformed one
+    # sends them, in order, to the literal reader that words the diagnostic.
+    read = []
+
+    def literal(text, original=cli._class_integers):
+        read.append(text)
+        return original(text)
+
+    monkeypatch.setattr(cli, "_class_integers", literal)
+    assert run_cli(capsys, "intersect", "-g", "2", "1,1,1", "2/4,1,-1", "0,1,0")[0] == 0
+    assert read == []
+    code, _, err = run_cli(capsys, "intersect", "-g", "2", "1,1,1", "2/4,1,-1", "0,1/0,0")
+    assert (code, err) == (2, "error: zero denominator in rational literal '1/0'\n")
+    assert read == ["1,1,1", "2/4,1,-1", "0,1/0,0"]
 
 
 class TestClassify:
@@ -533,6 +594,31 @@ class TestValueCommands:
         assert lines[0] == "infimum 3/2 (~1.500000)"
         assert lines[1] == "t_star 1/8, s_star 1/32"
         assert lines[2] == "attained by witness (32,1,4), degree 32"
+
+    def test_minima_converts_each_component_once(self, capsys, monkeypatch):
+        # The witness's degree is its class's first component, printed from
+        # that component's text: three conversions for the bundle, two for
+        # s* and t*, three for the witness.  A Fraction is converted by str
+        # or by an f-string's format, which calls str on Python 3.10-3.12,
+        # so only the outermost call counts.
+        converted, depth = [], [0]
+
+        def counting(method):
+            def convert(x, *spec):
+                if not depth[0]:
+                    converted.append(x)
+                depth[0] += 1
+                try:
+                    return method(x, *spec)
+                finally:
+                    depth[0] -= 1
+            return convert
+
+        for name in ("__str__", "__format__"):
+            monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+        code, out, _ = run_cli(capsys, "minima", "-g", "2", "-L", "8,1,2")
+        assert code == 0 and out.endswith("attained by witness (32,1,4), degree 32\n")
+        assert len(converted) == 8
 
     def test_decompose(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "-g", "2", "-a", "3", "-b", "1", "-c", "1")
