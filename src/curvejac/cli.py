@@ -147,9 +147,14 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // d) if den == d else f"{num // d}/{den // d}"
 
 
+def _triple_text(a: str, b: str, c: str) -> str:
+    """A class's text, as ``str(NSClass)`` writes it, from its components' texts."""
+    return f"({a},{b},{c})"
+
+
 def _class_text(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> str:
     """``str(NSClass)`` of the class (an/ad, bn/bd, cn/cd), in lowest terms."""
-    return f"({_ratio_text(an, ad)},{_ratio_text(bn, bd)},{_ratio_text(cn, cd)})"
+    return _triple_text(_ratio_text(an, ad), _ratio_text(bn, bd), _ratio_text(cn, cd))
 
 
 def _ascii_int(text: str) -> int:
@@ -253,7 +258,7 @@ def _point_texts(point: PointClass) -> tuple:
     """The text of a point's class and of its degree, the class's first
     component: each component is converted to decimal once."""
     a, b, c = map(str, point.cls.coefficients)
-    return f"({a},{b},{c})", a
+    return _triple_text(a, b, c), a
 
 
 def _bundle_from(args: argparse.Namespace) -> NSClass:
@@ -583,10 +588,8 @@ def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
         run = run or argv[:lead]
         for dest, options in positionals:
             if run and options.get("nargs") == "+":
-                # A run with no type and no choices is taken as it is.
-                typed = "type" in options or "choices" in options
-                found[dest] = [_typed(options, text) for text in run] if typed else run
-                run = []
+                # '+' runs take no type, as argparse returns them.
+                found[dest], run = run, []
             elif run:
                 found[dest], run = _typed(options, run[0]), run[1:]
             elif options.get("nargs") == "?":

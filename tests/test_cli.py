@@ -1049,6 +1049,10 @@ class TestPlainReader:
         assert required == {action.dest for action in sub._actions
                             if action.option_strings and action.required}
         assert optional_run == any(action.nargs == "?" for action in sub._actions)
+        # The reader takes a '+' run as it is, as argparse does for an
+        # untyped, choice-free run.
+        assert all(not {"type", "choices"} & set(options)
+                   for _, options in positionals if options.get("nargs") == "+")
         assert defaults["compute"] is sub.get_default("compute")
 
     def test_calls_do_not_share_namespaces(self):
