@@ -75,7 +75,10 @@ MUTANTS = [
      "d = gcd(int(_EXACT.remainder(gf, q_dec)), q)", "d = 1",
      "tests/test_factored.py"),
     ("src/curvejac/cli.py",
-     "gf = _EXACT.multiply(gf, g)", "gf = _decimal_product(0, g)",
+     "self.gf = g, _EXACT.multiply(self.gf, g)", "self.gf = g, _decimal_product(0, g)",
+     "tests/test_cli.py::TestTable"),
+    ("src/curvejac/cli.py",
+     "if self.genus == g - 1:", "if self.genus == g:",
      "tests/test_cli.py::TestTable"),
     ("src/curvejac/cli.py",
      "_decimal_product(mid, hi)", "_decimal_product(mid + 1, hi)",

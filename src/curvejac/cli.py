@@ -23,12 +23,14 @@ the recurrence unreduced and builds its input classes' text, in lowest
 terms, only for ``--format json``, the one format that prints them; the
 other commands build an ``NSClass``.  Every rational is printed exactly as
 "p/q" (plain integer when q = 1).  A g!-sized value is g! times a small
-rational r from the library's ``_coeff`` functions: g! is built in decimal
-once per command (``_decimal_factorial``; ``table`` multiplies it by each
-later genus), g! * r goes to an exact ``Decimal`` numerator and denominator
-in lowest terms (``_times_factorial``), and its exact text and its six-place
-decimal annotation (``decimal_str``) are both formatted from that pair
-(``_printed``), so no g!-sized int is converted.
+rational r from the library's ``_coeff`` functions, and it has one writer
+per command, the ``_Scale`` that ``main`` hands to the compute function: it
+builds g! in decimal at the first genus asked for, after the kernel has
+run, and multiplies it by each later genus of ``table``'s rows; g! * r goes
+to an exact ``Decimal`` numerator and denominator in lowest terms
+(``_Scale.pair``), and its exact text and its six-place decimal annotation
+(``decimal_str``) are both formatted from that pair (``_Scale.printed``), so
+no g!-sized int is converted.  No compute function handles g! itself.
 Identical invocations produce identical bytes.
 """
 
@@ -47,7 +49,7 @@ from typing import Optional, Sequence
 from .cones import Region, classify, nef_decomposition
 from .heights import PointClass, height_curve_coeff, height_point_coeff, standard_polarization
 from .lattice import NSClass, _top_intersect_ints, pair_theta_power_coeff, pullback_theta
-from .minima import ZhangAudit, cone_minimum_coeff, witness_sequence, zhang_audit_coeff
+from .minima import cone_minimum_coeff, witness_sequence, zhang_audit_coeff
 
 __all__ = ["main"]
 
@@ -188,7 +190,7 @@ def _decimal_product(lo: int, hi: int) -> Decimal:
 
 def _decimal_factorial(g: int) -> Decimal:
     """g! as an exact ``Decimal``.  A genus that ``math.factorial`` would
-    refuse gets its diagnostic before any work."""
+    refuse gets its diagnostic before any work on g!."""
     if g > sys.maxsize:
         raise OverflowError(f"factorial() argument should not exceed {sys.maxsize}")
     return _decimal_product(0, g)
@@ -228,10 +230,26 @@ def decimal_str(num: Decimal, den: Decimal) -> str:
     return f"{sign}{digits[:-6]}.{digits[-6:]}"
 
 
-def _printed(gf: Decimal, r: Fraction) -> tuple:
-    """The exact text and the decimal annotation of g! * r, gf = g!."""
-    value = _times_factorial(gf, r)
-    return _exact_text(*value), decimal_str(*value)
+class _Scale:
+    """The one writer of a command's g!-sized values, g! * r for small
+    rationals r.  g! is built in decimal at the first genus asked for and
+    carried up one genus at a time after that, as ``table``'s rows ask."""
+
+    genus = gf = None
+
+    def pair(self, g: int, r: Fraction) -> tuple:
+        """g! * r as an exact numerator and denominator in lowest terms
+        (``_times_factorial``)."""
+        if self.genus == g - 1:
+            self.genus, self.gf = g, _EXACT.multiply(self.gf, g)
+        elif self.genus != g:
+            self.genus, self.gf = g, _decimal_factorial(g)
+        return _times_factorial(self.gf, r)
+
+    def printed(self, g: int, r: Fraction) -> tuple:
+        """The exact text and the six-place annotation of g! * r."""
+        value = self.pair(g, r)
+        return _exact_text(*value), decimal_str(*value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,7 +306,8 @@ _FORMAT = _arg("--format", dest="format", choices=("text", "csv", "json"), defau
                help="output format (csv is table-only)")
 
 # name -> (help, compute, arguments before --format), filled in --help order
-# by ``_command``.  Each compute maps parsed arguments to (record, text lines).
+# by ``_command``.  Each compute maps parsed arguments to (record, text lines),
+# writing every g!-sized value through the ``_Scale`` it is handed.
 _COMMANDS: dict = {}
 # name -> what ``_read_plain`` reads a line of that command with: flag ->
 # options, the positionals, the namespace's defaults, the required flags'
@@ -313,7 +332,7 @@ def _command(name: str, help_text: str, *arguments: tuple):
 
 
 @_command("classify", "locate a class in the positivity cones", _GENUS, *_COEFFS)
-def _classify(args: argparse.Namespace) -> tuple:
+def _classify(args: argparse.Namespace, scale: _Scale) -> tuple:
     cls = _class_from_coeffs(args)
     verdict = classify(cls)
     record = {
@@ -338,24 +357,24 @@ def _classify(args: argparse.Namespace) -> tuple:
     return record, [line]
 
 
-def _value(genus: int, r: Fraction, **inputs) -> tuple:
+def _value(scale: _Scale, genus: int, r: Fraction, **inputs) -> tuple:
     """Record and line of a command whose result is one rational, g! * r."""
     record = {"genus": genus, **inputs}
-    record["value"], record["decimal"] = _printed(_decimal_factorial(genus), r)
+    record["value"], record["decimal"] = scale.printed(genus, r)
     return record, ["{value} (~{decimal})".format_map(record)]
 
 
 @_command("pair", "pair two classes against theta powers", _GENUS,
           _arg("x", metavar="CLASS", help="first class 'a,b,c'"),
           _arg("y", metavar="CLASS", help="second class 'a,b,c'"))
-def _pair(args: argparse.Namespace) -> tuple:
+def _pair(args: argparse.Namespace, scale: _Scale) -> tuple:
     x, y = parse_class(args.x, args.genus), parse_class(args.y, args.genus)
-    return _value(args.genus, pair_theta_power_coeff(x, y), x=str(x), y=str(y))
+    return _value(scale, args.genus, pair_theta_power_coeff(x, y), x=str(x), y=str(y))
 
 
 @_command("intersect", "top intersection of g+1 classes", _GENUS,
           _arg("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'"))
-def _intersect(args: argparse.Namespace) -> tuple:
+def _intersect(args: argparse.Namespace, scale: _Scale) -> tuple:
     # The literals go straight to the recurrence's integers, all in one
     # pass.  If one is malformed they are read again in order, with the
     # genus checked after the first, so of a bad first literal, a bad genus
@@ -367,13 +386,13 @@ def _intersect(args: argparse.Namespace) -> tuple:
     r = _top_intersect_ints(args.genus, factors, later)
     # Only the JSON record shows the inputs; text output skips rendering them.
     inputs = {"classes": [_class_text(*f) for f in factors]} if args.format == "json" else {}
-    return _value(args.genus, r, **inputs)
+    return _value(scale, args.genus, r, **inputs)
 
 
 @_command("pullback", "theta pullback class for rational (m, n)", _GENUS,
           _arg("-m", "--m", dest="m", required=True, metavar="RAT"),
           _arg("-n", "--n", dest="n", required=True, metavar="RAT"))
-def _pullback(args: argparse.Namespace) -> tuple:
+def _pullback(args: argparse.Namespace, scale: _Scale) -> tuple:
     m, n = parse_rational(args.m), parse_rational(args.n)
     cls = pullback_theta(args.genus, m, n)
     record = {
@@ -387,7 +406,7 @@ def _pullback(args: argparse.Namespace) -> tuple:
 
 
 @_command("decompose", "split a nef class off the boundary wall", _GENUS, *_COEFFS)
-def _decompose(args: argparse.Namespace) -> tuple:
+def _decompose(args: argparse.Namespace, scale: _Scale) -> tuple:
     cls = _class_from_coeffs(args)
     part = nef_decomposition(cls)
     record = {
@@ -404,10 +423,10 @@ def _decompose(args: argparse.Namespace) -> tuple:
 
 @_command("height", "height of a point class against a bundle", _GENUS, _BUNDLE,
           _arg("point", metavar="CLASS", help="point class 'a,b,c'"))
-def _height(args: argparse.Namespace) -> tuple:
+def _height(args: argparse.Namespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
     point = PointClass(parse_class(args.point, args.genus))
-    height, height_dec = _printed(_decimal_factorial(args.genus), height_point_coeff(L, point))
+    height, height_dec = scale.printed(args.genus, height_point_coeff(L, point))
     point_text, degree = _point_texts(point)
     record = {
         "genus": args.genus,
@@ -422,23 +441,18 @@ def _height(args: argparse.Namespace) -> tuple:
 
 
 @_command("curve-height", "self-height of the total space", _GENUS, _BUNDLE)
-def _curve_height(args: argparse.Namespace) -> tuple:
+def _curve_height(args: argparse.Namespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
-    height, height_dec = _printed(_decimal_factorial(args.genus), height_curve_coeff(L))
-    record = {
-        "genus": args.genus,
-        "bundle": str(L),
-        "height": height,
-        "height_dec": height_dec,
-    }
+    record = {"genus": args.genus, "bundle": str(L)}
+    record["height"], record["height_dec"] = scale.printed(args.genus, height_curve_coeff(L))
     return record, ["curve height {height} (~{height_dec})".format_map(record)]
 
 
 @_command("minima", "closed-form cone minimum and minimizer", _GENUS, _BUNDLE)
-def _minima(args: argparse.Namespace) -> tuple:
+def _minima(args: argparse.Namespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
     report = cone_minimum_coeff(L)
-    infimum, infimum_dec = _printed(_decimal_factorial(args.genus), report.infimum)
+    infimum, infimum_dec = scale.printed(args.genus, report.infimum)
     witness, degree = _point_texts(report.witness)
     record = {
         "genus": args.genus,
@@ -460,7 +474,7 @@ def _minima(args: argparse.Namespace) -> tuple:
 @_command("witness", "n-th attaining point class for the minimum", _GENUS,
           _arg("-n", "--index", dest="index", type=_ascii_int, required=True,
                help="witness index (>= 1)"))
-def _witness(args: argparse.Namespace) -> tuple:
+def _witness(args: argparse.Namespace, scale: _Scale) -> tuple:
     point = witness_sequence(args.genus, args.index)
     r = height_point_coeff(standard_polarization(args.genus), point)
     point_text, degree = _point_texts(point)
@@ -469,24 +483,25 @@ def _witness(args: argparse.Namespace) -> tuple:
         "n": args.index,
         "class": point_text,
         "degree": degree,
-        "height": _exact_text(*_times_factorial(_decimal_factorial(args.genus), r)),
+        "height": _exact_text(*scale.pair(args.genus, r)),
     }
     return record, ["{class}, degree {degree}, height {height}".format_map(record)]
 
 
-def _audit_record(audit: ZhangAudit, gf: Decimal) -> dict:
-    """Values of one audit from ``zhang_audit_coeff``, gf = g!.
+def _audit_record(scale: _Scale, L: NSClass) -> dict:
+    """Values of the audit of L (``zhang_audit_coeff``).
 
     The kernel sets e2 = e1, so e2 and the mean print e1's strings.
     """
-    e1, e1_dec = _printed(gf, audit.e1)
-    h, h_dec = _printed(gf, audit.h_curve)
+    g, audit = L.genus, zhang_audit_coeff(L)
+    e1, e1_dec = scale.printed(g, audit.e1)
+    h, h_dec = scale.printed(g, audit.h_curve)
     return {
         "e1": e1,
         "e2": e1,
         "h": h,
         "mean": e1,
-        "margin": _exact_text(*_times_factorial(gf, audit.violation_margin)),
+        "margin": _exact_text(*scale.pair(g, audit.violation_margin)),
         "e1_dec": e1_dec,
         "h_dec": h_dec,
         "first_inequality_holds": audit.first_inequality_holds,
@@ -496,10 +511,9 @@ def _audit_record(audit: ZhangAudit, gf: Decimal) -> dict:
 
 
 @_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
-def _audit(args: argparse.Namespace) -> tuple:
+def _audit(args: argparse.Namespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
-    values = _audit_record(zhang_audit_coeff(L), _decimal_factorial(args.genus))
-    record = {"genus": args.genus, "bundle": str(L), **values}
+    record = {"genus": args.genus, "bundle": str(L), **_audit_record(scale, L)}
     lines = [
         f"class {record['bundle']}, genus {record['genus']}",
         f"e1 = {record['e1']} (~{record['e1_dec']})",
@@ -524,7 +538,7 @@ _TABLE_COLUMNS = ["g", "e1", "e2", "h", "mean", "margin", "e1_dec", "h_dec"]
 @_command("table", "audit table over a genus range",
           _arg("g_min", nargs="?", type=_ascii_int, default=DEFAULT_TABLE_RANGE[0]),
           _arg("g_max", nargs="?", type=_ascii_int, default=DEFAULT_TABLE_RANGE[1]))
-def _table(args: argparse.Namespace) -> tuple:
+def _table(args: argparse.Namespace, scale: _Scale) -> tuple:
     g_min, g_max = args.g_min, args.g_max
     if g_min < 2:
         raise CLIError(f"table range must start at genus >= 2, got {g_min}")
@@ -532,9 +546,7 @@ def _table(args: argparse.Namespace) -> tuple:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
     rows = []
     for g in range(g_min, g_max + 1):
-        # g! in decimal once, at g_min, then carried to each later genus.
-        gf = _EXACT.multiply(gf, g) if g > g_min else _decimal_factorial(g)
-        values = _audit_record(zhang_audit_coeff(standard_polarization(g)), gf)
+        values = _audit_record(scale, standard_polarization(g))
         rows.append({"g": g, **{col: values[col] for col in _TABLE_COLUMNS[1:]}})
     cells = [_TABLE_COLUMNS]
     cells += ([str(row[col]) for col in _TABLE_COLUMNS] for row in rows)
@@ -634,8 +646,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     limit on int/str conversion is lifted while the command runs, so input
     literals of any length are accepted too, and the caller's limit is
     restored on return.  The limit is process-wide, so concurrent calls from
-    several threads would see each other's setting.  A genus past
-    ``sys.maxsize`` gets ``math.factorial``'s one-line diagnostic.  A genus
+    several threads would see each other's setting.  The compute function
+    writes its g!-sized values through the one ``_Scale`` it is handed, which
+    builds g! after the kernel has run, so a refused input gets the kernel's
+    diagnostic at any genus.  A genus past ``sys.maxsize`` gets
+    ``math.factorial``'s one-line diagnostic before any work on g!.  A genus
     just under 2^63 passes that check and builds g! until it is killed: no
     digit budget bounds the work yet (ROADMAP item 3).
     """
@@ -648,7 +663,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = build_parser().parse_args(argv)
         if args.format == "csv" and args.command != "table":
             raise CLIError("csv output is only available for the 'table' command")
-        record, lines = args.compute(args)
+        record, lines = args.compute(args, _Scale())
         if args.format == "json":
             import json  # here, not at the top: other formats skip its import
             lines = [json.dumps(record)]

@@ -11,6 +11,7 @@ from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial, perm
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -36,6 +37,7 @@ def run_cli(capsys, *argv):
 
 # 2^63: past the C long that math.factorial takes, on every platform.
 HUGE_GENUS = str(2**63)
+FACTORIAL_REFUSED = f"factorial() argument should not exceed {sys.maxsize}"
 
 
 # Pieces of class literal components: signs, leading zeros, zero
@@ -652,24 +654,45 @@ class TestErrorPaths:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["audit", "-g", HUGE_GENUS],
-            ["minima", "-g", HUGE_GENUS],
-            ["curve-height", "-g", HUGE_GENUS],
-            ["height", "-g", HUGE_GENUS, "1,1,0"],
-            ["pair", "-g", HUGE_GENUS, "1,1,1", "1,1,1"],
-            ["witness", "-g", HUGE_GENUS, "-n", "1"],
-            ["table", HUGE_GENUS, HUGE_GENUS],
+            *(pytest.param(argv, FACTORIAL_REFUSED, id=argv[0]) for argv in [
+                ["audit", "-g", HUGE_GENUS],
+                ["minima", "-g", HUGE_GENUS],
+                ["curve-height", "-g", HUGE_GENUS],
+                ["height", "-g", HUGE_GENUS, "1,1,0"],
+                ["pair", "-g", HUGE_GENUS, "1,1,1", "1,1,1"],
+                ["witness", "-g", HUGE_GENUS, "-n", "1"],
+                ["table", HUGE_GENUS, HUGE_GENUS],
+            ]),
+            # g! is built after the kernel has run, so an input refused for
+            # its own sake gets that diagnostic at any genus.  pair's kernel
+            # refuses nothing, so its input is refused by the literal reader,
+            # and table's by its range check.
+            *(pytest.param(argv, message, id=f"{argv[0]}-refused") for argv, message in [
+                (["audit", "-g", HUGE_GENUS, "-L", "1,1,1"],
+                 f"cone_minimum needs a nef class, got (1,1,1) with defect {1 - 2**63}"),
+                (["minima", "-g", HUGE_GENUS, "-L", "1,1,1"],
+                 f"cone_minimum needs a nef class, got (1,1,1) with defect {1 - 2**63}"),
+                (["curve-height", "-g", HUGE_GENUS, "-L", "0,1,0"],
+                 "curve height needs positive generic degree, got 0"),
+                (["height", "-g", HUGE_GENUS, "0,1,0"],
+                 "point class needs positive degree, got a = 0"),
+                (["pair", "-g", HUGE_GENUS, "1,1/0,1", "1,1,1"],
+                 "zero denominator in rational literal '1/0'"),
+                (["intersect", "-g", HUGE_GENUS, "1,1,1"],
+                 f"top_intersect at genus {HUGE_GENUS} needs exactly {2**63 + 1} classes,"
+                 " got 1"),
+                (["witness", "-g", HUGE_GENUS, "-n", "0"],
+                 "witness index must be a positive integer, got 0"),
+                (["table", HUGE_GENUS, "2"], f"empty table range: {HUGE_GENUS} > 2"),
+            ]),
         ],
-        ids=lambda argv: argv[0],
     )
-    def test_genus_past_factorial(self, capsys, argv):
+    def test_genus_past_factorial(self, capsys, argv, message):
         # math.factorial refuses 2^63 with OverflowError: a diagnostic, not
         # a traceback.
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_genus_past_factorial_exits_at_once(self):
         # The genus is checked before any work on g!, so a whole process
@@ -801,16 +824,8 @@ def test_fuzz_argv_one_outcome(data):
 def full_parser_main(argv):
     """``main`` with every command line parsed by ``build_parser``'s full
     parser, never by ``_read_plain``."""
-    try:
-        args = cli.build_parser().parse_args(argv)
-        if args.format == "csv" and args.command != "table":
-            raise CLIError("csv output is only available for the 'table' command")
-        record, lines = args.compute(args)
-    except (CLIError, ValueError, OverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(json.dumps(record) if args.format == "json" else "\n".join(lines))
-    return 0
+    with mock.patch.object(cli, "_read_plain", return_value=None):
+        return main(argv)
 
 
 @settings(max_examples=300, deadline=None)

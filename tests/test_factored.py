@@ -1,11 +1,12 @@
 """The factored route: every height-like value is g! times a rational r.
 
 The public functions return g! times their ``_coeff`` forms, and the
-command line renders g! * r from one exact decimal of g!, built by a product
-tree, as an exact decimal numerator and a denominator.  Both are checked
-here against g! * r formed with ``math.factorial`` and ``str``, at genus
-2..2000 and at a few genera past 4000, where the tree has several levels;
-the renderer's decimal annotation is checked against an int ``divmod``.
+command line's one writer (``_Scale``) renders g! * r from one exact decimal
+of g!, built by a product tree, as an exact decimal numerator and a
+denominator.  Both are checked here against g! * r formed with
+``math.factorial`` and ``str``, at genus 2..2000 and at a few genera past
+4000, where the tree has several levels; the renderer's decimal annotation
+is checked against an int ``divmod``.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
-from curvejac.cli import _decimal_factorial, _exact_text, _times_factorial, decimal_str, main
+from curvejac.cli import _exact_text, _Scale, decimal_str, main
 from curvejac.heights import (PointClass, height_curve, height_curve_coeff, height_point,
                               height_point_coeff, standard_polarization)
 from curvejac.lattice import (NSClass, alpha1, pair_theta_power, pair_theta_power_coeff,
@@ -54,7 +55,7 @@ def expanded(g, r):
 
 def factored(g, r):
     """The text of g! * r from the command line's renderer at genus g."""
-    value = _times_factorial(_decimal_factorial(g), r)
+    value = _Scale().pair(g, r)
     with no_digit_limit():  # as ``main`` lifts it around each command
         return _exact_text(*value)
 
@@ -112,10 +113,23 @@ class TestFactoredText:
         # Past genus ~125 g! is a tree of leaves of at most 1000 bits; at
         # these genera it has several levels.
         r = data.draw(multipliers(g))
-        value = _times_factorial(_decimal_factorial(g), r)
+        value = _Scale().pair(g, r)
         with no_digit_limit():
             assert _exact_text(*value) == expanded(g, r)
             assert decimal_str(*value) == half_even_decimal(factorial(g) * r)
+
+    def test_one_writer_at_any_genera(self):
+        # A command's one writer asked for genera in any order: again at the
+        # same genus, one genus up (the carried g!), a jump up, a jump down.
+        scale = _Scale()
+        for g, r in [(5, Fraction(1)), (5, Fraction(-7, 4)), (6, Fraction(1, 2003)),
+                     (7, Fraction(3)), (7, Fraction(3)), (12, Fraction(-5, 11)),
+                     (3, Fraction(1, 6)), (4, Fraction(0)), (2000, Fraction(1, 3)),
+                     (2001, Fraction(-1, 2)), (2, Fraction(7))]:
+            value = scale.pair(g, r)
+            with no_digit_limit():
+                assert _exact_text(*value) == expanded(g, r)
+            assert scale.printed(g, r) == (_exact_text(*value), decimal_str(*value))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 1990), st.integers(0, 10))

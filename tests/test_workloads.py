@@ -1,0 +1,69 @@
+"""The benchmark's operations, run against the command line in tier 1.
+
+Every operation of each workload at seeds 1-3 goes through ``cli.main`` in
+this process, with stdout and stderr captured as ``benchmark/run.py``'s
+``call`` captures them.  Each must exit 0, write nothing to stderr and pass
+``checks.check`` at the interpreter's default digit limit.  ``run.py`` itself
+exits 0 whatever its operations do, and its ``call`` catches only
+``Exception``; so a ``BaseException`` out of ``main``, a check that raises
+anything but ``CheckError``, or a failed set-up probe ends a benchmark run
+with a nonzero status.  One short run of ``run.py`` in a subprocess must exit
+0 and report every output correct.  The benchmark's modules are imported
+from ``benchmark/`` and only read.
+"""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from curvejac import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmark"))
+
+from checks import check  # noqa: E402
+from workloads import WORKLOADS, make_ops  # noqa: E402
+
+
+@contextlib.contextmanager
+def default_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_op_exits_zero_and_checks(workload, seed):
+    with default_digit_limit():
+        for op in make_ops(workload, seed):
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    status = cli.main(list(op.argv))
+            except BaseException as exc:
+                pytest.fail(f"{list(op.argv)} raised {type(exc).__name__}: {exc}")
+            assert (status, err.getvalue()) == (0, ""), list(op.argv)
+            try:
+                check(op, out.getvalue())
+            except BaseException as exc:
+                pytest.fail(f"{list(op.argv)} failed its check: {type(exc).__name__}: {exc}")
+
+
+def test_benchmark_run_exits_zero():
+    result = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", "audit_sweep", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), result.stderr
