@@ -39,9 +39,6 @@ MUTANTS = [
     ("src/curvejac/lattice.py",
      "if len(factors) != g + 1:", "if len(factors) > g + 1:",
      "tests/test_lattice.py::TestTopIntersect"),
-    ("src/curvejac/lattice.py",
-     "    _check_genus(g)\n    factors.extend(later)", "    factors.extend(later)",
-     "tests/test_cli.py::test_intersect_matches_reference"),
     ("src/curvejac/minima.py",
      "n, m = ((cn // k) * (ad // j),", "n, m = (2 * (cn // k) * (ad // j),",
      "tests/test_minima.py"),
@@ -72,7 +69,7 @@ MUTANTS = [
      "if double >= den:",
      "tests/test_cli.py::TestDecimalAnnotation"),
     ("src/curvejac/cli.py",
-     "d = gcd(int(_EXACT.remainder(gf, q_dec)), q)", "d = 1",
+     "d = gcd(int(_EXACT.remainder(self.gf, q_dec)), q)", "d = 1",
      "tests/test_factored.py"),
     ("src/curvejac/cli.py",
      "self.gf = g, _EXACT.multiply(self.gf, g)", "self.gf = g, _decimal_product(0, g)",
@@ -119,6 +116,9 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      "d = gcd(num, den)", "d = 1",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),
+    ("src/curvejac/cli.py",
+     "        _check_genus(args.genus)\n", "",
+     "tests/test_cli.py::test_intersect_matches_reference"),
     ("src/curvejac/cli.py",
      'if args.format == "json" else {}', "if args.format else {}",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),

@@ -18,20 +18,22 @@ literal 'a,b,c' is read in one regular-expression match to its six integers
 as written.  ``intersect`` reads its whole run of literals in one match, of
 the run joined by newlines, then converts the integers (``_run_integers``);
 only a malformed literal sends the run to the one-literal reader, in order,
-so its diagnostics and their order are unchanged.  It hands the integers to
-the recurrence unreduced and builds its input classes' text, in lowest
-terms, only for ``--format json``, the one format that prints them; the
-other commands build an ``NSClass``.  Every rational is printed exactly as
-"p/q" (plain integer when q = 1).  A g!-sized value is g! times a small
-rational r from the library's ``_coeff`` functions, and it has one writer
-per command, the ``_Scale`` that ``main`` hands to the compute function: it
-builds g! in decimal at the first genus asked for, after the kernel has
-run, and multiplies it by each later genus of ``table``'s rows; g! * r goes
-to an exact ``Decimal`` numerator and denominator in lowest terms
-(``_Scale.pair``), and its exact text and its six-place decimal annotation
-(``decimal_str``) are both formatted from that pair (``_Scale.printed``), so
-no g!-sized int is converted.  No compute function handles g! itself.
-Identical invocations produce identical bytes.
+with the genus checked after the first literal, so of a bad first literal,
+a bad genus and a bad later literal the first is reported.  It hands the
+integers to the recurrence unreduced and builds its input classes' text, in
+lowest terms, only for ``--format json``, the one format that prints them;
+the other commands build an ``NSClass``.  Every class is written '(a,b,c)'
+by the lattice's ``_triple_text``, and every rational exactly as "p/q"
+(plain integer when q = 1).  A g!-sized value is g! times a small rational
+r from the library's ``_coeff`` functions, and it has one writer per
+command, the ``_Scale`` that ``main`` hands to the compute function, whose
+``pair`` is the whole g! route: it builds g! in decimal at the first genus
+asked for, after the kernel has run, multiplies it by each later genus of
+``table``'s rows, and turns g! * r into an exact ``Decimal`` numerator and
+denominator in lowest terms.  The exact text and the six-place decimal
+annotation (``decimal_str``) are both formatted from that pair
+(``_Scale.printed``), so no g!-sized int is converted.  No compute function
+handles g! itself.  Identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
 from .heights import PointClass, height_curve_coeff, height_point_coeff, standard_polarization
-from .lattice import NSClass, _top_intersect_ints, pair_theta_power_coeff, pullback_theta
+from .lattice import (NSClass, _check_genus, _top_intersect_ints, _triple_text,
+                      pair_theta_power_coeff, pullback_theta)
 from .minima import cone_minimum_coeff, witness_sequence, zhang_audit_coeff
 
 __all__ = ["main"]
@@ -149,11 +152,6 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // d) if den == d else f"{num // d}/{den // d}"
 
 
-def _triple_text(a: str, b: str, c: str) -> str:
-    """A class's text, as ``str(NSClass)`` writes it, from its components' texts."""
-    return f"({a},{b},{c})"
-
-
 def _class_text(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> str:
     """``str(NSClass)`` of the class (an/ad, bn/bd, cn/cd), in lowest terms."""
     return _triple_text(_ratio_text(an, ad), _ratio_text(bn, bd), _ratio_text(cn, cd))
@@ -188,26 +186,6 @@ def _decimal_product(lo: int, hi: int) -> Decimal:
     return _EXACT.multiply(_decimal_product(lo, mid), _decimal_product(mid, hi))
 
 
-def _decimal_factorial(g: int) -> Decimal:
-    """g! as an exact ``Decimal``.  A genus that ``math.factorial`` would
-    refuse gets its diagnostic before any work on g!."""
-    if g > sys.maxsize:
-        raise OverflowError(f"factorial() argument should not exceed {sys.maxsize}")
-    return _decimal_product(0, g)
-
-
-def _times_factorial(gf: Decimal, r: Fraction) -> tuple:
-    """g! * r as (numerator, denominator) in lowest terms, two exact integral
-    ``Decimal``s, for gf = g! from ``_decimal_factorial``.
-
-    g! p/q in lowest terms has numerator (g!/d) p, d = gcd(g!, q), and d is
-    gcd(g! mod q, q), so no binary g! is needed."""
-    q, q_dec = r.denominator, Decimal(r.denominator)
-    d = gcd(int(_EXACT.remainder(gf, q_dec)), q)
-    return (_EXACT.multiply(_EXACT.divide_int(gf, d), r.numerator),
-            _EXACT.divide_int(q_dec, d))
-
-
 def _exact_text(num: Decimal, den: Decimal) -> str:
     """``str(Fraction(num, den))`` of a pair in lowest terms."""
     return str(num) if den == 1 else f"{num}/{den}"
@@ -232,19 +210,31 @@ def decimal_str(num: Decimal, den: Decimal) -> str:
 
 class _Scale:
     """The one writer of a command's g!-sized values, g! * r for small
-    rationals r.  g! is built in decimal at the first genus asked for and
-    carried up one genus at a time after that, as ``table``'s rows ask."""
+    rationals r.  ``pair`` holds the whole route: g! is built in decimal at
+    the first genus asked for and carried up one genus at a time after
+    that, as ``table``'s rows ask."""
 
     genus = gf = None
 
     def pair(self, g: int, r: Fraction) -> tuple:
-        """g! * r as an exact numerator and denominator in lowest terms
-        (``_times_factorial``)."""
+        """g! * r as (numerator, denominator) in lowest terms, two exact
+        integral ``Decimal``s.
+
+        A genus that ``math.factorial`` would refuse gets its diagnostic
+        before any work on g!.  g! p/q in lowest terms has numerator
+        (g!/d) p, d = gcd(g!, q), and d is gcd(g! mod q, q), so no binary g!
+        is needed.
+        """
         if self.genus == g - 1:
             self.genus, self.gf = g, _EXACT.multiply(self.gf, g)
         elif self.genus != g:
-            self.genus, self.gf = g, _decimal_factorial(g)
-        return _times_factorial(self.gf, r)
+            if g > sys.maxsize:
+                raise OverflowError(f"factorial() argument should not exceed {sys.maxsize}")
+            self.genus, self.gf = g, _decimal_product(0, g)
+        q, q_dec = r.denominator, Decimal(r.denominator)
+        d = gcd(int(_EXACT.remainder(self.gf, q_dec)), q)
+        return (_EXACT.multiply(_EXACT.divide_int(self.gf, d), r.numerator),
+                _EXACT.divide_int(q_dec, d))
 
     def printed(self, g: int, r: Fraction) -> tuple:
         """The exact text and the six-place annotation of g! * r."""
@@ -379,11 +369,12 @@ def _intersect(args: argparse.Namespace, scale: _Scale) -> tuple:
     # pass.  If one is malformed they are read again in order, with the
     # genus checked after the first, so of a bad first literal, a bad genus
     # and a bad later literal, the first in that order is reported.
-    factors, later = _run_integers(args.classes), ()
+    factors = _run_integers(args.classes)
     if factors is None:
-        texts = iter(args.classes)
-        factors, later = [_class_integers(next(texts))], map(_class_integers, texts)
-    r = _top_intersect_ints(args.genus, factors, later)
+        first = _class_integers(args.classes[0])
+        _check_genus(args.genus)
+        factors = [first, *map(_class_integers, args.classes[1:])]
+    r = _top_intersect_ints(args.genus, factors)
     # Only the JSON record shows the inputs; text output skips rendering them.
     inputs = {"classes": [_class_text(*f) for f in factors]} if args.format == "json" else {}
     return _value(scale, args.genus, r, **inputs)

@@ -126,6 +126,12 @@ class _Frozen:
         return type(self), self._fields()
 
 
+def _triple_text(a, b, c) -> str:
+    """A class's text '(a,b,c)' from its three components or their texts:
+    the one writer of that format, for ``str(NSClass)`` and the CLI."""
+    return f"({a},{b},{c})"
+
+
 class NSClass(_Frozen):
     """A divisor class a*alpha1 + b*theta2 + c*Q in genus-g coordinates.
 
@@ -178,7 +184,7 @@ class NSClass(_Frozen):
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.c})"
+        return _triple_text(self.a, self.b, self.c)
 
     def __repr__(self) -> str:
         return f"NSClass(genus={self.genus}, a={self.a}, b={self.b}, c={self.c})"
@@ -237,16 +243,10 @@ def top_intersect_coeff(classes: Sequence[NSClass]) -> Fraction:
     return _top_intersect_ints(g, list(map(_integer_ratios, classes)))
 
 
-def _top_intersect_ints(g: int, factors: list, later: Iterable[tuple] = ()) -> Fraction:
+def _top_intersect_ints(g: int, factors: Sequence[tuple]) -> Fraction:
     """``top_intersect`` divided by g! of factors given as ``_recurrence``
-    takes them, with the genus check and the g+1 count check.
-
-    ``factors`` is extended in place by ``later``, which is drawn after the
-    genus check: a caller that reads its inputs as they are drawn reports a
-    bad first input, then a bad genus, then a bad later input.
-    """
+    takes them, with the genus check and the g+1 count check."""
     _check_genus(g)
-    factors.extend(later)
     if len(factors) != g + 1:
         raise ValueError(
             f"top_intersect at genus {g} needs exactly {g + 1} classes, "

@@ -250,17 +250,17 @@ class TestTopIntersect:
         assert Fraction(*_recurrence(factors)) == dict_top_intersect(classes) / factorial(g)
 
     def test_integer_entry_checks(self):
-        # The entry the command line calls checks the genus, before drawing
-        # the later factors, and the count.
+        # The entry the command line calls checks the genus, then the count,
+        # and leaves the factors it is handed as they were.
         one = (1, 1, 1, 1, 1, 1)
-        later = iter([one])
         for g in (1, 0, -3):
             with pytest.raises(ValueError, match="genus must be >= 2"):
-                _top_intersect_ints(g, [one], later)
-        assert next(later) == one
+                _top_intersect_ints(g, [one] * 3)
         with pytest.raises(ValueError, match="needs exactly 3 classes, got 2"):
-            _top_intersect_ints(2, [one], [one])
-        assert _top_intersect_ints(2, [one], [one, (0, 1, 1, 1, 1, 1)]) == -4
+            _top_intersect_ints(2, [one, one])
+        factors = [one, one, (0, 1, 1, 1, 1, 1)]
+        assert _top_intersect_ints(2, factors) == -4
+        assert factors == [one, one, (0, 1, 1, 1, 1, 1)]
 
     @given(st.data(), st.integers(min_value=2, max_value=5))
     @settings(max_examples=60)

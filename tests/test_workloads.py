@@ -8,13 +8,16 @@ exits 0 whatever its operations do, and its ``call`` catches only
 ``Exception``; so a ``BaseException`` out of ``main``, a check that raises
 anything but ``CheckError``, or a failed set-up probe ends a benchmark run
 with a nonzero status.  One short run of ``run.py`` in a subprocess must exit
-0 and report every output correct.  The benchmark's modules are imported
-from ``benchmark/`` and only read.
+0 and report every output correct.  ``run.py`` writes its result under its
+own directory, so that run is made from a copy of ``src/`` and
+``benchmark/``, and the checkout's results are left as they are.  The
+benchmark's modules are imported from ``benchmark/`` and only read.
 """
 
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,12 +61,24 @@ def test_every_op_exits_zero_and_checks(workload, seed):
                 pytest.fail(f"{list(op.argv)} failed its check: {type(exc).__name__}: {exc}")
 
 
-def test_benchmark_run_exits_zero():
+def results(directory: Path) -> dict:
+    """Each file under ``directory`` with its size and modification time."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns)
+            for p in directory.rglob("*") if p.is_file()}
+
+
+def test_benchmark_run_exits_zero(tmp_path):
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", "out")
+    for name in ("src", "benchmark"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    recorded = results(ROOT / "benchmark" / "out")
     result = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", "audit_sweep", "--seed", "1",
          "--seconds", "1", "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     last = json.loads(result.stdout.splitlines()[-1])
     assert (last["correct"], last["failed"]) == (True, 0), result.stderr
+    assert (tmp_path / "benchmark" / "out" / "result-audit_sweep-seed1-trace0.json").is_file()
+    assert results(ROOT / "benchmark" / "out") == recorded
