@@ -13,13 +13,13 @@ option-like), each at most once, and one run of positionals that opens the
 line, follows every option, or follows a single '--' with tokens after it
 (``table``'s optional bounds only in a run that opens the line), each value
 of its type and choices.  Any other line, -h, abbreviations, '-g3' and every
-diagnostic included, goes to ``build_parser``'s full parser.  A class
-literal 'a,b,c' is read in one regular-expression match to its six integers
-as written.  ``intersect`` reads its whole run of literals in one match, of
-the run joined by newlines, then converts the integers (``_run_integers``);
-only a malformed literal sends the run to the one-literal reader, in order,
-with the genus checked after the first literal, so of a bad first literal,
-a bad genus and a bad later literal the first is reported.  It hands the
+diagnostic included, goes to ``build_parser``'s full parser.  Every class
+literal 'a,b,c' is read by one reader, ``_class_integers``: a run of them,
+joined by newlines, in one regular-expression match, then its six integers
+per literal as written; a malformed run is read in order only to word the
+first bad literal's diagnostic.  On that diagnostic ``intersect`` checks
+its first literal and then the genus, so of a bad first literal, a bad
+genus and a bad later literal the first is reported.  It hands the
 integers to the recurrence unreduced and builds its input classes' text, in
 lowest terms, only for ``--format json``, the one format that prints them;
 the other commands build an ``NSClass``.  Every class is written '(a,b,c)'
@@ -59,11 +59,9 @@ __all__ = ["main"]
 DEFAULT_TABLE_RANGE = (2, 12)
 
 # ASCII digits only: \d and int() would also take other scripts' digits.
-# Groups: numerator, then denominator (None without '/q').
 _NUMERATOR, _DENOMINATOR = r"[+-]?\d+", r"\d+"
-_RATIONAL = rf"({_NUMERATOR})(?:/({_DENOMINATOR}))?"
-_RATIONAL_RE = re.compile(_RATIONAL, re.ASCII)
-_CLASS_RE = re.compile(",".join([_RATIONAL] * 3), re.ASCII)
+# Groups: numerator, then denominator (None without '/q').
+_RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/({_DENOMINATOR}))?", re.ASCII)
 # Class literals joined by newlines, in the same grammar without groups.
 _BARE_CLASS = ",".join([rf"{_NUMERATOR}(?:/{_DENOMINATOR})?"] * 3)
 _RUN_RE = re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*", re.ASCII)
@@ -75,65 +73,42 @@ class CLIError(Exception):
     """User-facing error: one-line diagnostic, nonzero exit."""
 
 
-def _integers(match: re.Match) -> tuple:
-    """The integers n1, d1, n2, d2, ... of a matched literal's rationals, as
-    written (unreduced, an absent '/q' read as 1), after a check that no
-    denominator is zero; the first zero one words the diagnostic."""
-    ints = tuple(map(int, match.groups("1")))
-    if 0 in ints[1::2]:
-        i = 2 * ints[1::2].index(0) + 1  # group of that rational's numerator
-        num, den = match.group(i, i + 1)
-        raise CLIError(f"zero denominator in rational literal {num + '/' + den!r}")
-    return ints
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional leading sign, no whitespace."""
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise CLIError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
-    return Fraction(*_integers(match))
+    num, den = map(int, match.groups("1"))
+    if den == 0:
+        raise CLIError(f"zero denominator in rational literal {text!r}")
+    return Fraction(num, den)
 
 
-def _class_integers(text: str) -> tuple:
-    """The six integers (an, ad, bn, bd, cn, cd) of a class literal 'a,b,c',
-    as written: one match of the whole literal, then one ``int`` per part.
-
-    Time linear in the literal's length on top of the int conversions
-    (quadratic in a part's digits on Python 3.10 and 3.11).
-    """
-    match = _CLASS_RE.fullmatch(text)
-    if match is None:
-        # Only to word the diagnostic, as a split into components does:
-        # a wrong comma count, else the first bad component's message.
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
-        for part in parts:
-            parse_rational(part)  # some component does not match, so this raises
-    return _integers(match)
-
-
-def _run_integers(texts: list) -> Optional[list]:
-    """``[_class_integers(t) for t in texts]`` read in one pass, or None
-    where that would raise.
+def _class_integers(texts: list) -> list:
+    """The six integers (an, ad, bn, bd, cn, cd) of each class literal
+    'a,b,c' in ``texts``, as written (unreduced, an absent '/q' read as 1).
 
     One match checks the literals joined by newlines, and the count of
     rationals, three per literal, refuses a literal that itself holds a
-    newline; then one split and one ``int`` per integer.  None leaves the
-    diagnostic to ``_class_integers`` on each literal in turn.
+    newline; then one split and one ``int`` per integer.  Time linear in
+    the run's length on top of the int conversions (quadratic in a part's
+    digits on Python 3.10 and 3.11).
     """
     run = "\n".join(texts)
-    if _RUN_RE.fullmatch(run) is None:
-        return None
     parts = run.replace("\n", ",").split(",")
-    if len(parts) != 3 * len(texts):
-        return None
-    # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
-    ints = list(map(int, "/".join([p if "/" in p else p + "/1" for p in parts]).split("/")))
-    if not all(ints[1::2]):  # a zero denominator
-        return None
-    return list(zip(*[iter(ints)] * 6))
+    if _RUN_RE.fullmatch(run) and len(parts) == 3 * len(texts):
+        # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
+        ints = list(map(int, "/".join([p if "/" in p else p + "/1" for p in parts]).split("/")))
+        if all(ints[1::2]):  # else a zero denominator
+            return list(zip(*[iter(ints)] * 6))
+    # Only to word the diagnostic, as a split into components does: the
+    # first bad literal's wrong comma count, else its first bad component's
+    # message.  Some literal is bad, so this raises.
+    for text in texts:
+        if text.count(",") != 2:
+            raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
+        for part in text.split(","):
+            parse_rational(part)
 
 
 def parse_class(text: str, genus: int) -> NSClass:
@@ -142,7 +117,7 @@ def parse_class(text: str, genus: int) -> NSClass:
     The literal's integers and diagnostics are ``_class_integers``'; the
     class is built from three ``Fraction``s, each reduced by its gcd.
     """
-    an, ad, bn, bd, cn, cd = _class_integers(text)
+    [(an, ad, bn, bd, cn, cd)] = _class_integers([text])
     return NSClass(genus, Fraction(an, ad), Fraction(bn, bd), Fraction(cn, cd))
 
 
@@ -366,14 +341,14 @@ def _pair(args: argparse.Namespace, scale: _Scale) -> tuple:
           _arg("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'"))
 def _intersect(args: argparse.Namespace, scale: _Scale) -> tuple:
     # The literals go straight to the recurrence's integers, all in one
-    # pass.  If one is malformed they are read again in order, with the
-    # genus checked after the first, so of a bad first literal, a bad genus
-    # and a bad later literal, the first in that order is reported.
-    factors = _run_integers(args.classes)
-    if factors is None:
-        first = _class_integers(args.classes[0])
+    # pass.  Of a bad first literal, a bad genus and a bad later literal,
+    # the first in that order is reported.
+    try:
+        factors = _class_integers(args.classes)
+    except CLIError:
+        _class_integers(args.classes[:1])
         _check_genus(args.genus)
-        factors = [first, *map(_class_integers, args.classes[1:])]
+        raise
     r = _top_intersect_ints(args.genus, factors)
     # Only the JSON record shows the inputs; text output skips rendering them.
     inputs = {"classes": [_class_text(*f) for f in factors]} if args.format == "json" else {}

@@ -66,6 +66,12 @@ def parse_outcome(parse, *args):
         return type(err), str(err)
 
 
+def written_integers(text):
+    """The six integers of a well-formed class literal, as written."""
+    parts = [(part.split("/") + ["1"])[:2] for part in text.split(",")]
+    return tuple(int(x) for part in parts for x in part)
+
+
 class TestParsing:
     def test_rational_literals(self):
         assert parse_rational("3/2") == Fraction(3, 2)
@@ -108,10 +114,10 @@ class TestParsing:
         # same diagnostic.
         split = parse_outcome(split_parse_class, text, 2)
         assert parse_outcome(parse_class, text, 2) == split
-        ints = parse_outcome(cli._class_integers, text)
+        ints = parse_outcome(cli._class_integers, [text])
         if isinstance(split, NSClass):
-            parts = [(part.split("/") + ["1"])[:2] for part in text.split(",")]
-            assert ints == tuple(int(x) for part in parts for x in part)
+            assert ints == [written_integers(text)]
+            [ints] = ints
             assert tuple(map(Fraction, ints[::2], ints[1::2])) == split.coefficients
         else:
             assert ints == split
@@ -451,28 +457,48 @@ def literal_runs(draw):
 @example(["-0012/0004,+3,0/9", "2/4,-0,007"])
 def test_run_reader_matches_per_literal(texts):
     # One pass over the run gives each literal's integers as written, or
-    # None exactly where reading the literals one by one raises.
+    # exactly the diagnostic of the first literal that the split route
+    # refuses.
     with digit_limit(0):
-        expected = parse_outcome(lambda: [cli._class_integers(text) for text in texts])
-        run = cli._run_integers(texts)
-    assert run == (expected if isinstance(expected, list) else None)
+        run = parse_outcome(cli._class_integers, texts)
+        for text in texts:
+            split = parse_outcome(split_parse_class, text, 2)
+            if not isinstance(split, NSClass):
+                assert run == split
+                return
+        assert run == [written_integers(text) for text in texts]
 
 
-def test_intersect_reads_a_good_run_in_one_pass(capsys, monkeypatch):
-    # Well-formed literals are read by the one pass alone; a malformed one
-    # sends them, in order, to the literal reader that words the diagnostic.
+def test_every_class_literal_goes_through_the_reader(capsys, monkeypatch):
+    # One reader takes every class literal: a good intersect run in one
+    # call, each other command's literals one call each.  A malformed run
+    # gets its first bad literal's diagnostic after the first literal is
+    # read again, for the genus check.
     read = []
 
-    def literal(text, original=cli._class_integers):
-        read.append(text)
-        return original(text)
+    def reader(texts, original=cli._class_integers):
+        read.append(list(texts))
+        return original(texts)
 
-    monkeypatch.setattr(cli, "_class_integers", literal)
-    assert run_cli(capsys, "intersect", "-g", "2", "1,1,1", "2/4,1,-1", "0,1,0")[0] == 0
-    assert read == []
-    code, _, err = run_cli(capsys, "intersect", "-g", "2", "1,1,1", "2/4,1,-1", "0,1/0,0")
+    monkeypatch.setattr(cli, "_class_integers", reader)
+    good = ["1,1,1", "2/4,1,-1", "0,1,0"]
+    assert run_cli(capsys, "intersect", "-g", "2", *good)[0] == 0
+    assert read == [good]
+    read.clear()
+    bad = ["1,1,1", "2/4,1,-1", "0,1/0,0"]
+    code, _, err = run_cli(capsys, "intersect", "-g", "2", *bad)
     assert (code, err) == (2, "error: zero denominator in rational literal '1/0'\n")
-    assert read == ["1,1,1", "2/4,1,-1", "0,1/0,0"]
+    assert read == [bad, ["1,1,1"]]
+    for argv, literals in [
+        (["pair", "-g", "2", "1,1,1", "2/4,1,-1"], ["1,1,1", "2/4,1,-1"]),
+        (["height", "-g", "2", "-L", "3,1,1", "1,0,0"], ["3,1,1", "1,0,0"]),
+        (["audit", "-g", "2", "-L", "3,1,1"], ["3,1,1"]),
+        (["minima", "-g", "2", "-L", "3,1,1"], ["3,1,1"]),
+        (["curve-height", "-g", "2", "-L", "3,1,1"], ["3,1,1"]),
+    ]:
+        read.clear()
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        assert read == [[text] for text in literals], argv
 
 
 class TestClassify:

@@ -1,6 +1,6 @@
 """The benchmark's operations, run against the command line in tier 1.
 
-Every operation of each workload at seeds 1-3 goes through ``cli.main`` in
+Every operation of each workload at seeds 1-10 goes through ``cli.main`` in
 this process, with stdout and stderr captured as ``benchmark/run.py``'s
 ``call`` captures them.  Each must exit 0, write nothing to stderr and pass
 ``checks.check`` at the interpreter's default digit limit.  ``run.py`` itself
@@ -43,7 +43,7 @@ def default_digit_limit():
         sys.set_int_max_str_digits(saved)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(1, 11))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_every_op_exits_zero_and_checks(workload, seed):
     with default_digit_limit():
