@@ -72,6 +72,12 @@ MUTANTS = [
      "d = gcd(int(_EXACT.remainder(self.gf, q_dec)), q)", "d = 1",
      "tests/test_factored.py"),
     ("src/curvejac/cli.py",
+     "_EXACT.divide_int(self.gf, d)", "_EXACT.divide(self.gf, d)",
+     "tests/test_factored.py::TestFactoredText"),
+    ("src/curvejac/cli.py",
+     '".000000" if den == 1', '".000000" if den >= 1',
+     "tests/test_factored.py::TestFactoredText::test_one_writer_at_any_genera"),
+    ("src/curvejac/cli.py",
      "self.gf = g, _EXACT.multiply(self.gf, g)", "self.gf = g, _decimal_product(0, g)",
      "tests/test_cli.py::TestTable"),
     ("src/curvejac/cli.py",

@@ -28,12 +28,15 @@ by the lattice's ``_triple_text``, and every rational exactly as "p/q"
 r from the library's ``_coeff`` functions, and it has one writer per
 command, the ``_Scale`` that ``main`` hands to the compute function, whose
 ``pair`` is the whole g! route: it builds g! in decimal at the first genus
-asked for, after the kernel has run, multiplies it by each later genus of
-``table``'s rows, and turns g! * r into an exact ``Decimal`` numerator and
-denominator in lowest terms.  The exact text and the six-place decimal
-annotation (``decimal_str``) are both formatted from that pair
-(``_Scale.printed``), so no g!-sized int is converted.  No compute function
-handles g! itself.  Identical invocations produce identical bytes.
+asked for, after the kernel has run, from leaves that carry their trailing
+zeros in the exponent, multiplies it by each later genus of ``table``'s
+rows, and turns g! * r into an exact ``Decimal`` numerator and denominator
+in lowest terms, both with exponent 0.  The exact text and the six-place
+decimal annotation are both formatted from that pair (``_Scale.printed``),
+so no g!-sized int is converted; an integral value's annotation is its text
+plus '.000000', so its digits are formatted once, and ``decimal_str`` runs
+only for the others.  No compute function handles g! itself.  Identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -153,10 +156,12 @@ def _decimal_product(lo: int, hi: int) -> Decimal:
 
     A product tree: each leaf, of at most ~1000 bits, is converted from one
     int, and libmpdec multiplies the large halves in subquadratic time, so
-    no conversion grows with the product.
+    no conversion grows with the product.  Each leaf is normalized: its
+    trailing zeros go into the exponent, so every multiply above it works on
+    a shorter coefficient, and the product has exponent >= 0.
     """
     if (hi - lo) * hi.bit_length() <= 1000:
-        return Decimal(perm(hi, hi - lo))
+        return _EXACT.normalize(Decimal(perm(hi, hi - lo)))
     mid = (lo + hi) // 2
     return _EXACT.multiply(_decimal_product(lo, mid), _decimal_product(mid, hi))
 
@@ -187,7 +192,10 @@ class _Scale:
     """The one writer of a command's g!-sized values, g! * r for small
     rationals r.  ``pair`` holds the whole route: g! is built in decimal at
     the first genus asked for and carried up one genus at a time after
-    that, as ``table``'s rows ask."""
+    that, as ``table``'s rows ask.  ``gf`` keeps g!'s trailing zeros in its
+    exponent; its readers (the carry's multiply, ``remainder`` and
+    ``divide_int``) are exact on it, and ``divide_int`` returns exponent 0,
+    so no printed value shows an exponent."""
 
     genus = gf = None
 
@@ -212,9 +220,12 @@ class _Scale:
                 _EXACT.divide_int(q_dec, d))
 
     def printed(self, g: int, r: Fraction) -> tuple:
-        """The exact text and the six-place annotation of g! * r."""
-        value = self.pair(g, r)
-        return _exact_text(*value), decimal_str(*value)
+        """The exact text and the six-place annotation of g! * r.  An
+        integral value's annotation is its text plus '.000000', so its
+        digits are formatted once."""
+        num, den = self.pair(g, r)
+        text = _exact_text(num, den)
+        return text, text + ".000000" if den == 1 else decimal_str(num, den)
 
 
 class _Parser(argparse.ArgumentParser):

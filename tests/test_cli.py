@@ -300,9 +300,10 @@ class TestAudit:
         # The ints the command hands to Decimal are g!, once, as the one
         # leaf of its tree (genus <= 100), and the denominator of each
         # distinct value printed, to reduce it against g!: e1 = e2 = mean,
-        # h, then the margin.  No text is parsed back.  Each decimal
-        # annotation reads its value's numerator once, as handed with the
-        # denominator: e1's, then h's.
+        # h, then the margin.  No text is parsed back.  An integral value's
+        # annotation is its exact text plus '.000000', without
+        # ``decimal_str``; only a value with a denominator other than 1 is
+        # handed to it, its numerator once, with the denominator.
         converted, handed = [], []
 
         def to_decimal(value, original=Decimal):
@@ -324,11 +325,23 @@ class TestAudit:
         assert converted == [factorial(g_min)] + [
             r.denominator for a in audits for r in (a.e1, a.h_curve, a.violation_margin)
         ]
-        assert handed == [record[key] for record in records for key in ("e1", "h")]
+        values = [(record[key], record[key + "_dec"]) for record in records for key in ("e1", "h")]
+        assert handed == [value for value, _ in values if "/" in value]
+        for value, annotation in values:
+            if "/" not in value:
+                assert annotation == value + ".000000"
+        # e1 = (g - 1)! (g^2 - 1) / g is integral exactly when g divides
+        # (g - 1)!: at every composite genus but 4 (Wilson's theorem), and h
+        # always is.  So ``audit -g 5`` hands only e1 = 576/5 to
+        # ``decimal_str``, and ``table 2 40`` the e1 of genus 4 and the primes.
+        fractional = [g for g in genera if g == 4 or all(g % p for p in range(2, g))]
+        assert handed == [record["e1"] for g, record in zip(genera, records) if g in fractional]
         with digit_limit(0):
             for g, record in zip(genera, records):
                 audit = zhang_audit(standard_polarization(g))
                 assert (record["e1"], record["h"]) == (str(audit.e1), str(audit.h_curve))
+                assert (record["e1_dec"], record["h_dec"]) == (
+                    half_even_decimal(audit.e1), half_even_decimal(audit.h_curve))
 
     def test_table_renders_no_bundle(self, capsys, monkeypatch):
         # Table rows carry no bundle column, so no class is rendered.

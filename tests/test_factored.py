@@ -6,22 +6,25 @@ of g!, built by a product tree, as an exact decimal numerator and a
 denominator.  Both are checked here against g! * r formed with
 ``math.factorial`` and ``str``, at genus 2..2000 and at a few genera past
 4000, where the tree has several levels; the renderer's decimal annotation
-is checked against an int ``divmod``.
+is checked against an int ``divmod``.  The tree's leaves carry their
+trailing zeros in the exponent, so every command that prints g! is checked
+at genera where g! has many of them, for the exact digits with no exponent.
 """
 
 import contextlib
 import io
 import json
+import re
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import hypothesis.strategies as st
 import pytest
 import sympy
 from hypothesis import given, settings
 
-from curvejac.cli import _exact_text, _Scale, decimal_str, main
+from curvejac.cli import _decimal_product, _exact_text, _Scale, decimal_str, main
 from curvejac.heights import (PointClass, height_curve, height_curve_coeff, height_point,
                               height_point_coeff, standard_polarization)
 from curvejac.lattice import (NSClass, alpha1, pair_theta_power, pair_theta_power_coeff,
@@ -148,6 +151,16 @@ class TestFactoredText:
                 expanded(g, r) for r in (audit.e1, audit.h_curve, audit.violation_margin)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 3000))
+def test_decimal_product_is_perm(lo, span):
+    # The tree's value is the int product, whatever its leaves' exponents.
+    hi = lo + span
+    product = _decimal_product(lo, hi)
+    assert product == perm(hi, hi - lo)
+    assert product.as_tuple().exponent >= 0
+
+
 class TestPublicWrappers:
     """Each g!-valued function is g! times its ``_coeff`` form (same Fractions)."""
 
@@ -244,3 +257,57 @@ def test_cli_matches_expanded_values(g, m, n, s, t, data):
         assert height["height"] == str(height_point(L, point).height)
         assert witness["height"] == str(height_point(
             standard_polarization(g), witness_sequence(g, index)).height)
+
+
+def run_text(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def printing_commands(g):
+    """(argv, expected JSON fields) of each command that prints g! * r, at
+    genus g for the standard polarization, from ``math.factorial`` closed
+    forms: e1 = (g - 1/g)(g - 1)!, the minimum, and h = (g - 1)(g - 1)!."""
+    gf = factorial(g)
+    e1, h = gf * Fraction(g * g - 1, g * g), gf * Fraction(g - 1, g)
+    with no_digit_limit():
+        e1_text, h_text = str(e1), str(h)
+        e1_dec, h_dec = half_even_decimal(e1), half_even_decimal(h)
+        gf_text, gf_7, margin = str(gf), str(gf * Fraction(1, 7)), str(e1 - h)
+        gf_7_dec = half_even_decimal(gf * Fraction(1, 7))
+    audit = {"e1": e1_text, "e2": e1_text, "h": h_text, "mean": e1_text,
+             "margin": margin, "e1_dec": e1_dec, "h_dec": h_dec}
+    G = str(g)
+    return [
+        (["audit", "-g", G], audit),
+        (["table", G, G], audit),
+        (["minima", "-g", G], {"infimum": e1_text, "infimum_dec": e1_dec}),
+        (["curve-height", "-g", G], {"height": h_text, "height_dec": h_dec}),
+        (["witness", "-g", G, "-n", "1"], {"height": e1_text}),
+        # The first witness, whose height is the minimum.
+        (["height", "-g", G, "--", f"{g ** 3},1,{g}"], {"height": e1_text, "height_dec": e1_dec}),
+        (["pair", "-g", G, "1,0,0", "0,1/7,0"], {"value": gf_7, "decimal": gf_7_dec}),
+        (["intersect", "-g", G, "--", "1,0,0", *["0,1,0"] * g],
+         {"value": gf_text, "decimal": gf_text + ".000000"}),
+    ]
+
+
+# A Decimal's exponent as ``str`` writes it ('1.2E+2'); 'VIOLATED' is not one.
+EXPONENT = re.compile(r"E[+-]\d")
+
+
+@pytest.mark.parametrize("g", [5, 25, 125, 625, 3125])
+def test_no_exponent_at_trailing_zeros(g):
+    # g! has g/5 + g/25 + ... trailing zeros, 781 of 9,567 digits at genus
+    # 3125; normalized leaves keep them in g!'s exponent, and every value
+    # printed, in text and JSON, is the full integer text of its closed form.
+    for argv, fields in printing_commands(g):
+        record = run_json(argv[0], "--format", "json", *argv[1:])
+        record = record[0] if isinstance(record, list) else record
+        text = run_text(*argv)
+        assert EXPONENT.search(json.dumps(record)) is None and EXPONENT.search(text) is None
+        assert {key: record[key] for key in fields} == fields, argv
+        tokens = set(text.replace("(~", " ").replace(")", " ").replace(",", " ").split())
+        assert set(fields.values()) <= tokens, argv
