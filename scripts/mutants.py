@@ -94,8 +94,8 @@ MUTANTS = [
      "except (CLIError, ValueError) as err:",
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",
-     '    parser = _Parser(\n        prog="curvejac",',
-     '    parser = argparse.ArgumentParser(\n        prog="curvejac",',
+     '    parser = _parser_class()(\n        prog="curvejac",',
+     '    parser = __import__("argparse").ArgumentParser(\n        prog="curvejac",',
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",
      'raise CLIError(message.replace("\\n", "\\\\n"))', "raise CLIError(message)",
@@ -128,6 +128,9 @@ MUTANTS = [
      'if args.format == "json" else {}', "if args.format else {}",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),
     ("src/curvejac/cli.py",
+     "if argv and argv[0] in _COMMANDS else None", "if False else None",
+     "tests/test_cli.py::test_import_leaves_heavy_modules_out"),
+    ("src/curvejac/cli.py",
      "(run if dashed else", "(True if dashed else",
      "tests/test_cli.py::TestPlainReader"),
     ("src/curvejac/cli.py",
@@ -146,7 +149,7 @@ MUTANTS = [
      "        sys.stdout.flush()  # a reader", "        pass  # a reader",
      "tests/test_cli.py::test_reader_gone_leaves_stderr_empty"),
     ("src/curvejac/cli.py",
-     "        sys.stdout.flush()\n        super().exit", "        super().exit",
+     "            sys.stdout.flush()\n            super().exit", "            super().exit",
      "tests/test_cli.py::test_reader_gone_leaves_stderr_empty"),
 ]
 

@@ -6,20 +6,21 @@ compute function in ``_COMMANDS`` that turns parsed arguments into a record
 (the JSON output) and its text lines; ``main`` is the one place that picks
 the format and prints.  A plain command line is read straight from the
 command's specs, tabled once when the command is registered, by
-``_read_plain``, to the namespace argparse would return, and builds no
-parser.  Plain: the subcommand's name, then options spelled exactly as
-declared ('-g V', '--genus V' or '--genus=V', V non-empty and not
-option-like), each at most once, and one run of positionals that opens the
-line, follows every option, or follows a single '--' with tokens after it
-(``table``'s optional bounds only in a run that opens the line), each value
-of its type and choices.  Any other line, -h, abbreviations, '-g3' and every
-diagnostic included, goes to ``build_parser``'s full parser.  Every class
-literal 'a,b,c' is read by one reader, ``_class_integers``: a run of them,
-joined by newlines, in one regular-expression match, then its six integers
-per literal as written; a malformed run is read in order only to word the
-first bad literal's diagnostic.  On that diagnostic ``intersect`` checks
-its first literal and then the genus, so of a bad first literal, a bad
-genus and a bad later literal the first is reported.  It hands the
+``_read_plain``, to a namespace with the attributes argparse would return;
+it imports no argparse and builds no parser.  Plain: the subcommand's name,
+then options spelled exactly as declared ('-g V', '--genus V' or
+'--genus=V', V non-empty and not option-like), each at most once, and one
+run of positionals that opens the line, follows every option, or follows a
+single '--' with tokens after it (``table``'s optional bounds only in a run
+that opens the line), each value of its type and choices.  Any other line,
+-h, abbreviations, '-g3' and every diagnostic included, goes to
+``build_parser``'s full parser, which imports argparse on first use.  Every
+class literal 'a,b,c' is read by one reader, ``_class_integers``: a run of
+them, joined by newlines, in one regular-expression match, then its six
+integers per literal as written; a malformed run is read in order only to
+word the first bad literal's diagnostic.  On that diagnostic ``intersect``
+checks its first literal and then the genus, so of a bad first literal, a
+bad genus and a bad later literal the first is reported.  It hands the
 integers to the recurrence unreduced and builds its input classes' text, in
 lowest terms, only for ``--format json``, the one format that prints them;
 the other commands build an ``NSClass``.  Every class is written '(a,b,c)'
@@ -39,16 +40,15 @@ only for the others.  No compute function handles g! itself.  Identical
 invocations produce identical bytes.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import re
 import sys
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero,
                      Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
+from functools import cache
 from math import gcd, perm
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
@@ -65,9 +65,8 @@ DEFAULT_TABLE_RANGE = (2, 12)
 _NUMERATOR, _DENOMINATOR = r"[+-]?\d+", r"\d+"
 # Groups: numerator, then denominator (None without '/q').
 _RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/({_DENOMINATOR}))?", re.ASCII)
-# Class literals joined by newlines, in the same grammar without groups.
+# A class literal, in the same grammar without groups (``_run_re``).
 _BARE_CLASS = ",".join([rf"{_NUMERATOR}(?:/{_DENOMINATOR})?"] * 3)
-_RUN_RE = re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*", re.ASCII)
 # A value, not an option, to argparse and ``_read_plain``: no option starts with a digit.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
@@ -87,6 +86,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+@cache
+def _run_re() -> re.Pattern:
+    """Class literals joined by newlines, in the same grammar without
+    groups; compiled on first use, as many command lines read no literal."""
+    return re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*", re.ASCII)
+
+
 def _class_integers(texts: list) -> list:
     """The six integers (an, ad, bn, bd, cn, cd) of each class literal
     'a,b,c' in ``texts``, as written (unreduced, an absent '/q' read as 1).
@@ -99,7 +105,7 @@ def _class_integers(texts: list) -> list:
     """
     run = "\n".join(texts)
     parts = run.replace("\n", ",").split(",")
-    if _RUN_RE.fullmatch(run) and len(parts) == 3 * len(texts):
+    if _run_re().fullmatch(run) and len(parts) == 3 * len(texts):
         # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
         ints = list(map(int, "/".join([p if "/" in p else p + "/1" for p in parts]).split("/")))
         if all(ints[1::2]):  # else a zero denominator
@@ -228,24 +234,39 @@ class _Scale:
         return text, text + ".000000" if den == 1 else decimal_str(num, den)
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # argparse takes only '-<digits>' and '-<decimal>' for negative
-        # numbers and any other leading '-' for an option, which would
-        # swallow '-1/2' and '-1,1,0'.
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+@cache
+def _parser_class() -> type:
+    """``_Parser``, argparse's parser with the CLI's diagnostics; defined,
+    and argparse imported, on first use, so a plain line loads neither."""
+    import argparse
 
-    # argparse's default error handler prints usage plus the message; fold
-    # everything into the single-line diagnostic channel instead.  argparse
-    # echoes some tokens as they are ("unrecognized arguments: 3\n").
-    def error(self, message: str):  # noqa: D102
-        raise CLIError(message.replace("\n", "\\n"))
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            # argparse takes only '-<digits>' and '-<decimal>' for negative
+            # numbers and any other leading '-' for an option, which would
+            # swallow '-1/2' and '-1,1,0'.
+            self._negative_number_matcher = _NEGATIVE_NUMBER
 
-    # After -h: a reader of the help that has gone is met in ``main``.
-    def exit(self, status: int = 0, message: Optional[str] = None):  # noqa: D102
-        sys.stdout.flush()
-        super().exit(status, message)
+        # argparse's default error handler prints usage plus the message;
+        # fold everything into the single-line diagnostic channel instead.
+        # argparse echoes some tokens as they are ("unrecognized arguments: 3\n").
+        def error(self, message: str):  # noqa: D102
+            raise CLIError(message.replace("\n", "\\n"))
+
+        # After -h: a reader of the help that has gone is met in ``main``.
+        def exit(self, status: int = 0, message: Optional[str] = None):  # noqa: D102
+            sys.stdout.flush()
+            super().exit(status, message)
+
+    return _Parser
+
+
+def __getattr__(name: str):
+    # ``cli._Parser`` reads as a module attribute, built on first access.
+    if name == "_Parser":
+        return _parser_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _point_texts(point: PointClass) -> tuple:
@@ -255,13 +276,13 @@ def _point_texts(point: PointClass) -> tuple:
     return _triple_text(a, b, c), a
 
 
-def _bundle_from(args: argparse.Namespace) -> NSClass:
+def _bundle_from(args: SimpleNamespace) -> NSClass:
     if args.bundle is None:
         return standard_polarization(args.genus)
     return parse_class(args.bundle, args.genus)
 
 
-def _class_from_coeffs(args: argparse.Namespace) -> NSClass:
+def _class_from_coeffs(args: SimpleNamespace) -> NSClass:
     return NSClass(args.genus, *map(parse_rational, (args.a, args.b, args.c)))
 
 
@@ -308,7 +329,7 @@ def _command(name: str, help_text: str, *arguments: tuple):
 
 
 @_command("classify", "locate a class in the positivity cones", _GENUS, *_COEFFS)
-def _classify(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _classify(args: SimpleNamespace, scale: _Scale) -> tuple:
     cls = _class_from_coeffs(args)
     verdict = classify(cls)
     record = {
@@ -343,14 +364,14 @@ def _value(scale: _Scale, genus: int, r: Fraction, **inputs) -> tuple:
 @_command("pair", "pair two classes against theta powers", _GENUS,
           _arg("x", metavar="CLASS", help="first class 'a,b,c'"),
           _arg("y", metavar="CLASS", help="second class 'a,b,c'"))
-def _pair(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _pair(args: SimpleNamespace, scale: _Scale) -> tuple:
     x, y = parse_class(args.x, args.genus), parse_class(args.y, args.genus)
     return _value(scale, args.genus, pair_theta_power_coeff(x, y), x=str(x), y=str(y))
 
 
 @_command("intersect", "top intersection of g+1 classes", _GENUS,
           _arg("classes", nargs="+", metavar="CLASS", help="class 'a,b,c'"))
-def _intersect(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _intersect(args: SimpleNamespace, scale: _Scale) -> tuple:
     # The literals go straight to the recurrence's integers, all in one
     # pass.  Of a bad first literal, a bad genus and a bad later literal,
     # the first in that order is reported.
@@ -369,7 +390,7 @@ def _intersect(args: argparse.Namespace, scale: _Scale) -> tuple:
 @_command("pullback", "theta pullback class for rational (m, n)", _GENUS,
           _arg("-m", "--m", dest="m", required=True, metavar="RAT"),
           _arg("-n", "--n", dest="n", required=True, metavar="RAT"))
-def _pullback(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _pullback(args: SimpleNamespace, scale: _Scale) -> tuple:
     m, n = parse_rational(args.m), parse_rational(args.n)
     cls = pullback_theta(args.genus, m, n)
     record = {
@@ -383,7 +404,7 @@ def _pullback(args: argparse.Namespace, scale: _Scale) -> tuple:
 
 
 @_command("decompose", "split a nef class off the boundary wall", _GENUS, *_COEFFS)
-def _decompose(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _decompose(args: SimpleNamespace, scale: _Scale) -> tuple:
     cls = _class_from_coeffs(args)
     part = nef_decomposition(cls)
     record = {
@@ -400,7 +421,7 @@ def _decompose(args: argparse.Namespace, scale: _Scale) -> tuple:
 
 @_command("height", "height of a point class against a bundle", _GENUS, _BUNDLE,
           _arg("point", metavar="CLASS", help="point class 'a,b,c'"))
-def _height(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _height(args: SimpleNamespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
     point = PointClass(parse_class(args.point, args.genus))
     height, height_dec = scale.printed(args.genus, height_point_coeff(L, point))
@@ -418,7 +439,7 @@ def _height(args: argparse.Namespace, scale: _Scale) -> tuple:
 
 
 @_command("curve-height", "self-height of the total space", _GENUS, _BUNDLE)
-def _curve_height(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _curve_height(args: SimpleNamespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
     record = {"genus": args.genus, "bundle": str(L)}
     record["height"], record["height_dec"] = scale.printed(args.genus, height_curve_coeff(L))
@@ -426,7 +447,7 @@ def _curve_height(args: argparse.Namespace, scale: _Scale) -> tuple:
 
 
 @_command("minima", "closed-form cone minimum and minimizer", _GENUS, _BUNDLE)
-def _minima(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _minima(args: SimpleNamespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
     report = cone_minimum_coeff(L)
     infimum, infimum_dec = scale.printed(args.genus, report.infimum)
@@ -451,7 +472,7 @@ def _minima(args: argparse.Namespace, scale: _Scale) -> tuple:
 @_command("witness", "n-th attaining point class for the minimum", _GENUS,
           _arg("-n", "--index", dest="index", type=_ascii_int, required=True,
                help="witness index (>= 1)"))
-def _witness(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _witness(args: SimpleNamespace, scale: _Scale) -> tuple:
     point = witness_sequence(args.genus, args.index)
     r = height_point_coeff(standard_polarization(args.genus), point)
     point_text, degree = _point_texts(point)
@@ -488,7 +509,7 @@ def _audit_record(scale: _Scale, L: NSClass) -> dict:
 
 
 @_command("audit", "evaluate both successive-minima inequalities", _GENUS, _BUNDLE)
-def _audit(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _audit(args: SimpleNamespace, scale: _Scale) -> tuple:
     L = _bundle_from(args)
     record = {"genus": args.genus, "bundle": str(L), **_audit_record(scale, L)}
     lines = [
@@ -515,7 +536,7 @@ _TABLE_COLUMNS = ["g", "e1", "e2", "h", "mean", "margin", "e1_dec", "h_dec"]
 @_command("table", "audit table over a genus range",
           _arg("g_min", nargs="?", type=_ascii_int, default=DEFAULT_TABLE_RANGE[0]),
           _arg("g_max", nargs="?", type=_ascii_int, default=DEFAULT_TABLE_RANGE[1]))
-def _table(args: argparse.Namespace, scale: _Scale) -> tuple:
+def _table(args: SimpleNamespace, scale: _Scale) -> tuple:
     g_min, g_max = args.g_min, args.g_max
     if g_min < 2:
         raise CLIError(f"table range must start at genus >= 2, got {g_min}")
@@ -549,7 +570,7 @@ def _typed(options: dict, text: str):
     return value
 
 
-def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
+def _read_plain(name: str, argv: list) -> Optional[SimpleNamespace]:
     """The full parser's namespace for a plain line ``[name, *argv]`` (see
     the module docstring), read from the same specs (``_PLAIN``); else None."""
     flags, positionals, defaults, required, optional_run = _PLAIN[name]
@@ -589,17 +610,18 @@ def _read_plain(name: str, argv: list) -> Optional[argparse.Namespace]:
         return None
     if run or not given >= required:
         return None
-    return argparse.Namespace(**found)
+    return SimpleNamespace(**found)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """Parser with every subcommand, its arguments and ``--format``; each
     subcommand's defaults name its compute function.
 
     ``main`` uses it for every command line that ``_read_plain`` leaves:
-    help, abbreviations, attached values and every usage diagnostic.
+    help, abbreviations, attached values and every usage diagnostic.  The
+    first call imports argparse.
     """
-    parser = _Parser(
+    parser = _parser_class()(
         prog="curvejac",
         description="Exact Neron-Severi calculator for a curve times its Jacobian.",
     )
@@ -616,8 +638,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status: 0, 2 after a diagnostic, or 1
     with nothing more written when stdout's reader has gone (``| head -1``).
 
-    ``_read_plain`` reads a plain command line (see the module docstring) and
-    builds no parser; ``build_parser``'s parser reads any other line.
+    ``_read_plain`` reads a plain command line (see the module docstring) to
+    a namespace with argparse's attributes, and imports no argparse;
+    ``build_parser``'s parser reads any other line, importing argparse then.
     Every result is computed before anything is printed, so an error never
     leaves partial output.  Output is exact at every genus: CPython's digit
     limit on int/str conversion is lifted while the command runs, so input

@@ -13,24 +13,18 @@ quadric wall.
 into the ``Fraction`` it returns.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .lattice import NSClass, _Frozen, _integer_ratios, as_fraction, zero_class
+from .lattice import NSClass, _Frozen, _integer_ratios, zero_class
 
 __all__ = [
     "ConeVerdict",
     "NefDecomposition",
     "Region",
-    "SqrtWitness",
-    "boundary_witness",
     "classify",
     "nef_decomposition",
-    "rational_sqrt",
 ]
 
 
@@ -99,65 +93,3 @@ def nef_decomposition(x: NSClass) -> NefDecomposition:
     wall_a = x.genus * x.c * x.c / x.b
     wall = NSClass(x.genus, wall_a, x.b, x.c)
     return NefDecomposition(wall, x.a - wall_a)
-
-
-def rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root of q, or None if q is not a rational square."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-class SqrtWitness(_Frozen):
-    """Exact stand-in for a possibly irrational real: sign * sqrt(square)."""
-
-    __slots__ = ("square", "sign")
-
-    def __init__(self, square: Fraction, sign: int) -> None:
-        square = as_fraction(square)
-        if square < 0:
-            raise ValueError(f"square must be nonnegative, got {square}")
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or 1, got {sign}")
-        if (sign == 0) != (square == 0):
-            raise ValueError("sign is 0 exactly when square is 0")
-        object.__setattr__(self, "square", square)
-        object.__setattr__(self, "sign", sign)
-
-    @property
-    def exact_root(self) -> Optional[Fraction]:
-        """The represented value as an exact rational, when one exists."""
-        root = rational_sqrt(self.square)
-        return None if root is None else self.sign * root
-
-
-def boundary_witness(x: NSClass) -> tuple[SqrtWitness, SqrtWitness]:
-    """Recover (m, n) with x = (g m^2, n^2, m n) from a nef-boundary class.
-
-    Every nef-boundary class is a pullback class for real (m, n) with
-    m^2 = a/g and n^2 = b.  Signs are normalized so n >= 0 and the
-    represented product m n carries the sign of c.  When a/g or b happens to
-    be a rational square the corresponding witness also reports its exact
-    root.  Raises for classes not on the nef boundary; in particular b = 0
-    with c != 0 is rejected, since then ab = 0 < g c^2.
-    """
-    verdict = classify(x)
-    if verdict.region is not Region.BOUNDARY:
-        raise ValueError(
-            f"boundary_witness needs a nef-boundary class (ab = g c^2, a, b >= 0), "
-            f"got {x} in region {verdict.region.value}"
-        )
-    m_sq = x.a / x.genus
-    n_sq = x.b
-    if m_sq == 0:
-        m_sign = 0
-    elif n_sq == 0:
-        m_sign = 1  # alpha1 ray: c = 0, pick the positive root
-    else:
-        m_sign = 1 if x.c > 0 else -1  # n is the positive root, so m carries sign(c)
-    n_sign = 1 if n_sq > 0 else 0
-    return SqrtWitness(m_sq, m_sign), SqrtWitness(n_sq, n_sign)

@@ -14,8 +14,6 @@ work: it runs on the integers of the pairing (``lattice._pair_ratio``), the
 base multiple and the degree, and reduces once, into its ``Fraction``.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import factorial
 from typing import Union

@@ -29,8 +29,6 @@ that recurrence state to itself, so ``pair_theta_power_coeff`` runs it on
 its two classes alone, in O(1) integer operations.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Sequence, Union

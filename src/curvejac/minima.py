@@ -24,8 +24,6 @@ common factors they know of first: the ray's cross factors and the margin's
 shared denominator (README: cost on huge classes).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Optional

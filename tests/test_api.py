@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import curvejac
+import curvejac.cones
 import curvejac.heights
 import curvejac.lattice
 import curvejac.minima
 
-MODULES = [curvejac, curvejac.heights, curvejac.lattice, curvejac.minima]
+MODULES = [curvejac, curvejac.cones, curvejac.heights, curvejac.lattice, curvejac.minima]
 
 # Cross-checks that live in tests/oracles.py, not in the package.
 ORACLES = ["MonomialTable", "monomial_table", "pair_theta_power_closed", "grid_oracle"]
@@ -22,22 +23,25 @@ ORACLES = ["MonomialTable", "monomial_table", "pair_theta_power_closed", "grid_o
 # Removed with no runtime route, command or documented use: an alias of
 # restrict_to_C_fiber, and a wrapper returning a class's (b, c).  Then the
 # private twins that returned a g!-valued quantity divided by g!: each
-# quantity has one route, its public ``_coeff`` form.
+# quantity has one route, its public ``_coeff`` form.  Then the square-root
+# recovery of a boundary class's (m, n), a second route to the ray that the
+# cone minimum computes from the class's integers.
 REMOVED = [
     "generic_degree", "restrict_to_J_fiber", "JFiberRestriction",
     "_top_intersect_r", "_pair_r", "_height_point_r", "_height_curve_r",
     "_cone_minimum_r", "_zhang_audit_r",
+    "rational_sqrt", "SqrtWitness", "boundary_witness",
 ]
 
 # The package re-exports exactly its submodules' __all__ lists.
 PACKAGE_NAMES = [
     "ConeVerdict", "HeightReport", "MIN_GENUS", "MinimaReport", "NSClass",
     "NefDecomposition", "POINCARE_SQUARE_COEFF", "PointClass", "RationalLike",
-    "Region", "SqrtWitness", "ZhangAudit", "alpha1", "as_fraction",
-    "boundary_witness", "classify", "cone_minimum", "cone_minimum_coeff",
+    "Region", "ZhangAudit", "alpha1", "as_fraction",
+    "classify", "cone_minimum", "cone_minimum_coeff",
     "height_curve", "height_curve_coeff", "height_point", "height_point_coeff",
     "nef_decomposition", "pair_theta_power", "pair_theta_power_coeff", "poincare",
-    "pullback_theta", "rational_sqrt", "restrict_to_C_fiber", "standard_polarization",
+    "pullback_theta", "restrict_to_C_fiber", "standard_polarization",
     "theta2", "top_intersect", "top_intersect_coeff", "witness_sequence", "zero_class",
     "zhang_audit", "zhang_audit_coeff",
 ]

@@ -1227,31 +1227,54 @@ def test_reader_gone_leaves_stderr_empty(argv, lines_read):
         assert (proc.wait(timeout=60), err) == (1, b"")
 
 
-# Imports curvejac.cli into a fresh interpreter, prints which of the heavy
-# modules that import added, then runs one JSON command in the same process.
+# Imports curvejac.cli into a fresh interpreter and prints which of the
+# heavy modules that import added, then runs the command line given after
+# the source path in the same process and prints which of argparse and
+# gettext are loaded after it.
 IMPORT_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
+heavy = {"argparse", "dataclasses", "gettext", "inspect", "json"}
 before = set(sys.modules)
 import curvejac.cli
-print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
-sys.stdout.flush()
-sys.exit(curvejac.cli.main(["audit", "-g", "2", "--format", "json"]))
+print(sorted(heavy & (set(sys.modules) - before)))
+status = curvejac.cli.main(sys.argv[2:])
+print(sorted({"argparse", "gettext"} & set(sys.modules)))
+sys.exit(status)
 """
 
 
-def test_import_leaves_heavy_modules_out():
+def import_probe(*argv):
+    """(modules the import added, the command's stdout lines, argparse and
+    gettext if loaded after the command) of ``IMPORT_PROBE`` on argv."""
     # -I -S: no environment, user site or site-packages to load json first.
     src = str(Path(cli.__file__).parents[1])
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", IMPORT_PROBE, src],
+        [sys.executable, "-I", "-S", "-c", IMPORT_PROBE, src, *argv],
         capture_output=True,
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    added, output = result.stdout.splitlines()
+    added, *output, after = result.stdout.splitlines()
+    return added, output, after
+
+
+def test_import_leaves_heavy_modules_out():
+    added, output, after = import_probe("audit", "-g", "2", "--format", "json")
     assert added == "[]"
-    assert json.loads(output)["genus"] == 2
+    assert after == "[]"  # a plain line builds no parser
+    [line] = output
+    assert json.loads(line)["genus"] == 2
+
+
+def test_deferred_line_loads_argparse_on_demand():
+    # '-g3' is not plain: argparse is imported to read it, and the audit
+    # prints the bytes of the plain '-g 3' line.
+    plain = import_probe("audit", "-g", "3")
+    attached = import_probe("audit", "-g3")
+    assert (plain[2], attached[2]) == ("[]", "['argparse', 'gettext']")
+    assert attached[:2] == plain[:2]
+    assert plain[1][0] == "class (3,1,1), genus 3"
 
 
 def unattained_audit(L):

@@ -1,4 +1,4 @@
-"""Cone classification, nef decomposition, and boundary witnesses."""
+"""Cone classification and nef decomposition."""
 
 from fractions import Fraction
 from math import factorial
@@ -7,14 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from curvejac.cones import (
-    Region,
-    SqrtWitness,
-    boundary_witness,
-    classify,
-    nef_decomposition,
-    rational_sqrt,
-)
+from curvejac.cones import Region, classify, nef_decomposition
 from curvejac.lattice import (
     NSClass,
     alpha1,
@@ -139,78 +132,3 @@ class TestNefDecomposition:
         wall = classify(part.boundary_part)
         assert wall.region is Region.BOUNDARY
         assert wall.defect == 0
-
-
-class TestRationalSqrt:
-    def test_squares(self):
-        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert rational_sqrt(Fraction(0)) == 0
-        assert rational_sqrt(Fraction(2)) is None
-        assert rational_sqrt(Fraction(-4)) is None
-
-
-class TestSqrtWitness:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SqrtWitness(Fraction(-1), 1)
-        with pytest.raises(ValueError):
-            SqrtWitness(Fraction(4), 2)
-        with pytest.raises(ValueError):
-            SqrtWitness(Fraction(4), 0)
-        with pytest.raises(ValueError):
-            SqrtWitness(Fraction(0), 1)
-
-    def test_exact_root(self):
-        assert SqrtWitness(Fraction(9, 4), -1).exact_root == Fraction(-3, 2)
-        assert SqrtWitness(Fraction(2), 1).exact_root is None
-        assert SqrtWitness(Fraction(0), 0).exact_root == 0
-
-
-class TestBoundaryWitness:
-    def test_irrational_witness(self):
-        m, n = boundary_witness(NSClass(2, 1, 2, 1))
-        assert m.square == Fraction(1, 2)
-        assert n.square == 2
-        assert m.exact_root is None and n.exact_root is None
-        assert m.sign == 1 and n.sign == 1
-
-    def test_exact_witness(self):
-        m, n = boundary_witness(NSClass(3, 27, 1, 3))
-        assert (m.square, m.sign) == (9, 1)
-        assert (n.square, n.sign) == (1, 1)
-        assert m.exact_root == 3 and n.exact_root == 1
-
-    def test_negative_product(self):
-        m, n = boundary_witness(NSClass(2, 2, 1, -1))
-        assert m.sign == -1 and n.sign == 1
-
-    def test_alpha_ray(self):
-        m, n = boundary_witness(NSClass(2, 5, 0, 0))
-        assert (m.square, m.sign) == (Fraction(5, 2), 1)
-        assert (n.square, n.sign) == (0, 0)
-
-    def test_apex(self):
-        m, n = boundary_witness(zero_class(2))
-        assert m.sign == 0 and n.sign == 0
-
-    def test_rejects_off_boundary(self):
-        with pytest.raises(ValueError):
-            boundary_witness(NSClass(2, 3, 1, 1))  # interior
-        with pytest.raises(ValueError):
-            boundary_witness(NSClass(2, 1, 1, 1))  # outside
-        with pytest.raises(ValueError):
-            boundary_witness(NSClass(2, 0, 0, 1))  # b = 0 with c != 0
-
-    @given(st.data(), genera)
-    @settings(max_examples=80)
-    def test_reconstruction_identity(self, data, g):
-        x = pullback_theta(g, data.draw(rationals), data.draw(rationals))
-        m, n = boundary_witness(x)
-        assert g * m.square == x.a
-        assert n.square == x.b
-        assert m.square * n.square == x.c**2
-        assert m.sign * n.sign == (x.c > 0) - (x.c < 0)
-        # Rational inputs have rational roots; the signed roots rebuild x.
-        assert m.exact_root is not None and n.exact_root is not None
-        rebuilt = pullback_theta(g, m.exact_root, n.exact_root)
-        assert rebuilt == x

@@ -1,4 +1,4 @@
-"""Value semantics of the seven public value classes.
+"""Value semantics of the six public value classes.
 
 Each is immutable, equal only to an instance of its own class with equal
 fields, hashes like its fields, has a fixed repr, and survives copy,
@@ -16,7 +16,6 @@ from curvejac import (
     MinimaReport,
     NSClass,
     PointClass,
-    SqrtWitness,
     ZhangAudit,
     classify,
     cone_minimum,
@@ -47,11 +46,6 @@ CASES = {
         ("region", "is_ample", "is_nef", "is_big", "is_psef", "defect"),
         "ConeVerdict(region=<Region.INTERIOR: 'interior'>, is_ample=True, "
         "is_nef=True, is_big=True, is_psef=True, defect=Fraction(1, 1))",
-    ),
-    SqrtWitness: (
-        lambda: SqrtWitness(Fraction(1, 2), -1),
-        ("square", "sign"),
-        "SqrtWitness(square=Fraction(1, 2), sign=-1)",
     ),
     MinimaReport: (
         lambda: cone_minimum(standard_polarization(2)),
