@@ -16,16 +16,17 @@ that opens the line), each value of its type and choices.  Any other line,
 -h, abbreviations, '-g3' and every diagnostic included, goes to
 ``build_parser``'s full parser, which imports argparse on first use.  Every
 class literal 'a,b,c' is read by one reader, ``_class_integers``: a run of
-them, joined by newlines, in one regular-expression match, then its six
-integers per literal as written; a malformed run is read in order only to
-word the first bad literal's diagnostic.  On that diagnostic ``intersect``
-checks its first literal and then the genus, so of a bad first literal, a
-bad genus and a bad later literal the first is reported.  It hands the
-integers to the recurrence unreduced and builds its input classes' text, in
-lowest terms, only for ``--format json``, the one format that prints them;
-the other commands build an ``NSClass``.  Every class is written '(a,b,c)'
-by the lattice's ``_triple_text``, and every rational exactly as "p/q"
-(plain integer when q = 1).  A g!-sized value is g! times a small rational
+them, joined by newlines, in one match of its shape and a few string
+checks, then its six integers per literal as written, by ``int``; a
+malformed run is read in order only to word the first bad literal's
+diagnostic.  On that diagnostic ``intersect`` checks its first literal and
+then the genus, so of a bad first literal, a bad genus and a bad later
+literal the first is reported.  It hands the integers to the recurrence
+unreduced and builds its input classes' text, in lowest terms, only for
+``--format json``, the one format that prints them; the other commands
+build an ``NSClass``.  Every class is written '(a,b,c)' by the lattice's
+``_triple_text``, and every rational exactly as "p/q" (plain integer when
+q = 1).  A g!-sized value is g! times a small rational
 r from the library's ``_coeff`` functions, and it has one writer per
 command, the ``_Scale`` that ``main`` hands to the compute function, whose
 ``pair`` is the whole g! route: it builds g! in decimal at the first genus
@@ -65,8 +66,9 @@ DEFAULT_TABLE_RANGE = (2, 12)
 _NUMERATOR, _DENOMINATOR = r"[+-]?\d+", r"\d+"
 # Groups: numerator, then denominator (None without '/q').
 _RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/({_DENOMINATOR}))?", re.ASCII)
-# A class literal, in the same grammar without groups (``_run_re``).
-_BARE_CLASS = ",".join([rf"{_NUMERATOR}(?:/{_DENOMINATOR})?"] * 3)
+# A class literal's shape: three parts of ASCII digits, signs and slashes.
+# ``_class_integers`` checks the rest of a part's grammar without a regex.
+_BARE_CLASS = ",".join(["[0-9+/-]+"] * 3)
 # A value, not an option, to argparse and ``_read_plain``: no option starts with a digit.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
@@ -88,28 +90,36 @@ def parse_rational(text: str) -> Fraction:
 
 @cache
 def _run_re() -> re.Pattern:
-    """Class literals joined by newlines, in the same grammar without
-    groups; compiled on first use, as many command lines read no literal."""
-    return re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*", re.ASCII)
+    """Class literals joined by newlines, each of ``_BARE_CLASS``'s shape;
+    compiled on first use, as many command lines read no literal."""
+    return re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*")
 
 
 def _class_integers(texts: list) -> list:
     """The six integers (an, ad, bn, bd, cn, cd) of each class literal
     'a,b,c' in ``texts``, as written (unreduced, an absent '/q' read as 1).
 
-    One match checks the literals joined by newlines, and the count of
-    rationals, three per literal, refuses a literal that itself holds a
-    newline; then one split and one ``int`` per integer.  Time linear in
+    A good run takes no per-rational regex.  One match checks the shape of
+    the literals joined by newlines, and the count of parts, three per
+    literal, refuses a literal that itself holds a newline.  No '/+' or '/-'
+    refuses a signed denominator, and two integers per part a second '/'.
+    On the shape's characters ``int`` takes exactly '[+-]?[0-9]+', so it
+    refuses the rest: an empty integer or a misplaced sign.  Time linear in
     the run's length on top of the int conversions (quadratic in a part's
     digits on Python 3.10 and 3.11).
     """
     run = "\n".join(texts)
     parts = run.replace("\n", ",").split(",")
-    if _run_re().fullmatch(run) and len(parts) == 3 * len(texts):
-        # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
-        ints = list(map(int, "/".join([p if "/" in p else p + "/1" for p in parts]).split("/")))
-        if all(ints[1::2]):  # else a zero denominator
-            return list(zip(*[iter(ints)] * 6))
+    # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
+    tokens = "/".join([p if "/" in p else p + "/1" for p in parts]).split("/")
+    if (_run_re().fullmatch(run) and "/+" not in run and "/-" not in run
+            and len(parts) == 3 * len(texts) and len(tokens) == 2 * len(parts)):
+        try:
+            ints = list(map(int, tokens))
+            if all(ints[1::2]):  # else a zero denominator
+                return list(zip(*[iter(ints)] * 6))
+        except ValueError:  # an empty integer, a misplaced sign, or past the digit limit
+            pass
     # Only to word the diagnostic, as a split into components does: the
     # first bad literal's wrong comma count, else its first bad component's
     # message.  Some literal is bad, so this raises.

@@ -24,14 +24,15 @@ monomials is a test-suite specification, not runtime code: the tests
 contract expanded products against it and compare with the engine.
 ``top_intersect_coeff``, the top intersection of g+1 classes divided by g!,
 is a linear recurrence on the few expansion coefficients that can meet
-those two monomials, in O(g) integer operations.  A ``theta2`` factor maps
-that recurrence state to itself, so ``pair_theta_power_coeff`` runs it on
-its two classes alone, in O(1) integer operations.
+those two monomials, in O(g) integer operations, evaluated as a product
+tree over the factors.  A ``theta2`` factor maps that recurrence state to
+itself, so ``pair_theta_power_coeff`` runs it on its two classes alone, in
+O(1) integer operations.
 """
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "MIN_GENUS",
@@ -229,8 +230,11 @@ def top_intersect_coeff(classes: Sequence[NSClass]) -> Fraction:
     per call; ``top_intersect`` adds one product with g!.  The integers grow
     to the summed length of the factors' cleared numerators and denominators
     as handed to the recurrence: lowest terms here, but the command line
-    hands over its literals as written, unreduced.  For g+1 classes of
-    bounded size the digit work is O(g^2).
+    hands over its literals as written, unreduced.  Runs of more than 64
+    factors are multiplied as a balanced product tree, so for g+1 classes
+    of bounded size the digit work is that of multiplying two halves of
+    about g/2 factors each, at every level: subquadratic under CPython's
+    Karatsuba multiplication.
     """
     classes = list(classes)
     if not classes:
@@ -253,36 +257,57 @@ def _top_intersect_ints(g: int, factors: Sequence[tuple]) -> Fraction:
     return Fraction(*_recurrence(factors))
 
 
+# The most factors ``_recurrence`` folds in one loop; a longer run is split
+# in two.  Every pairing and every small product is one loop.
+_LEAF_FACTORS = 64
+
+
 def _integer_ratios(cls: NSClass) -> tuple:
     """The six integers (an, ad, bn, bd, cn, cd) of a class's coefficients."""
     return (*cls.a.as_integer_ratio(), *cls.b.as_integer_ratio(),
             *cls.c.as_integer_ratio())
 
 
-def _recurrence(factors: Iterable[tuple]) -> tuple:
+def _recurrence(factors: Sequence[tuple], state: bool = False) -> tuple:
     """Unreduced (num, scale), scale > 0, with num/scale = ``top_intersect`` / g!.
 
     Each factor is six integers (an, ad, bn, bd, cn, cd), the class
     (an/ad, bn/bd, cn/cd) with positive denominators, in any terms: the
     recurrence is multilinear, and the caller reduces once, when it builds
-    the value it returns.  No argument checks: the callers make them.
+    the value it returns.  No argument checks: the callers make them.  With
+    ``state``, the product's (s00, s01, s02, s10, scale) instead, as the
+    tree below merges it.
+
+    The state is the product, truncated as ``top_intersect_coeff`` says, of
+    the cleared factors ``xb + xa alpha1 + xc Q``.  That product is
+    associative, so past ``_LEAF_FACTORS`` factors it is a balanced tree:
+    two halves, each a smaller tree, merged by eight multiplies of their
+    states and one of their scales.  At or below it, one loop.  Both give
+    the same integers, not only the same ratio.
     """
-    # Clear each factor's denominators so the recurrence runs on plain ints;
-    # multilinearity restores the combined scale at the end.
-    scale = 1
-    s00, s01, s02, s10 = 1, 0, 0, 0
-    for an, ad, bn, bd, cn, cd in factors:
-        den = lcm(ad, bd, cd)
-        scale *= den
-        xa = an * (den // ad)
-        xb = bn * (den // bd)
-        xc = cn * (den // cd)
-        s00, s01, s02, s10 = (
-            xb * s00,
-            xb * s01 + xc * s00,
-            xb * s02 + xc * s01,
-            xb * s10 + xa * s00,
-        )
+    if len(factors) > _LEAF_FACTORS:
+        mid = len(factors) // 2
+        p0, p1, p2, pa, ps = _recurrence(factors[:mid], True)
+        q0, q1, q2, qa, qs = _recurrence(factors[mid:], True)
+        s00, s01, s02 = p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0
+        s10, scale = p0 * qa + pa * q0, ps * qs
+    else:
+        # Clear each factor's denominators so the recurrence runs on plain
+        # ints; multilinearity restores the combined scale at the end.  Each
+        # coefficient is updated before any coefficient that it reads.
+        scale = 1
+        s00, s01, s02, s10 = 1, 0, 0, 0
+        for an, ad, bn, bd, cn, cd in factors:
+            den = lcm(ad, bd, cd)
+            scale *= den
+            xb = bn * (den // bd)
+            xc = cn * (den // cd)
+            s10 = xb * s10 + an * (den // ad) * s00
+            s02 = xb * s02 + xc * s01
+            s01 = xb * s01 + xc * s00
+            s00 = xb * s00
+    if state:
+        return s00, s01, s02, s10, scale
     return s10 + POINCARE_SQUARE_COEFF * s02, scale
 
 

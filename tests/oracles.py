@@ -7,6 +7,8 @@ them.
   intersection form, every degree-(g+1) basis monomial with its value.
 * ``naive_top_intersect`` and ``dict_top_intersect`` - two reference engines
   that contract an expanded product against the table.
+* ``fold_state`` - the engine's truncated product as one plain fold over the
+  factors, the route that its product tree must match integer for integer.
 * ``pair_theta_power_closed`` - the closed form of the theta-power pairing.
 * ``grid_oracle`` - a brute-force minimum of the cone-slice objective.
 * ``defect``, ``cone_minimum_closed``, ``height_point_closed``,
@@ -140,6 +142,22 @@ def dict_top_intersect(classes):
         if i + j + k == top
     )
     return Fraction(total) / scale
+
+
+def fold_state(factors) -> tuple:
+    """(s00, s01, s02, s10, scale) of ``lattice._recurrence``: the factors'
+    cleared denominators multiplied into ``scale``, and the product of the
+    cleared factors ``xb + xa alpha1 + xc Q`` truncated to 1, Q, Q^2 and
+    alpha1, folded one factor at a time."""
+    scale = 1
+    s00, s01, s02, s10 = 1, 0, 0, 0
+    for an, ad, bn, bd, cn, cd in factors:
+        den = lcm(ad, bd, cd)
+        scale *= den
+        xa, xb, xc = an * (den // ad), bn * (den // bd), cn * (den // cd)
+        s00, s01, s02, s10 = (xb * s00, xb * s01 + xc * s00,
+                              xb * s02 + xc * s01, xb * s10 + xa * s00)
+    return s00, s01, s02, s10, scale
 
 
 def pair_theta_power_closed(x: NSClass, y: NSClass) -> Fraction:

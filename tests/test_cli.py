@@ -392,8 +392,11 @@ INTERSECT_PARTS = st.sampled_from([
     "0", "-0", "+3", "-5", "007", "-0012/0004", "2/4", "+6/3", "10/15", "0/9",
     "9" * 4301, "-1/" + "3" * 4301, "7" * 4400 + "/" + "0" * 50 + "2" * 4350,
 ])
+# Arabic-Indic 1 and fullwidth 2; then forms made only of digits, signs and
+# slashes, which the reader's shape check lets through to its later checks.
 BAD_PARTS = st.sampled_from(["1/0", "-3/00", "0/0", "", "x", "1.5", "1/-2", "+-1", " 1",
-                            "\u0661", "1/\uff12"])  # Arabic-Indic 1, fullwidth 2
+                            "\u0661", "1/\uff12",
+                            "1/+2", "1/2/3", "/2", "1/", "1+2", "+", "-", "1_0"])
 BAD_LITERALS = st.sampled_from(["1,1", "1,1,1,1", "bad", "1,1,1\n", ""])
 # Tokens that hold a newline: joined by newlines, they would pass for more literals.
 NEWLINE_LITERALS = st.sampled_from(["1,1,1\n1,1,1", "1,1,1\n", "\n1,1,1", "\n", "1\n,1,1",
@@ -468,6 +471,12 @@ def literal_runs(draw):
 @example(["1,1,1", "\u0661,1,1"])
 @example(["1,1,1", "1,1/0,1"])
 @example(["-0012/0004,+3,0/9", "2/4,-0,007"])
+@example(["1,2\n3", "4,5"])  # six parts for two literals, but no line of three
+@example(["1,1,1", "1/+2,1,1"])  # one per check after the shape's
+@example(["1,1,1", "1,1/-2,1"])
+@example(["1,1,1", "1,1,1/2/3"])
+@example(["1,1,1", "/2,1,1"])
+@example(["1,1,1", "1,1+2,1"])
 def test_run_reader_matches_per_literal(texts):
     # One pass over the run gives each literal's integers as written, or
     # exactly the diagnostic of the first literal that the split route

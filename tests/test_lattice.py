@@ -1,14 +1,17 @@
 """Lattice arithmetic, the monomial table, and the intersection engine."""
 
 import random
-from collections import defaultdict
+import sys
+import time
+from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from curvejac import cli
 from curvejac.lattice import (
     NSClass,
     _integer_ratios,
@@ -27,6 +30,7 @@ from curvejac.lattice import (
 
 from oracles import (
     dict_top_intersect,
+    fold_state,
     monomial_table,
     naive_top_intersect,
     pair_theta_power_closed,
@@ -206,7 +210,7 @@ class TestTopIntersect:
             ]
             assert top_intersect(classes) == naive_top_intersect(classes)
 
-    @pytest.mark.parametrize("g", [2, 3, 5, 12, 50, 100])
+    @pytest.mark.parametrize("g", [2, 3, 5, 12, 50, 63, 64, 65, 100, 200])
     def test_matches_dict_expansion(self, g):
         # Zero coefficients, integer-only classes, denominators up to 10^6,
         # and the pairing shape [x, y] + [theta2] * (g - 1); the recurrence
@@ -248,6 +252,61 @@ class TestTopIntersect:
                 ints += [x.numerator * k, x.denominator * k]
             factors.append(tuple(ints))
         assert Fraction(*_recurrence(factors)) == dict_top_intersect(classes) / factorial(g)
+
+    @given(st.integers(min_value=1, max_value=300) | st.sampled_from([63, 64, 65, 128, 129]),
+           st.integers(min_value=0), st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.3]),
+           st.sampled_from([1, 12, 10**6]))
+    @settings(max_examples=150, deadline=None)
+    def test_tree_matches_fold(self, n, seed, zero_rate, max_k):
+        # Past the leaf bound (64 factors) the factors are multiplied as a
+        # balanced tree; its state is the plain fold's, integer for integer,
+        # on runs at and around the bound and its double, with zero parts (a
+        # zero b zeroes s00) and each numerator and denominator times its own
+        # k (unreduced ratios).  The pairing hands its factors as a tuple.
+        rng = random.Random(seed)
+
+        def part():
+            k = rng.randint(1, max_k)
+            num = 0 if rng.random() < zero_rate else rng.randint(-20, 20)
+            return num * k, rng.randint(1, 12) * k
+
+        factors = [(*part(), *part(), *part()) for _ in range(n)]
+        s00, s01, s02, s10, scale = fold_state(factors)
+        assert _recurrence(factors, True) == (s00, s01, s02, s10, scale)
+        assert _recurrence(factors) == (s10 - 2 * s02, scale)
+        assert _recurrence(tuple(factors)) == (s10 - 2 * s02, scale)
+
+    def test_intersect_at_genus_50000_within_time(self, capsys):
+        # intersect on 50,001 small literals: the product tree takes ~0.5 s
+        # of CPU time, where a fold one factor at a time took ~4 s.  Every b
+        # is nonzero, so the value over g! is B (sum a_i/b_i - ((sum u_i)^2 -
+        # sum u_i^2)), with B the product of the b_i and u_i = c_i/b_i; each
+        # sum is taken over the distinct (a, b) or (b, c) with their counts.
+        g, rng = 50_000, random.Random(50_000)
+        small = [f"{n}/{d}" for n in range(-9, 10) for d in range(1, 10)]
+        bs = ["3/2", "-6/4", "5", "2/7", "9/9", "-1"]
+        parts = [(rng.choice(small), rng.choice(bs), rng.choice(small)) for _ in range(g + 1)]
+        start = time.process_time()
+        status = cli.main(["intersect", "-g", str(g), "--", *map(",".join, parts)])
+        elapsed = time.process_time() - start
+        out, err = capsys.readouterr()
+        assert (status, err) == (0, "")
+        assert elapsed < 2.0, f"took {elapsed:.2f} s of CPU time"
+
+        B = prod(Fraction(b) ** n for b, n in Counter(b for _, b, _ in parts).items())
+        sa = sum(n * Fraction(a) / Fraction(b)
+                 for (a, b), n in Counter((a, b) for a, b, _ in parts).items())
+        us = [(n, Fraction(c) / Fraction(b))
+              for (b, c), n in Counter((b, c) for _, b, c in parts).items()]
+        su, su2 = sum(n * u for n, u in us), sum(n * u * u for n, u in us)
+        expected = factorial(g) * B * (sa - (su * su - su2))
+        num, _, den = out.partition(" (~")[0].partition("/")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert (int(num), int(den or 1)) == (expected.numerator, expected.denominator)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_integer_entry_checks(self):
         # The entry the command line calls checks the genus, then the count,
