@@ -59,11 +59,8 @@ MUTANTS = [
      "minima_attained=True)", "minima_attained=False)",
      "tests/test_kernels.py::test_zhang_audit_matches_formulas"),
     ("src/curvejac/heights.py",
-     "lam ** (L.genus - 1)", "lam ** L.genus",
-     "tests/test_kernels.py::test_height_curve_matches_formula"),
-    ("src/curvejac/heights.py",
-     "r if lam == 1 else", "r if lam >= 1 else",
-     "tests/test_kernels.py::test_height_curve_matches_formula"),
+     "(scale // dd) * k * dn", "scale * k * dn",
+     "tests/test_kernels.py::test_height_point_matches_formula"),
     ("src/curvejac/heights.py",
      "return NSClass(g, g, 1, 1)", "return NSClass(g, g, 1, g)",
      "tests/test_heights.py::TestStandardPolarization"),

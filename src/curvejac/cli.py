@@ -272,13 +272,6 @@ def _parser_class() -> type:
     return _Parser
 
 
-def __getattr__(name: str):
-    # ``cli._Parser`` reads as a module attribute, built on first access.
-    if name == "_Parser":
-        return _parser_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _point_texts(point: PointClass) -> tuple:
     """The text of a point's class and of its degree, the class's first
     component: each component is converted to decimal once."""

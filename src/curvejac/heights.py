@@ -5,13 +5,16 @@ height on points of the generic fiber; the class of a point's closure pairs
 against L through theta powers.  Both the point height and the self-height
 of the total space come out as exact rationals.
 
+Heights are taken against theta itself.  Against lam theta, lam > 0, they
+scale as h_{lam theta} = lam^(g-1) h_theta: multiply once by lam^(g-1).
+
 Whether a given pseudo-effective class is actually realized by a point of
 the generic fiber is the caller's concern; this module validates only the
 numerical conditions.
 
 Each height has a ``_coeff`` form, its value divided by g!, that does the
-work: it runs on the integers of the pairing (``lattice._pair_ratio``), the
-base multiple and the degree, and reduces once, into its ``Fraction``.
+work: it runs on the integers of the pairing (``lattice._pair_ratio``) and
+the degree, and reduces once, into its ``Fraction``.
 """
 
 from fractions import Fraction
@@ -19,14 +22,7 @@ from math import factorial
 from typing import Union
 
 from .cones import classify
-from .lattice import (
-    NSClass,
-    RationalLike,
-    _Frozen,
-    _pair_ratio,
-    as_fraction,
-    restrict_to_C_fiber,
-)
+from .lattice import NSClass, _Frozen, _pair_ratio, restrict_to_C_fiber
 
 __all__ = [
     "HeightReport",
@@ -78,55 +74,41 @@ def standard_polarization(g: int) -> NSClass:
     return NSClass(g, g, 1, 1)
 
 
-def _height_r(x: NSClass, L: NSClass, base_multiple: RationalLike, k: int) -> Fraction:
-    """lam^(g-1) (x . L . theta2^(g-1)) / (k deg x g!) for lam = base_multiple:
-    rescaling theta -> lam theta scales the theta^(g-1) factor by lam^(g-1),
-    which is skipped for lam = 1.  deg x's denominator divides x's share of
-    the pairing's scale."""
-    lam = as_fraction(base_multiple)
-    if lam <= 0:
-        raise ValueError(f"base polarization multiple must be positive, got {lam}")
+def _height_r(x: NSClass, L: NSClass, k: int) -> Fraction:
+    """(x . L . theta2^(g-1)) / (k deg x g!); deg x's denominator divides x's
+    share of the pairing's scale."""
     num, scale = _pair_ratio(x, L)
     dn, dd = x.a.as_integer_ratio()
-    r = Fraction(num, (scale // dd) * k * dn)
-    return r if lam == 1 else lam ** (L.genus - 1) * r
+    return Fraction(num, (scale // dd) * k * dn)
 
 
-def height_point(
-    L: NSClass,
-    point: Union[PointClass, NSClass],
-    base_multiple: RationalLike = 1,
-) -> HeightReport:
+def height_point(L: NSClass, point: Union[PointClass, NSClass]) -> HeightReport:
     """Height of a point class against L, normalized by the point's degree."""
-    height = height_point_coeff(L, point, base_multiple) * factorial(L.genus)
+    height = height_point_coeff(L, point) * factorial(L.genus)
     degree = point.degree if isinstance(point, PointClass) else point.a
     return HeightReport(height=height, degree=degree)
 
 
-def height_point_coeff(L: NSClass, point: Union[PointClass, NSClass],
-                       base_multiple: RationalLike = 1) -> Fraction:
+def height_point_coeff(L: NSClass, point: Union[PointClass, NSClass]) -> Fraction:
     """Height of a point class against L, normalized by the point's degree,
     divided by g!: (point . L . theta2^(g-1)) / (deg(point) g!), computed
     through the intersection engine.  An ``NSClass`` is validated as a
-    ``PointClass``.  Cost: O(1) integer operations at any genus for
-    ``base_multiple`` 1; any other lam is raised to the power g-1, integers
-    of about (g-1) log2 of lam's numerator and denominator in bits.
+    ``PointClass``.  Cost: O(1) integer operations at any genus.
     """
     if isinstance(point, NSClass):
         point = PointClass(point)
-    return _height_r(point.cls, L, base_multiple, 1)
+    return _height_r(point.cls, L, 1)
 
 
-def height_curve(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
+def height_curve(L: NSClass) -> Fraction:
     """Self-height of the total space: L . L . theta2^(g-1) / (2 deg L)."""
-    return height_curve_coeff(L, base_multiple) * factorial(L.genus)
+    return height_curve_coeff(L) * factorial(L.genus)
 
 
-def height_curve_coeff(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
+def height_curve_coeff(L: NSClass) -> Fraction:
     """Self-height of the total space divided by g!, L . L . theta2^(g-1) /
-    (2 deg L g!).  Cost as ``height_point_coeff``'s: O(1) in g for
-    ``base_multiple`` 1, else a power lam^(g-1) of ~(g-1) log2 lam bits."""
+    (2 deg L g!).  Cost as ``height_point_coeff``'s: O(1) in g."""
     deg = restrict_to_C_fiber(L)
     if deg <= 0:
         raise ValueError(f"curve height needs positive generic degree, got {deg}")
-    return _height_r(L, L, base_multiple, 2)
+    return _height_r(L, L, 2)

@@ -188,19 +188,14 @@ def cone_minimum_closed(L: NSClass) -> tuple[Fraction, Fraction, Fraction]:
     return t_star, s_star, B - A * s_star
 
 
-def _base_factor(g: int, base_multiple: RationalLike) -> Fraction:
-    return as_fraction(base_multiple) ** (g - 1)
+def height_point_closed(L: NSClass, x: NSClass) -> Fraction:
+    """``height_point`` divided by g!: pair / degree, with the closed pairing."""
+    return _pair_closed_r(x, L) / x.a
 
 
-def height_point_closed(L: NSClass, x: NSClass, base_multiple: RationalLike = 1) -> Fraction:
-    """``height_point`` divided by g!: factor * pair / degree, with the
-    closed pairing and factor = base_multiple^(g-1)."""
-    return _base_factor(L.genus, base_multiple) * _pair_closed_r(x, L) / x.a
-
-
-def height_curve_closed(L: NSClass, base_multiple: RationalLike = 1) -> Fraction:
-    """``height_curve`` divided by g!: factor * pair(L, L) / (2 deg L)."""
-    return _base_factor(L.genus, base_multiple) * _pair_closed_r(L, L) / (2 * L.a)
+def height_curve_closed(L: NSClass) -> Fraction:
+    """``height_curve`` divided by g!: pair(L, L) / (2 deg L)."""
+    return _pair_closed_r(L, L) / (2 * L.a)
 
 
 def audit_closed(L: NSClass) -> tuple:

@@ -904,9 +904,10 @@ def eager_parser():
     """The CLI parser with every subcommand and its arguments, built here as
     a reference, independently of ``cli``'s own construction."""
     full = cli.build_parser()
-    parser = cli._Parser(prog=full.prog, description=full.description)
+    parser_class = cli._parser_class()
+    parser = parser_class(prog=full.prog, description=full.description)
     sub = parser.add_subparsers(
-        dest="command", required=True, metavar="command", parser_class=cli._Parser
+        dest="command", required=True, metavar="command", parser_class=parser_class
     )
     for name, (help_text, compute, arguments) in cli._COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
@@ -966,11 +967,11 @@ class TestLazyParser:
         # other line builds the full parser and every subparser once.
         built = []
 
-        def init(self, *args, original=cli._Parser.__init__, **kwargs):
+        def init(self, *args, original=cli._parser_class().__init__, **kwargs):
             built.append(kwargs.get("prog"))
             original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", init)
+        monkeypatch.setattr(cli._parser_class(), "__init__", init)
         if argv is None:
             cli.build_parser()
         else:
@@ -994,11 +995,11 @@ class TestLazyParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", touching)
         built = []
 
-        def init(self, *args, original=cli._Parser.__init__, **kwargs):
+        def init(self, *args, original=cli._parser_class().__init__, **kwargs):
             built.append(kwargs.get("prog"))
             original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", init)
+        monkeypatch.setattr(cli._parser_class(), "__init__", init)
         assert [outcome(main, argv) for argv in argvs] == expected
         # The three plain lines build no parser; each of the other four
         # builds the full parser and every subparser once.

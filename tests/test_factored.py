@@ -165,8 +165,8 @@ class TestPublicWrappers:
     """Each g!-valued function is g! times its ``_coeff`` form (same Fractions)."""
 
     @settings(max_examples=40, deadline=None)
-    @given(genera, positive, rationals, nonneg, nonneg, positive, st.data())
-    def test_factorial_times_r(self, g, m, n, s, t, lam, data):
+    @given(genera, positive, rationals, nonneg, nonneg, st.data())
+    def test_factorial_times_r(self, g, m, n, s, t, data):
         gf = factorial(g)
         L = nef_class(g, m, n, s, t)
         x = NSClass(g, *(data.draw(rationals) for _ in range(3)))
@@ -174,9 +174,9 @@ class TestPublicWrappers:
         classes = [x, L, *[NSClass(g, data.draw(nonneg), 1, 0)] * (g - 1)]
         assert top_intersect(classes) == gf * top_intersect_coeff(classes)
         point = PointClass(L)
-        assert height_point(L, point, lam).height == gf * height_point_coeff(L, point, lam)
-        assert height_point(L, L, lam) == height_point(L, point, lam)  # NSClass point
-        assert height_curve(L, lam) == gf * height_curve_coeff(L, lam)
+        assert height_point(L, point).height == gf * height_point_coeff(L, point)
+        assert height_point(L, L) == height_point(L, point)  # NSClass point
+        assert height_curve(L) == gf * height_curve_coeff(L)
         r = cone_minimum_coeff(L)
         assert cone_minimum(L) == MinimaReport(gf * r.infimum, r.s_star, r.t_star,
                                                r.attained_by_witness, r.witness)
@@ -198,9 +198,8 @@ def test_factorial_times_coeff_at_small_genera(g, off_wall):
     classes = [x, L, *[theta2(g)] * (g - 1)]
     assert pair_theta_power(x, L) == gf * pair_theta_power_coeff(x, L)
     assert top_intersect(classes) == gf * top_intersect_coeff(classes)
-    for lam in (1, Fraction(3, 2)):
-        assert height_point(L, L, lam).height == gf * height_point_coeff(L, L, lam)
-        assert height_curve(L, lam) == gf * height_curve_coeff(L, lam)
+    assert height_point(L, L).height == gf * height_point_coeff(L, L)
+    assert height_curve(L) == gf * height_curve_coeff(L)
     minimum, r = cone_minimum(L), cone_minimum_coeff(L)
     assert minimum.infimum == gf * r.infimum
     assert (minimum.s_star, minimum.t_star, minimum.attained_by_witness, minimum.witness) == (

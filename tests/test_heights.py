@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from curvejac.heights import (
     PointClass,
     height_curve,
+    height_curve_coeff,
     height_point,
+    height_point_coeff,
     standard_polarization,
 )
 from curvejac.lattice import NSClass, alpha1, pullback_theta, restrict_to_C_fiber, theta2
@@ -82,17 +84,6 @@ class TestHeightPoint:
         with pytest.raises(ValueError):
             height_point(standard_polarization(2), PointClass(NSClass(3, 1, 0, 0)))
 
-    def test_base_multiple(self):
-        L = standard_polarization(3)
-        point = NSClass(3, 27, 1, 3)
-        plain = height_point(L, point).height
-        scaled = height_point(L, point, base_multiple=Fraction(1, 2)).height
-        assert scaled == plain * Fraction(1, 2) ** 2
-
-    def test_base_multiple_must_be_positive(self):
-        with pytest.raises(ValueError):
-            height_point(standard_polarization(2), NSClass(2, 1, 0, 0), base_multiple=0)
-
     @given(st.data(), genera)
     @settings(max_examples=80)
     def test_report_invariant_and_scale_invariance(self, data, g):
@@ -153,12 +144,6 @@ class TestHeightCurve:
         with pytest.raises(ValueError):
             height_curve(theta2(2))
 
-    def test_base_multiple(self):
-        g = 4
-        plain = height_curve(standard_polarization(g))
-        scaled = height_curve(standard_polarization(g), base_multiple=3)
-        assert scaled == plain * 3 ** (g - 1)
-
     @given(st.data(), genera)
     @settings(max_examples=60)
     def test_quadratic_homogeneity_cancels_to_linear(self, data, g):
@@ -171,3 +156,22 @@ class TestHeightCurve:
         assert value == pair_theta_power(L, L) / (2 * restrict_to_C_fiber(L))
         lam = data.draw(positive)
         assert height_curve(lam * L) == lam * value
+
+
+POINT_ARGS = (standard_polarization(2), NSClass(2, 1, 0, 0))
+CURVE_ARGS = (standard_polarization(2),)
+
+
+@pytest.mark.parametrize("height, args", [
+    (height_point, POINT_ARGS),
+    (height_point_coeff, POINT_ARGS),
+    (height_curve, CURVE_ARGS),
+    (height_curve_coeff, CURVE_ARGS),
+], ids=["height_point", "height_point_coeff", "height_curve", "height_curve_coeff"])
+def test_no_base_multiple(height, args):
+    # Heights are against theta only; a multiple lam of theta is the
+    # caller's factor lam^(g-1), not an argument.
+    with pytest.raises(TypeError, match="positional argument"):
+        height(*args, 1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'base_multiple'"):
+        height(*args, base_multiple=1)

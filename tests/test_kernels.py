@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from curvejac.cones import classify
 from curvejac.heights import (PointClass, height_curve_coeff, height_point, height_point_coeff,
                               standard_polarization)
-from curvejac.lattice import NSClass, pair_theta_power_coeff
+from curvejac.lattice import NSClass
 from curvejac.minima import cone_minimum, cone_minimum_coeff, zhang_audit_coeff
 
 from oracles import (
@@ -33,8 +33,6 @@ denominators = st.one_of(st.integers(1, 20), st.integers(1, 2**64), st.integers(
 rationals = st.builds(Fraction, numerators, denominators)
 nonneg = rationals.map(abs)
 zero = st.just(Fraction(0))
-base_multiples = st.one_of(st.just(1), st.just(Fraction(3, 2)),
-                           st.builds(Fraction, st.integers(1, 2**80), st.integers(1, 2**80)))
 
 
 @st.composite
@@ -93,37 +91,27 @@ def test_cone_minimum_matches_formulas(case):
     assert height_point_coeff(L, report.witness) == infimum
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data(), pairs(), base_multiples)
-def test_height_point_matches_formula(data, case, base_multiple):
-    g, L = case
-    x = data.draw(classes(g, nef=True).filter(lambda x: x.a > 0))
-    expected = height_point_closed(L, x, base_multiple)
-    assert height_point_coeff(L, PointClass(x), base_multiple) == expected
+@st.composite
+def points(draw) -> tuple:
+    """A class and a nef class of positive degree, of one genus."""
+    g, L = draw(pairs())
+    return L, draw(classes(g, nef=True).filter(lambda x: x.a > 0))
 
 
 @settings(max_examples=200, deadline=None)
-@given(pairs().filter(lambda case: case[1].a > 0), base_multiples)
-@example((10**5, standard_polarization(10**5)), Fraction(3, 2))
-def test_height_curve_matches_formula(case, base_multiple):
+@given(points())
+@example((NSClass(3, 1, 2, 0), NSClass(3, "6/4", "5/4", "-1/2")))  # deg x = 3/2
+def test_height_point_matches_formula(case):
+    L, x = case
+    assert height_point_coeff(L, PointClass(x)) == height_point_closed(L, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs().filter(lambda case: case[1].a > 0))
+@example((10**5, standard_polarization(10**5)))
+def test_height_curve_matches_formula(case):
     L = case[1]
-    assert height_curve_coeff(L, base_multiple) == height_curve_closed(L, base_multiple)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data(), pairs(nef=True).filter(lambda case: case[1].a > 0),
-       st.sampled_from([1, Fraction(1), "1", "3/3"]))
-def test_unit_base_multiple_is_general_form(data, case, lam):
-    # At lam = 1 the heights skip the power lam^(g-1); the value is still the
-    # general form lam^(g-1) * r, r the pairing over k times the degree.
-    g, L = case
-    x = data.draw(classes(g, nef=True).filter(lambda x: x.a > 0))
-    power = Fraction(lam) ** (g - 1)
-    point = height_point_coeff(L, PointClass(x), lam)
-    curve = height_curve_coeff(L, lam)
-    assert point == power * (pair_theta_power_coeff(x, L) / x.a)
-    assert curve == power * (pair_theta_power_coeff(L, L) / (2 * L.a))
-    assert type(point) is type(curve) is Fraction
+    assert height_curve_coeff(L) == height_curve_closed(L)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,12 +135,6 @@ def test_messages():
     with pytest.raises(ValueError) as err:
         height_curve_coeff(NSClass(3, "-2/4", 1, 0))
     assert str(err.value) == "curve height needs positive generic degree, got -1/2"
-    with pytest.raises(ValueError) as err:
-        height_curve_coeff(NSClass(3, 1, 1, 0), "-3/2")
-    assert str(err.value) == "base polarization multiple must be positive, got -3/2"
-    with pytest.raises(ValueError) as err:
-        height_point(NSClass(2, 2, 1, 1), NSClass(2, 1, 0, 0), 0)
-    assert str(err.value) == "base polarization multiple must be positive, got 0"
     with pytest.raises(ValueError) as err:
         height_point(NSClass(2, 2, 1, 1), PointClass(NSClass(3, 1, 0, 0)))
     assert str(err.value) == "genus mismatch: 3 vs 2"
