@@ -62,6 +62,13 @@ MUTANTS = [
      "(scale // dd) * k * dn", "scale * k * dn",
      "tests/test_kernels.py::test_height_point_matches_formula"),
     ("src/curvejac/heights.py",
+     "return height_point_coeff(L, point) * factorial(L.genus)",
+     "return height_point_coeff(L, point)",
+     "tests/test_factored.py::TestPublicWrappers::test_factorial_times_r"),
+    ("src/curvejac/cones.py",
+     "return self.boundary_part.is_zero", "return False",
+     "tests/test_cones.py::TestNefDecomposition"),
+    ("src/curvejac/heights.py",
      "return NSClass(g, g, 1, 1)", "return NSClass(g, g, 1, g)",
      "tests/test_heights.py::TestStandardPolarization"),
     ("src/curvejac/cones.py",

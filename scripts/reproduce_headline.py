@@ -43,7 +43,7 @@ def main() -> None:
         print(f"  second inequality {status}, margin {audit.violation_margin}")
         for n in range(1, config.witnesses + 1):
             witness = witness_sequence(g, n)
-            height = height_point(L, witness).height
+            height = height_point(L, witness)
             print(f"  witness n={n}: {witness.cls}, degree {witness.degree}, "
                   f"height {height}")
         print()

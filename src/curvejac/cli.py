@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
 from .heights import PointClass, height_curve_coeff, height_point_coeff, standard_polarization
-from .lattice import (NSClass, _check_genus, _top_intersect_ints, _triple_text,
+from .lattice import (MIN_GENUS, NSClass, _check_genus, _top_intersect_ints, _triple_text,
                       pair_theta_power_coeff, pullback_theta)
 from .minima import cone_minimum_coeff, witness_sequence, zhang_audit_coeff
 
@@ -541,8 +541,8 @@ _TABLE_COLUMNS = ["g", "e1", "e2", "h", "mean", "margin", "e1_dec", "h_dec"]
           _arg("g_max", nargs="?", type=_ascii_int, default=DEFAULT_TABLE_RANGE[1]))
 def _table(args: SimpleNamespace, scale: _Scale) -> tuple:
     g_min, g_max = args.g_min, args.g_max
-    if g_min < 2:
-        raise CLIError(f"table range must start at genus >= 2, got {g_min}")
+    if g_min < MIN_GENUS:
+        raise CLIError(f"table range must start at genus >= {MIN_GENUS}, got {g_min}")
     if g_min > g_max:
         raise CLIError(f"empty table range: {g_min} > {g_max}")
     rows = []

@@ -15,7 +15,6 @@ into the ``Fraction`` it returns.
 
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
 from .lattice import NSClass, _Frozen, _integer_ratios, zero_class
 
@@ -65,9 +64,14 @@ def classify(x: NSClass) -> ConeVerdict:
                        is_psef=nef, defect=Fraction(num, ad * bd * cd * cd))
 
 
-class NefDecomposition(NamedTuple):
-    boundary_part: NSClass
-    alpha_excess: Fraction
+class NefDecomposition(_Frozen):
+    """A nef class as ``boundary_part`` + ``alpha_excess`` * alpha1."""
+
+    __slots__ = ("boundary_part", "alpha_excess")
+
+    def __init__(self, boundary_part: NSClass, alpha_excess: Fraction) -> None:
+        object.__setattr__(self, "boundary_part", boundary_part)
+        object.__setattr__(self, "alpha_excess", alpha_excess)
 
     @property
     def degenerate(self) -> bool:

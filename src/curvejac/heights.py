@@ -8,10 +8,6 @@ of the total space come out as exact rationals.
 Heights are taken against theta itself.  Against lam theta, lam > 0, they
 scale as h_{lam theta} = lam^(g-1) h_theta: multiply once by lam^(g-1).
 
-Whether a given pseudo-effective class is actually realized by a point of
-the generic fiber is the caller's concern; this module validates only the
-numerical conditions.
-
 Each height has a ``_coeff`` form, its value divided by g!, that does the
 work: it runs on the integers of the pairing (``lattice._pair_ratio``) and
 the degree, and reduces once, into its ``Fraction``.
@@ -25,7 +21,6 @@ from .cones import classify
 from .lattice import NSClass, _Frozen, _pair_ratio, restrict_to_C_fiber
 
 __all__ = [
-    "HeightReport",
     "PointClass",
     "height_curve",
     "height_curve_coeff",
@@ -38,8 +33,9 @@ __all__ = [
 class PointClass(_Frozen):
     """Numerical class of the closure of a point of the generic fiber.
 
-    Requires positive degree (the alpha1 coefficient) and pseudo-effectivity;
-    both are validated at construction, not assumed.
+    Construction validates positive degree (the alpha1 coefficient) and
+    pseudo-effectivity, the numerical conditions only: whether a point of the
+    generic fiber realizes the class is the caller's concern.
     """
 
     __slots__ = ("cls",)
@@ -54,14 +50,6 @@ class PointClass(_Frozen):
     @property
     def degree(self) -> Fraction:
         return self.cls.a
-
-
-class HeightReport(_Frozen):
-    __slots__ = ("height", "degree")
-
-    def __init__(self, height: Fraction, degree: Fraction) -> None:
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "degree", degree)
 
 
 def standard_polarization(g: int) -> NSClass:
@@ -82,11 +70,9 @@ def _height_r(x: NSClass, L: NSClass, k: int) -> Fraction:
     return Fraction(num, (scale // dd) * k * dn)
 
 
-def height_point(L: NSClass, point: Union[PointClass, NSClass]) -> HeightReport:
+def height_point(L: NSClass, point: Union[PointClass, NSClass]) -> Fraction:
     """Height of a point class against L, normalized by the point's degree."""
-    height = height_point_coeff(L, point) * factorial(L.genus)
-    degree = point.degree if isinstance(point, PointClass) else point.a
-    return HeightReport(height=height, degree=degree)
+    return height_point_coeff(L, point) * factorial(L.genus)
 
 
 def height_point_coeff(L: NSClass, point: Union[PointClass, NSClass]) -> Fraction:

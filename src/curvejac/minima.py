@@ -26,7 +26,6 @@ shared denominator (README: cost on huge classes).
 
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Optional
 
 from .cones import classify
 from .heights import PointClass, height_curve_coeff
@@ -56,8 +55,7 @@ class MinimaReport(_Frozen):
     __slots__ = ("infimum", "s_star", "t_star", "attained_by_witness", "witness")
 
     def __init__(self, infimum: Fraction, s_star: Fraction, t_star: Fraction,
-                 attained_by_witness: bool,
-                 witness: Optional[PointClass] = None) -> None:
+                 attained_by_witness: bool, witness: PointClass) -> None:
         object.__setattr__(self, "infimum", infimum)
         object.__setattr__(self, "s_star", s_star)
         object.__setattr__(self, "t_star", t_star)

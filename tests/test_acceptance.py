@@ -91,7 +91,7 @@ def test_witness_attainment():
             assert witness.cls == NSClass(g, g**3 * n, n, g * n)
             assert witness.degree == g**3 * n
             assert witness.cls.a * witness.cls.b == g * witness.cls.c**2
-            assert height_point(L, witness).height == infimum
+            assert height_point(L, witness) == infimum
 
 
 @criterion("engine pairing equals linear functional, 1000 random classes per genus 2..8")

@@ -25,17 +25,20 @@ ORACLES = ["MonomialTable", "monomial_table", "pair_theta_power_closed", "grid_o
 # private twins that returned a g!-valued quantity divided by g!: each
 # quantity has one route, its public ``_coeff`` form.  Then the square-root
 # recovery of a boundary class's (m, n), a second route to the ray that the
-# cone minimum computes from the class's integers.
+# cone minimum computes from the class's integers.  Then the point height's
+# report, whose degree only repeated the point's: height_point returns its
+# _coeff form times g!.
 REMOVED = [
     "generic_degree", "restrict_to_J_fiber", "JFiberRestriction",
     "_top_intersect_r", "_pair_r", "_height_point_r", "_height_curve_r",
     "_cone_minimum_r", "_zhang_audit_r",
     "rational_sqrt", "SqrtWitness", "boundary_witness",
+    "HeightReport",
 ]
 
 # The package re-exports exactly its submodules' __all__ lists.
 PACKAGE_NAMES = [
-    "ConeVerdict", "HeightReport", "MIN_GENUS", "MinimaReport", "NSClass",
+    "ConeVerdict", "MIN_GENUS", "MinimaReport", "NSClass",
     "NefDecomposition", "POINCARE_SQUARE_COEFF", "PointClass", "RationalLike",
     "Region", "ZhangAudit", "alpha1", "as_fraction",
     "classify", "cone_minimum", "cone_minimum_coeff",

@@ -22,7 +22,7 @@ from math import factorial, perm
 import hypothesis.strategies as st
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from curvejac.cli import _decimal_product, _exact_text, _Scale, decimal_str, main
 from curvejac.heights import (PointClass, height_curve, height_curve_coeff, height_point,
@@ -165,16 +165,19 @@ class TestPublicWrappers:
     """Each g!-valued function is g! times its ``_coeff`` form (same Fractions)."""
 
     @settings(max_examples=40, deadline=None)
-    @given(genera, positive, rationals, nonneg, nonneg, st.data())
-    def test_factorial_times_r(self, g, m, n, s, t, data):
+    @given(genera, positive, rationals, nonneg, nonneg,
+           st.tuples(rationals, rationals, rationals), nonneg)
+    @example(g=3, m=1, n=1, s=1, t=0, xs=(Fraction(-3, 2), 5, Fraction(7, 3)), u=2)
+    def test_factorial_times_r(self, g, m, n, s, t, xs, u):
         gf = factorial(g)
         L = nef_class(g, m, n, s, t)
-        x = NSClass(g, *(data.draw(rationals) for _ in range(3)))
+        x = NSClass(g, *xs)
         assert pair_theta_power(x, L) == gf * pair_theta_power_coeff(x, L)
-        classes = [x, L, *[NSClass(g, data.draw(nonneg), 1, 0)] * (g - 1)]
+        classes = [x, L, *[NSClass(g, u, 1, 0)] * (g - 1)]
         assert top_intersect(classes) == gf * top_intersect_coeff(classes)
         point = PointClass(L)
-        assert height_point(L, point).height == gf * height_point_coeff(L, point)
+        height = height_point(L, point)
+        assert type(height) is Fraction and height == gf * height_point_coeff(L, point)
         assert height_point(L, L) == height_point(L, point)  # NSClass point
         assert height_curve(L) == gf * height_curve_coeff(L)
         r = cone_minimum_coeff(L)
@@ -198,7 +201,7 @@ def test_factorial_times_coeff_at_small_genera(g, off_wall):
     classes = [x, L, *[theta2(g)] * (g - 1)]
     assert pair_theta_power(x, L) == gf * pair_theta_power_coeff(x, L)
     assert top_intersect(classes) == gf * top_intersect_coeff(classes)
-    assert height_point(L, L).height == gf * height_point_coeff(L, L)
+    assert height_point(L, L) == gf * height_point_coeff(L, L)
     assert height_curve(L) == gf * height_curve_coeff(L)
     minimum, r = cone_minimum(L), cone_minimum_coeff(L)
     assert minimum.infimum == gf * r.infimum
@@ -253,9 +256,9 @@ def test_cli_matches_expanded_values(g, m, n, s, t, data):
         assert records[2]["height"] == str(height_curve(L))
         assert pair["value"] == str(pair_theta_power(x, L))
         assert intersect["value"] == str(top_intersect(classes))
-        assert height["height"] == str(height_point(L, point).height)
+        assert height["height"] == str(height_point(L, point))
         assert witness["height"] == str(height_point(
-            standard_polarization(g), witness_sequence(g, index)).height)
+            standard_polarization(g), witness_sequence(g, index)))
 
 
 def run_text(*argv):

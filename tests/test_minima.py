@@ -13,8 +13,8 @@ from curvejac.cli import main
 from curvejac.heights import (PointClass, height_curve, height_point, height_point_coeff,
                               standard_polarization)
 from curvejac.lattice import NSClass, alpha1, pullback_theta, theta2
-from curvejac.minima import (cone_minimum, cone_minimum_coeff, witness_sequence, zhang_audit,
-                             zhang_audit_coeff)
+from curvejac.minima import (MinimaReport, cone_minimum, cone_minimum_coeff, witness_sequence,
+                             zhang_audit, zhang_audit_coeff)
 
 from oracles import grid_oracle
 
@@ -72,6 +72,11 @@ class TestConeMinimum:
         with pytest.raises(ValueError, match="needs a nef class"):
             cone_minimum(NSClass(2, 0, 1, 1))
 
+    def test_witness_required(self):
+        report = cone_minimum(NSClass(2, 8, 1, 2))
+        with pytest.raises(TypeError):
+            MinimaReport(report.infimum, report.s_star, report.t_star, True)
+
     def test_rejects_non_nef(self):
         with pytest.raises(ValueError):
             cone_minimum(NSClass(2, 1, 1, 1))
@@ -94,7 +99,7 @@ class TestConeMinimum:
         assert report.attained_by_witness
         witness = report.witness
         assert witness.cls.a * witness.cls.b == g * witness.cls.c**2
-        assert height_point(L, witness).height == report.infimum
+        assert height_point(L, witness) == report.infimum
 
     @given(st.data(), genera)
     @settings(max_examples=60)
@@ -204,8 +209,8 @@ class TestWitnessSequence:
         assert witness.cls == NSClass(g, g**3 * n, n, g * n)
         assert witness.degree == g**3 * n
         assert witness.cls.a * witness.cls.b == g * witness.cls.c**2
-        report = height_point(standard_polarization(g), witness)
-        assert report.height == cone_minimum(standard_polarization(g)).infimum
+        height = height_point(standard_polarization(g), witness)
+        assert height == cone_minimum(standard_polarization(g)).infimum
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):

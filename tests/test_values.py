@@ -14,15 +14,16 @@ import pytest
 from curvejac import (
     ConeVerdict,
     MinimaReport,
+    NefDecomposition,
     NSClass,
     PointClass,
     ZhangAudit,
     classify,
     cone_minimum,
+    nef_decomposition,
     standard_polarization,
     zhang_audit,
 )
-from curvejac.heights import HeightReport
 
 # class -> (a function building one instance, its fields in order, its repr).
 CASES = {
@@ -36,16 +37,17 @@ CASES = {
         ("cls",),
         "PointClass(cls=NSClass(genus=2, a=8, b=1, c=2))",
     ),
-    HeightReport: (
-        lambda: HeightReport(Fraction(3, 2), Fraction(8)),
-        ("height", "degree"),
-        "HeightReport(height=Fraction(3, 2), degree=Fraction(8, 1))",
-    ),
     ConeVerdict: (
         lambda: classify(NSClass(2, 3, 1, 1)),
         ("region", "is_ample", "is_nef", "is_big", "is_psef", "defect"),
         "ConeVerdict(region=<Region.INTERIOR: 'interior'>, is_ample=True, "
         "is_nef=True, is_big=True, is_psef=True, defect=Fraction(1, 1))",
+    ),
+    NefDecomposition: (
+        lambda: nef_decomposition(NSClass(2, 3, 1, 1)),
+        ("boundary_part", "alpha_excess"),
+        "NefDecomposition(boundary_part=NSClass(genus=2, a=2, b=1, c=1), "
+        "alpha_excess=Fraction(1, 1))",
     ),
     MinimaReport: (
         lambda: cone_minimum(standard_polarization(2)),
