@@ -159,6 +159,12 @@ MUTANTS = [
      'if value not in options.get("choices", [value]):', "if False:",
      "tests/test_cli.py::TestPlainReader"),
     ("src/curvejac/cli.py",
+     "f'\"{k}\": {_json_text(v)}'", "f'\"{k}\":{_json_text(v)}'",
+     "tests/test_cli.py::test_golden_output"),
+    ("src/curvejac/cli.py",
+     '"true" if value else "false"', '"True" if value else "false"',
+     "tests/test_cli.py::test_golden_output"),
+    ("src/curvejac/cli.py",
      "        sys.stdout.flush()  # a reader", "        pass  # a reader",
      "tests/test_cli.py::test_reader_gone_leaves_stderr_empty"),
     ("src/curvejac/cli.py",

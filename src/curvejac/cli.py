@@ -37,7 +37,11 @@ in lowest terms, both with exponent 0.  The exact text and the six-place
 decimal annotation are both formatted from that pair (``_Scale.printed``),
 so no g!-sized int is converted; an integral value's annotation is its text
 plus '.000000', so its digits are formatted once, and ``decimal_str`` runs
-only for the others.  No compute function handles g! itself.  Identical
+only for the others.  No compute function handles g! itself.  A record is
+written as JSON by ``_json_text``, byte-identical to ``json.dumps`` with
+default settings and without its escape scan: every string a record holds is
+built here from ASCII digits, signs and punctuation, or is a ``Region``
+value, so none needs escaping; the CLI imports no json.  Identical
 invocations produce identical bytes.
 """
 
@@ -270,6 +274,30 @@ def _parser_class() -> type:
             super().exit(status, message)
 
     return _Parser
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value)``'s exact text, default settings, for the types a
+    record holds: ``dict`` with ``str`` keys, ``list``, ``str``, ``bool`` and
+    ``int``; any other type raises ``TypeError``.
+
+    No string is escaped, by design.  Every key is a literal of this
+    module, and every string value is built here from ASCII digits, signs,
+    '/', '.', ',', '(' and ')', or is a ``Region`` value; no record holds
+    user text verbatim, so no string holds a quote, a backslash, a control
+    or a non-ASCII character.  A g!-sized value is copied once, not scanned.
+    """
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, bool):  # before int: bool is an int
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join([f'"{k}": {_json_text(v)}' for k, v in value.items()]) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join([_json_text(v) for v in value]) + "]"
+    raise TypeError(f"no JSON text for a record value of type {type(value).__name__}")
 
 
 def _point_texts(point: PointClass) -> tuple:
@@ -641,18 +669,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status: 0, 2 after a diagnostic, or 1
     with nothing more written when stdout's reader has gone (``| head -1``).
 
-    ``_read_plain`` reads a plain command line (see the module docstring) to
-    a namespace with argparse's attributes, and imports no argparse;
+    ``_read_plain`` reads a plain command line (see the module docstring) to a
+    namespace with argparse's attributes, and imports no argparse;
     ``build_parser``'s parser reads any other line, importing argparse then.
-    Every result is computed before anything is printed, so an error never
-    leaves partial output.  Output is exact at every genus: CPython's digit
-    limit on int/str conversion is lifted while the command runs, so input
-    literals of any length are accepted too, and the caller's limit is
-    restored on return.  The limit is process-wide, so concurrent calls from
-    several threads would see each other's setting.  The compute function
-    writes its g!-sized values through the one ``_Scale`` it is handed, which
-    builds g! after the kernel has run, so a refused input gets the kernel's
-    diagnostic at any genus.  A genus past ``sys.maxsize`` gets
+    ``--format json`` writes the record with ``_json_text``, which escapes
+    nothing: every string a record holds is built by this module from ASCII
+    digits, signs and punctuation, or is a ``Region`` value, never user text
+    verbatim.  Every result is computed before anything is printed, so an
+    error never leaves partial output.  Output is exact at every genus:
+    CPython's digit limit on int/str conversion is lifted while the command
+    runs, so input literals of any length are accepted too, and the caller's
+    limit is restored on return.  The limit is process-wide, so concurrent
+    calls from several threads would see each other's setting.  The compute
+    function writes its g!-sized values through the one ``_Scale`` it is
+    handed, which builds g! after the kernel has run, so a refused input gets
+    the kernel's diagnostic at any genus.  A genus past ``sys.maxsize`` gets
     ``math.factorial``'s one-line diagnostic before any work on g!.  A genus
     just under 2^63 passes that check and builds g! until it is killed: no
     digit budget bounds the work yet (ROADMAP item 3).
@@ -668,8 +699,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise CLIError("csv output is only available for the 'table' command")
         record, lines = args.compute(args, _Scale())
         if args.format == "json":
-            import json  # here, not at the top: other formats skip its import
-            lines = [json.dumps(record)]
+            lines = [_json_text(record)]
         print("\n".join(lines))
         sys.stdout.flush()  # a reader that has gone is met here, not at exit
         return 0

@@ -19,6 +19,9 @@ them.
 * ``half_even_decimal`` - the six-place decimal annotation by an int divmod.
 * ``reference_intersect`` - the ``intersect`` command's exit status, stdout
   and stderr, from ``split_parse_class`` and ``top_intersect``.
+* ``stdlib_json_line`` - a JSON output line as the standard library's
+  encoder writes it; ``bad_record_strings`` - the string values of a record
+  that the CLI's JSON writer, which escapes nothing, may not hold.
 """
 
 import json
@@ -309,3 +312,22 @@ def reference_intersect(genus: int, literals: list, fmt: str) -> tuple:
                   "value": text, "decimal": decimal}
         return 0, json.dumps(record) + "\n", ""
     return 0, f"{text} (~{decimal})\n", ""
+
+
+def stdlib_json_line(out: str) -> str:
+    """``out``, one JSON line, parsed and written again by ``json.dumps``."""
+    return json.dumps(json.loads(out)) + "\n"
+
+
+# What a record's string value may hold: no character that JSON escapes.
+_RECORD_STRING = re.compile(r"[0-9a-z/.,()+-]*")
+
+
+def bad_record_strings(value) -> list:
+    """The string values in the parsed record ``value``, keys left out, that
+    hold a character outside ``_RECORD_STRING``."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [s for v in value for s in bad_record_strings(v)]
+    return [value] if isinstance(value, str) and not _RECORD_STRING.fullmatch(value) else []

@@ -23,8 +23,8 @@ from curvejac.heights import standard_polarization
 from curvejac.lattice import NSClass, top_intersect
 from curvejac.minima import ZhangAudit, zhang_audit, zhang_audit_coeff
 
-from oracles import (half_even_decimal, reference_intersect, split_parse_class,
-                     split_parse_rational)
+from oracles import (bad_record_strings, half_even_decimal, reference_intersect,
+                     split_parse_class, split_parse_rational, stdlib_json_line)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -863,6 +863,8 @@ def test_fuzz_argv_one_outcome(data):
     code, out, err = outcome(main, draw_argv(data))
     if code == 0:
         assert out and not err
+        if out[0] in "[{":  # only a JSON line opens so
+            assert stdlib_json_line(out) == out
     else:
         assert code == 2 and not out
         assert err.startswith("error: ")
@@ -1239,8 +1241,8 @@ def test_reader_gone_leaves_stderr_empty(argv, lines_read):
 
 # Imports curvejac.cli into a fresh interpreter and prints which of the
 # heavy modules that import added, then runs the command line given after
-# the source path in the same process and prints which of argparse and
-# gettext are loaded after it.
+# the source path in the same process and prints which of argparse, gettext
+# and json are loaded after it.
 IMPORT_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -1249,14 +1251,15 @@ before = set(sys.modules)
 import curvejac.cli
 print(sorted(heavy & (set(sys.modules) - before)))
 status = curvejac.cli.main(sys.argv[2:])
-print(sorted({"argparse", "gettext"} & set(sys.modules)))
+print(sorted({"argparse", "gettext", "json"} & set(sys.modules)))
 sys.exit(status)
 """
 
 
 def import_probe(*argv):
-    """(modules the import added, the command's stdout lines, argparse and
-    gettext if loaded after the command) of ``IMPORT_PROBE`` on argv."""
+    """(modules the import added, the command's stdout lines, argparse,
+    gettext and json if loaded after the command) of ``IMPORT_PROBE`` on
+    argv."""
     # -I -S: no environment, user site or site-packages to load json first.
     src = str(Path(cli.__file__).parents[1])
     result = subprocess.run(
@@ -1272,9 +1275,37 @@ def import_probe(*argv):
 def test_import_leaves_heavy_modules_out():
     added, output, after = import_probe("audit", "-g", "2", "--format", "json")
     assert added == "[]"
-    assert after == "[]"  # a plain line builds no parser
+    assert after == "[]"  # a plain line builds no parser, and JSON needs no json
     [line] = output
     assert json.loads(line)["genus"] == 2
+
+
+def test_json_table_leaves_json_out():
+    added, output, after = import_probe("table", "2", "4", "--format", "json")
+    assert (added, after) == ("[]", "[]")
+    [line] = output
+    assert [row["g"] for row in json.loads(line)] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("value", [
+    "", "-16/3", "(1/2,1,0)", "interior", 0, -7, 10**40, True, False, {}, [],
+    {"genus": 3, "apex": False, "classes": ["(0,1,0)"], "rows": [{"g": 2}, {}]},
+    [1, True, "2", {"k": False}, []],
+])
+def test_json_text_matches_stdlib(value):
+    assert cli._json_text(value) == json.dumps(value)
+
+
+def test_json_text_bool_before_int():
+    assert cli._json_text([True, 1, False, 0]) == "[true, 1, false, 0]"
+
+
+@pytest.mark.parametrize("value", [
+    None, 1.5, Fraction(1, 2), Decimal(3), ("1",), [None], {"genus": 0.5},
+])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_deferred_line_loads_argparse_on_demand():
@@ -1364,3 +1395,5 @@ def test_golden_output(capsys, monkeypatch, filename):
         assert result == (2, "", expected)
     else:
         assert result == (0, expected, "")
+    if filename.endswith(".json"):  # the invariant of ``cli._json_text``
+        assert bad_record_strings(json.loads(result[1])) == []

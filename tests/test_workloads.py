@@ -3,15 +3,17 @@
 Every operation of each workload at seeds 1-10 goes through ``cli.main`` in
 this process, with stdout and stderr captured as ``benchmark/run.py``'s
 ``call`` captures them.  Each must exit 0, write nothing to stderr and pass
-``checks.check`` at the interpreter's default digit limit.  ``run.py`` itself
-exits 0 whatever its operations do, and its ``call`` catches only
-``Exception``; so a ``BaseException`` out of ``main``, a check that raises
-anything but ``CheckError``, or a failed set-up probe ends a benchmark run
-with a nonzero status.  One short run of ``run.py`` in a subprocess must exit
-0 and report every output correct.  ``run.py`` writes its result under its
-own directory, so that run is made from a copy of ``src/`` and
-``benchmark/``, and the checkout's results are left as they are.  The
-benchmark's modules are imported from ``benchmark/`` and only read.
+``checks.check`` at the interpreter's default digit limit; a JSON output must
+be the bytes the standard library's encoder writes for it, and every string
+value in it must need no escape.  ``run.py`` itself exits 0 whatever its
+operations do, and its ``call`` catches only ``Exception``; so a
+``BaseException`` out of ``main``, a check that raises anything but
+``CheckError``, or a failed set-up probe ends a benchmark run with a nonzero
+status.  One short run of ``run.py`` in a subprocess must exit 0 and report
+every output correct.  ``run.py`` writes its result under its own directory,
+so that run is made from a copy of ``src/`` and ``benchmark/``, and the
+checkout's results are left as they are.  The benchmark's modules are imported
+from ``benchmark/`` and only read.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmark"))
 
 from checks import check  # noqa: E402
+from oracles import bad_record_strings, stdlib_json_line  # noqa: E402
 from workloads import WORKLOADS, make_ops  # noqa: E402
 
 
@@ -59,6 +62,9 @@ def test_every_op_exits_zero_and_checks(workload, seed):
                 check(op, out.getvalue())
             except BaseException as exc:
                 pytest.fail(f"{list(op.argv)} failed its check: {type(exc).__name__}: {exc}")
+            if op.fmt == "json":  # the CLI's writer, which escapes nothing
+                assert stdlib_json_line(out.getvalue()) == out.getvalue(), list(op.argv)
+                assert bad_record_strings(json.loads(out.getvalue())) == [], list(op.argv)
 
 
 def results(directory: Path) -> dict:
