@@ -53,11 +53,14 @@ MUTANTS = [
      "infimum = Fraction(bn * cd * g * m - cn * n,",
      "tests/test_kernels.py::test_cone_minimum_matches_formulas"),
     ("src/curvejac/minima.py",
-     "r.violation_margin * gf, r.minima_attained)", "r.violation_margin, r.minima_attained)",
+     "r.violation_margin * gf)", "r.violation_margin)",
      "tests/test_factored.py::test_factorial_times_coeff_at_small_genera"),
     ("src/curvejac/minima.py",
-     "minima_attained=True)", "minima_attained=False)",
+     "minima_attained = True", "minima_attained = False",
      "tests/test_kernels.py::test_zhang_audit_matches_formulas"),
+    ("src/curvejac/minima.py",
+     "self.violation_margin >= 0", "self.violation_margin > 0",
+     "tests/test_cli.py::test_golden_output"),
     ("src/curvejac/heights.py",
      "(scale // dd) * k * dn", "scale * k * dn",
      "tests/test_kernels.py::test_height_point_matches_formula"),
@@ -73,6 +76,9 @@ MUTANTS = [
      "tests/test_heights.py::TestStandardPolarization"),
     ("src/curvejac/cones.py",
      "num = an * bn * cd * cd - ", "num = an * bn * cd - ",
+     "tests/test_kernels.py::test_classify_matches_defect"),
+    ("src/curvejac/cones.py",
+     "is not Region.OUTSIDE", "is Region.BOUNDARY",
      "tests/test_kernels.py::test_classify_matches_defect"),
     ("src/curvejac/cli.py",
      'if double > den or (double == den and digits[-1] in "13579"):',

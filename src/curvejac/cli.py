@@ -3,46 +3,22 @@
 Subcommands mirror the library: classify, pair, intersect, pullback,
 decompose, height, curve-height, minima, witness, audit, table.  Each is one
 compute function in ``_COMMANDS`` that turns parsed arguments into a record
-(the JSON output) and its text lines; ``main`` is the one place that picks
-the format and prints.  A plain command line is read straight from the
-command's specs, tabled once when the command is registered, by
-``_read_plain``, to a namespace with the attributes argparse would return;
-it imports no argparse and builds no parser.  Plain: the subcommand's name,
-then options spelled exactly as declared ('-g V', '--genus V' or
-'--genus=V', V non-empty and not option-like), each at most once, and one
-run of positionals that opens the line, follows every option, or follows a
-single '--' with tokens after it (``table``'s optional bounds only in a run
-that opens the line), each value of its type and choices.  Any other line,
--h, abbreviations, '-g3' and every diagnostic included, goes to
-``build_parser``'s full parser, which imports argparse on first use.  Every
-class literal 'a,b,c' is read by one reader, ``_class_integers``: a run of
-them, joined by newlines, in one match of its shape and a few string
-checks, then its six integers per literal as written, by ``int``; a
-malformed run is read in order only to word the first bad literal's
-diagnostic.  On that diagnostic ``intersect`` checks its first literal and
-then the genus, so of a bad first literal, a bad genus and a bad later
-literal the first is reported.  It hands the integers to the recurrence
-unreduced and builds its input classes' text, in lowest terms, only for
-``--format json``, the one format that prints them; the other commands
-build an ``NSClass``.  Every class is written '(a,b,c)' by the lattice's
-``_triple_text``, and every rational exactly as "p/q" (plain integer when
-q = 1).  A g!-sized value is g! times a small rational
-r from the library's ``_coeff`` functions, and it has one writer per
-command, the ``_Scale`` that ``main`` hands to the compute function, whose
-``pair`` is the whole g! route: it builds g! in decimal at the first genus
-asked for, after the kernel has run, from leaves that carry their trailing
-zeros in the exponent, multiplies it by each later genus of ``table``'s
-rows, and turns g! * r into an exact ``Decimal`` numerator and denominator
-in lowest terms, both with exponent 0.  The exact text and the six-place
-decimal annotation are both formatted from that pair (``_Scale.printed``),
-so no g!-sized int is converted; an integral value's annotation is its text
-plus '.000000', so its digits are formatted once, and ``decimal_str`` runs
-only for the others.  No compute function handles g! itself.  A record is
-written as JSON by ``_json_text``, byte-identical to ``json.dumps`` with
-default settings and without its escape scan: every string a record holds is
-built here from ASCII digits, signs and punctuation, or is a ``Region``
-value, so none needs escaping; the CLI imports no json.  Identical
-invocations produce identical bytes.
+(the JSON output) and its text lines.  Each rule is stated on the function
+that holds it:
+
+- ``main`` runs one command, picks the format and prints; exit statuses.
+- ``_read_plain`` reads a plain command line without argparse;
+  ``build_parser``'s parser reads every other line.
+- ``_class_integers`` is the one reader of class literals 'a,b,c'.
+- ``_Scale`` is the one writer of g!-sized values, g! * r for the rationals r
+  of the library's ``_coeff`` functions; no compute function handles g!.
+- ``_json_text`` writes a record as ``json.dumps`` would; the CLI imports no
+  json.
+- The lattice's ``_triple_text`` writes every class '(a,b,c)';
+  ``_ratio_text`` and ``_exact_text`` write every rational "p/q" (p when
+  q = 1).
+
+Identical invocations produce identical bytes.
 """
 
 import os
@@ -210,12 +186,16 @@ def decimal_str(num: Decimal, den: Decimal) -> str:
 
 class _Scale:
     """The one writer of a command's g!-sized values, g! * r for small
-    rationals r.  ``pair`` holds the whole route: g! is built in decimal at
-    the first genus asked for and carried up one genus at a time after
-    that, as ``table``'s rows ask.  ``gf`` keeps g!'s trailing zeros in its
+    rationals r; ``main`` hands one to each compute function.  ``pair``
+    holds the whole route: g! is built in decimal at the first genus asked
+    for, after the kernel has run, so a refused input gets the kernel's
+    diagnostic at any genus, and carried up one genus at a time after that,
+    as ``table``'s rows ask.  ``gf`` keeps g!'s trailing zeros in its
     exponent; its readers (the carry's multiply, ``remainder`` and
     ``divide_int``) are exact on it, and ``divide_int`` returns exponent 0,
-    so no printed value shows an exponent."""
+    so no printed value shows an exponent.  Both the exact text and the
+    annotation are formatted from the pair (``printed``), so no g!-sized int
+    is converted."""
 
     genus = gf = None
 
@@ -520,7 +500,8 @@ def _witness(args: SimpleNamespace, scale: _Scale) -> tuple:
 def _audit_record(scale: _Scale, L: NSClass) -> dict:
     """Values of the audit of L (``zhang_audit_coeff``).
 
-    The kernel sets e2 = e1, so e2 and the mean print e1's strings.
+    ``ZhangAudit.e2`` is e1 by definition, so e2 and the mean print e1's
+    strings.
     """
     g, audit = L.genus, zhang_audit_coeff(L)
     e1, e1_dec = scale.printed(g, audit.e1)
@@ -602,8 +583,17 @@ def _typed(options: dict, text: str):
 
 
 def _read_plain(name: str, argv: list) -> Optional[SimpleNamespace]:
-    """The full parser's namespace for a plain line ``[name, *argv]`` (see
-    the module docstring), read from the same specs (``_PLAIN``); else None."""
+    """The full parser's namespace for a plain line ``[name, *argv]``, read
+    from the same specs (``_PLAIN``); else None.  It imports no argparse.
+
+    Plain: options spelled exactly as declared ('-g V', '--genus V' or
+    '--genus=V', V non-empty and not option-like), each at most once, and
+    one run of positionals that opens the line, follows every option, or
+    follows a single '--' with tokens after it (``table``'s optional bounds
+    only in a run that opens the line), each value of its type and choices.
+    Any other line, -h, abbreviations, '-g3' and every diagnostic included,
+    is left to ``build_parser``'s parser.
+    """
     flags, positionals, defaults, required, optional_run = _PLAIN[name]
     found = dict(defaults)
     lead = next((i for i, token in enumerate(argv) if not _is_value(token)), len(argv))
@@ -669,24 +659,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status: 0, 2 after a diagnostic, or 1
     with nothing more written when stdout's reader has gone (``| head -1``).
 
-    ``_read_plain`` reads a plain command line (see the module docstring) to a
-    namespace with argparse's attributes, and imports no argparse;
-    ``build_parser``'s parser reads any other line, importing argparse then.
-    ``--format json`` writes the record with ``_json_text``, which escapes
-    nothing: every string a record holds is built by this module from ASCII
-    digits, signs and punctuation, or is a ``Region`` value, never user text
-    verbatim.  Every result is computed before anything is printed, so an
-    error never leaves partial output.  Output is exact at every genus:
-    CPython's digit limit on int/str conversion is lifted while the command
-    runs, so input literals of any length are accepted too, and the caller's
-    limit is restored on return.  The limit is process-wide, so concurrent
-    calls from several threads would see each other's setting.  The compute
-    function writes its g!-sized values through the one ``_Scale`` it is
-    handed, which builds g! after the kernel has run, so a refused input gets
-    the kernel's diagnostic at any genus.  A genus past ``sys.maxsize`` gets
-    ``math.factorial``'s one-line diagnostic before any work on g!.  A genus
-    just under 2^63 passes that check and builds g! until it is killed: no
-    digit budget bounds the work yet (ROADMAP item 3).
+    ``_read_plain`` reads a plain command line and ``build_parser``'s parser
+    any other; ``--format json`` writes the record with ``_json_text``.
+    Every result is computed before anything is printed, so an error never
+    leaves partial output.  Output is exact at every genus: CPython's digit
+    limit on int/str conversion is lifted while the command runs, so input
+    literals of any length are accepted too, and the caller's limit is
+    restored on return.  The limit is process-wide, so concurrent calls from
+    several threads would see each other's setting.  A genus past
+    ``sys.maxsize`` gets ``math.factorial``'s one-line diagnostic before any
+    work on g!.  A genus just under 2^63 passes that check and builds g!
+    until it is killed: no digit budget bounds the work yet (ROADMAP item 3).
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     digit_limit = sys.get_int_max_str_digits()

@@ -34,34 +34,37 @@ class Region(Enum):
 
 
 class ConeVerdict(_Frozen):
-    """Cone membership report.  is_ample == is_big and is_nef == is_psef."""
+    """Cone membership report: ``region`` decides all four flags, with
+    is_ample == is_big and is_nef == is_psef."""
 
-    __slots__ = ("region", "is_ample", "is_nef", "is_big", "is_psef", "defect")
+    __slots__ = ("region", "defect")
 
-    def __init__(self, region: Region, is_ample: bool, is_nef: bool, is_big: bool,
-                 is_psef: bool, defect: Fraction) -> None:
+    def __init__(self, region: Region, defect: Fraction) -> None:
         object.__setattr__(self, "region", region)
-        object.__setattr__(self, "is_ample", is_ample)
-        object.__setattr__(self, "is_nef", is_nef)
-        object.__setattr__(self, "is_big", is_big)
-        object.__setattr__(self, "is_psef", is_psef)
         object.__setattr__(self, "defect", defect)
+
+    @property
+    def is_ample(self) -> bool:
+        return self.region is Region.INTERIOR
+
+    @property
+    def is_nef(self) -> bool:
+        return self.region is not Region.OUTSIDE
+
+    is_big, is_psef = is_ample, is_nef
 
 
 def classify(x: NSClass) -> ConeVerdict:
     """Locate a class relative to the nested ample/nef cone pair."""
     an, ad, bn, bd, cn, cd = _integer_ratios(x)
     num = an * bn * cd * cd - x.genus * cn * cn * ad * bd
-    nef = an >= 0 and bn >= 0 and num >= 0
-    ample = an > 0 and bn > 0 and num > 0
-    if ample:
+    if an > 0 and bn > 0 and num > 0:
         region = Region.INTERIOR
-    elif nef:
+    elif an >= 0 and bn >= 0 and num >= 0:
         region = Region.BOUNDARY
     else:
         region = Region.OUTSIDE
-    return ConeVerdict(region=region, is_ample=ample, is_nef=nef, is_big=ample,
-                       is_psef=nef, defect=Fraction(num, ad * bd * cd * cd))
+    return ConeVerdict(region, Fraction(num, ad * bd * cd * cd))
 
 
 class NefDecomposition(_Frozen):

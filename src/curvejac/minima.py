@@ -14,8 +14,7 @@ a witness that attains it by construction (proved in the tests),
 attaining the minimum for the standard polarization, and ``zhang_audit``
 compares the minima against the curve height, evaluating both
 successive-minima inequalities with exact margins.  The audit takes the cone
-minimum's value alone: it builds no witness, and sets ``minima_attained``
-from the construction.
+minimum's value alone and builds no witness.
 
 Both work in ``_coeff`` forms (g!-sized values divided by g!) on the
 coefficients' integers and build one ``Fraction`` per returned value.  Its
@@ -48,18 +47,18 @@ class MinimaReport(_Frozen):
     ``s_star = g * t_star**2`` always: the constraint is active at the
     optimum (or the minimizer is the apex s = t = 0 when C = 0).  The
     witness attains the infimum by construction (proved in the tests), so
-    ``attained_by_witness`` is always True, kept for the API and the JSON.
+    ``attained_by_witness`` is a class constant, True.
     ``cone_minimum_coeff`` gives ``infimum`` divided by g!.
     """
 
-    __slots__ = ("infimum", "s_star", "t_star", "attained_by_witness", "witness")
+    __slots__ = ("infimum", "s_star", "t_star", "witness")
+    attained_by_witness = True
 
     def __init__(self, infimum: Fraction, s_star: Fraction, t_star: Fraction,
-                 attained_by_witness: bool, witness: PointClass) -> None:
+                 witness: PointClass) -> None:
         object.__setattr__(self, "infimum", infimum)
         object.__setattr__(self, "s_star", s_star)
         object.__setattr__(self, "t_star", t_star)
-        object.__setattr__(self, "attained_by_witness", attained_by_witness)
         object.__setattr__(self, "witness", witness)
 
 
@@ -68,33 +67,39 @@ class ZhangAudit(_Frozen):
 
     The first inequality is e1 >= h, the second is h >= (e1 + e2) / 2;
     ``violation_margin`` is the signed quantity (e1 + e2) / 2 - h, positive
-    exactly when the second inequality fails.  ``minima_attained`` is always
-    True, set from the construction (e1 and e2 are attained by the cone
-    minimum's witnesses, which the audit does not build), and e2 = e1; both
-    are kept for the API and the JSON.  ``zhang_audit_coeff`` gives e1, e2, h_curve
+    exactly when the second inequality fails.  Here e2 = e1, so the margin
+    is e1 - h and its sign gives both flags.  ``minima_attained`` is a class
+    constant, True: e1 and e2 are attained by the cone minimum's witnesses,
+    which the audit does not build.  ``zhang_audit_coeff`` gives e1, h_curve
     and the margin divided by g!.
     """
 
-    __slots__ = ("e1", "e2", "h_curve", "first_inequality_holds",
-                 "second_inequality_holds", "violation_margin", "minima_attained")
+    __slots__ = ("e1", "h_curve", "violation_margin")
+    minima_attained = True
 
-    def __init__(self, e1: Fraction, e2: Fraction, h_curve: Fraction,
-                 first_inequality_holds: bool, second_inequality_holds: bool,
-                 violation_margin: Fraction, minima_attained: bool) -> None:
+    def __init__(self, e1: Fraction, h_curve: Fraction,
+                 violation_margin: Fraction) -> None:
         object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
         object.__setattr__(self, "h_curve", h_curve)
-        object.__setattr__(self, "first_inequality_holds", first_inequality_holds)
-        object.__setattr__(self, "second_inequality_holds", second_inequality_holds)
         object.__setattr__(self, "violation_margin", violation_margin)
-        object.__setattr__(self, "minima_attained", minima_attained)
+
+    @property
+    def e2(self) -> Fraction:
+        return self.e1
+
+    @property
+    def first_inequality_holds(self) -> bool:
+        return self.violation_margin >= 0
+
+    @property
+    def second_inequality_holds(self) -> bool:
+        return self.violation_margin <= 0
 
 
 def cone_minimum(L: NSClass) -> MinimaReport:
     """Exact infimum of the normalized height of point classes against L."""
     r = cone_minimum_coeff(L)
-    return MinimaReport(r.infimum * factorial(L.genus), r.s_star, r.t_star,
-                        r.attained_by_witness, r.witness)
+    return MinimaReport(r.infimum * factorial(L.genus), r.s_star, r.t_star, r.witness)
 
 
 def _infimum_ray(L: NSClass) -> tuple:
@@ -132,7 +137,6 @@ def cone_minimum_coeff(L: NSClass) -> MinimaReport:
     t_star = Fraction(n, g * m)
     s_star = Fraction(n * n, g * m * m)
     return MinimaReport(infimum=infimum, s_star=s_star, t_star=t_star,
-                        attained_by_witness=True,
                         witness=PointClass(pullback_theta(g, m, n)))
 
 
@@ -153,24 +157,21 @@ def zhang_audit(L: NSClass) -> ZhangAudit:
     """Evaluate both successive-minima inequalities for L, exactly."""
     r = zhang_audit_coeff(L)
     gf = factorial(L.genus)
-    return ZhangAudit(r.e1 * gf, r.e2 * gf, r.h_curve * gf,
-                      r.first_inequality_holds, r.second_inequality_holds,
-                      r.violation_margin * gf, r.minima_attained)
+    return ZhangAudit(r.e1 * gf, r.h_curve * gf, r.violation_margin * gf)
 
 
 def zhang_audit_coeff(L: NSClass) -> ZhangAudit:
     """Evaluate both successive-minima inequalities for L, exactly, with
-    e1, e2, the curve height and the margin divided by g! (g! > 0, so the
+    e1, the curve height and the margin divided by g! (g! > 0, so the
     inequalities read the same): O(1) integer operations at any genus for
     classes of bounded size.
 
     e1 and e2 coincide here: the cone minimum bounds every successive
     minimum from below, and the witness family realizes arbitrarily large
-    degrees on the minimizing ray, pinning them both.  The audit takes the
-    cone minimum's value alone and builds no witness: ``minima_attained``
-    is set from the construction, as ``attained_by_witness`` is.  A class
-    that is not nef gets the cone minimum's diagnostic before the curve
-    height's degree check.
+    degrees on the minimizing ray, pinning them both.  The audit stores e1,
+    h_curve and the margin; it takes the cone minimum's value alone and
+    builds no witness.  A class that is not nef gets the cone minimum's
+    diagnostic before the curve height's degree check.
     """
     e = _infimum_ray(L)[0]
     h = height_curve_coeff(L)
@@ -178,5 +179,4 @@ def zhang_audit_coeff(L: NSClass) -> ZhangAudit:
     # e1 = e2 = mean = e, so e1 - h and the margin mean - h are num / lcm(ed, hd).
     d = gcd(ed, hd)
     num = en * (hd // d) - hn * (ed // d)
-    return ZhangAudit(e, e, h, num >= 0, num <= 0, Fraction(num, ed // d * hd),
-                      minima_attained=True)
+    return ZhangAudit(e, h, Fraction(num, ed // d * hd))

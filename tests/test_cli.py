@@ -1319,18 +1319,10 @@ def test_deferred_line_loads_argparse_on_demand():
 
 
 def unattained_audit(L):
-    """zhang_audit_coeff with the flags flipped, to reach the other audit
-    lines; ``minima_attained`` shows only in the JSON record."""
+    """zhang_audit_coeff with the margin's sign flipped, which flips both
+    flags, to reach the other audit lines."""
     audit = zhang_audit_coeff(L)
-    return ZhangAudit(
-        audit.e1,
-        audit.e2,
-        audit.h_curve,
-        first_inequality_holds=False,
-        second_inequality_holds=True,
-        violation_margin=audit.violation_margin,
-        minima_attained=False,
-    )
+    return ZhangAudit(audit.e1, audit.h_curve, -audit.violation_margin)
 
 
 # Golden stdout: name -> (argv, patches of cli globals).  Each runs in text

@@ -182,12 +182,10 @@ class TestPublicWrappers:
         assert height_curve(L) == gf * height_curve_coeff(L)
         r = cone_minimum_coeff(L)
         assert cone_minimum(L) == MinimaReport(gf * r.infimum, r.s_star, r.t_star,
-                                               r.attained_by_witness, r.witness)
+                                               r.witness)
         a = zhang_audit_coeff(L)
-        assert zhang_audit(L) == ZhangAudit(
-            gf * a.e1, gf * a.e2, gf * a.h_curve, a.first_inequality_holds,
-            a.second_inequality_holds, gf * a.violation_margin, a.minima_attained,
-        )
+        assert zhang_audit(L) == ZhangAudit(gf * a.e1, gf * a.h_curve,
+                                            gf * a.violation_margin)
 
 
 @pytest.mark.parametrize("g", [2, 3, 7])

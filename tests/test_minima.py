@@ -75,7 +75,7 @@ class TestConeMinimum:
     def test_witness_required(self):
         report = cone_minimum(NSClass(2, 8, 1, 2))
         with pytest.raises(TypeError):
-            MinimaReport(report.infimum, report.s_star, report.t_star, True)
+            MinimaReport(report.infimum, report.s_star, report.t_star)
 
     def test_rejects_non_nef(self):
         with pytest.raises(ValueError):
