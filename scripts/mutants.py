@@ -123,8 +123,17 @@ MUTANTS = [
      '"/+" not in run and ', "",
      "tests/test_cli.py::test_run_reader_matches_per_literal"),
     ("src/curvejac/cli.py",
-     " and len(tokens) == 2 * len(parts)", "",
+     " and len(tokens) == 2 * len(keys)", "",
      "tests/test_cli.py::test_run_reader_matches_per_literal"),
+    ("src/curvejac/cli.py",
+     "__getitem__, parts)", "__getitem__, sorted(keys))",
+     "tests/test_cli.py::test_run_reader_matches_per_literal"),
+    ("src/curvejac/cli.py",
+     "for a, b, c in zip(*[iter(parts)] * 3)]", "for a, b, c in zip(*[iter(sorted(keys))] * 3)]",
+     "tests/test_cli.py::test_intersect_matches_reference"),
+    ("src/curvejac/cli.py",
+     "if 2 * len(keys) > len(parts):", "if True:",
+     "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),
     ("src/curvejac/cli.py",
      " and len(parts) == 3 * len(texts)", "",
      "tests/test_cli.py::test_run_reader_matches_per_literal"),

@@ -9,7 +9,9 @@ that holds it:
 - ``main`` runs one command, picks the format and prints; exit statuses.
 - ``_read_plain`` reads a plain command line without argparse;
   ``build_parser``'s parser reads every other line.
-- ``_class_integers`` is the one reader of class literals 'a,b,c'.
+- ``_read_classes`` is the one reader of class literals 'a,b,c';
+  ``_factors`` and ``_class_texts`` give what it read as the recurrence's
+  integers and as lowest-terms class texts.
 - ``_Scale`` is the one writer of g!-sized values, g! * r for the rationals r
   of the library's ``_coeff`` functions; no compute function handles g!.
 - ``_json_text`` writes a record as ``json.dumps`` would; the CLI imports no
@@ -47,7 +49,7 @@ _NUMERATOR, _DENOMINATOR = r"[+-]?\d+", r"\d+"
 # Groups: numerator, then denominator (None without '/q').
 _RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/({_DENOMINATOR}))?", re.ASCII)
 # A class literal's shape: three parts of ASCII digits, signs and slashes.
-# ``_class_integers`` checks the rest of a part's grammar without a regex.
+# ``_read_classes`` checks the rest of a part's grammar without a regex.
 _BARE_CLASS = ",".join(["[0-9+/-]+"] * 3)
 # A value, not an option, to argparse and ``_read_plain``: no option starts with a digit.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
@@ -75,29 +77,40 @@ def _run_re() -> re.Pattern:
     return re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*")
 
 
-def _class_integers(texts: list) -> list:
-    """The six integers (an, ad, bn, bd, cn, cd) of each class literal
-    'a,b,c' in ``texts``, as written (unreduced, an absent '/q' read as 1).
+def _read_classes(texts: list) -> tuple:
+    """The one reader of class literals 'a,b,c': (parts, keys, ints) of
+    the run ``texts``, or the first bad literal's diagnostic.
+
+    ``parts`` lists the literals' parts in order, three per literal.
+    ``keys`` is ``parts`` itself, or the set of part texts when the run has
+    more than one literal and at least half of its parts repeat an earlier
+    one.  ``ints`` holds each key's numerator and denominator as written
+    (unreduced, an absent '/q' read as 1), in the order of ``keys``.
 
     A good run takes no per-rational regex.  One match checks the shape of
     the literals joined by newlines, and the count of parts, three per
     literal, refuses a literal that itself holds a newline.  No '/+' or '/-'
-    refuses a signed denominator, and two integers per part a second '/'.
+    refuses a signed denominator, and two integers per key a second '/'.
     On the shape's characters ``int`` takes exactly '[+-]?[0-9]+', so it
     refuses the rest: an empty integer or a misplaced sign.  Time linear in
-    the run's length on top of the int conversions (quadratic in a part's
-    digits on Python 3.10 and 3.11).
+    the run's length on top of one ``int`` per integer of ``keys``
+    (quadratic in its digits on Python 3.10 and 3.11).
     """
     run = "\n".join(texts)
     parts = run.replace("\n", ",").split(",")
+    # Where fewer than half the parts repeat, looking each part up costs
+    # more than the parses it saves; a lone literal has too few to gain.
+    keys = set(parts) if len(texts) > 1 else parts
+    if 2 * len(keys) > len(parts):
+        keys = parts
     # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
-    tokens = "/".join([p if "/" in p else p + "/1" for p in parts]).split("/")
+    tokens = "/".join([p if "/" in p else p + "/1" for p in keys]).split("/")
     if (_run_re().fullmatch(run) and "/+" not in run and "/-" not in run
-            and len(parts) == 3 * len(texts) and len(tokens) == 2 * len(parts)):
+            and len(parts) == 3 * len(texts) and len(tokens) == 2 * len(keys)):
         try:
             ints = list(map(int, tokens))
             if all(ints[1::2]):  # else a zero denominator
-                return list(zip(*[iter(ints)] * 6))
+                return parts, keys, ints
         except ValueError:  # an empty integer, a misplaced sign, or past the digit limit
             pass
     # Only to word the diagnostic, as a split into components does: the
@@ -108,6 +121,23 @@ def _class_integers(texts: list) -> list:
             raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
         for part in text.split(","):
             parse_rational(part)
+
+
+def _factors(parts: list, keys, ints: list) -> list:
+    """The six integers (an, ad, bn, bd, cn, cd) of each literal of a run
+    that ``_read_classes`` read, as written: in run order, or each part's
+    pair looked up by its text when ``keys`` is the set of texts."""
+    if len(keys) == len(parts):
+        return list(zip(*[iter(ints)] * 6))
+    it = iter(ints)
+    pairs = map(dict(zip(keys, zip(it, it))).__getitem__, parts)
+    return [a + b + c for a, b, c in zip(*[pairs] * 3)]
+
+
+def _class_integers(texts: list) -> list:
+    """The six integers of each class literal of ``texts``, as written, or
+    the first bad literal's diagnostic (``_read_classes``)."""
+    return _factors(*_read_classes(texts))
 
 
 def parse_class(text: str, genus: int) -> NSClass:
@@ -126,9 +156,16 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // d) if den == d else f"{num // d}/{den // d}"
 
 
-def _class_text(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> str:
-    """``str(NSClass)`` of the class (an/ad, bn/bd, cn/cd), in lowest terms."""
-    return _triple_text(_ratio_text(an, ad), _ratio_text(bn, bd), _ratio_text(cn, cd))
+def _class_texts(parts: list, keys, ints: list) -> list:
+    """``str(NSClass)`` of each literal of a run that ``_read_classes``
+    read, in lowest terms: one ``_ratio_text`` per key, in run order, or
+    looked up by its text when ``keys`` is the set of texts."""
+    it = iter(ints)
+    if len(keys) == len(parts):
+        return [_triple_text(_ratio_text(an, ad), _ratio_text(bn, bd), _ratio_text(cn, cd))
+                for an, ad, bn, bd, cn, cd in zip(*[it] * 6)]
+    text = dict(zip(keys, [_ratio_text(num, den) for num, den in zip(it, it)]))
+    return [_triple_text(text[a], text[b], text[c]) for a, b, c in zip(*[iter(parts)] * 3)]
 
 
 def _ascii_int(text: str) -> int:
@@ -387,14 +424,14 @@ def _intersect(args: SimpleNamespace, scale: _Scale) -> tuple:
     # pass.  Of a bad first literal, a bad genus and a bad later literal,
     # the first in that order is reported.
     try:
-        factors = _class_integers(args.classes)
+        run = _read_classes(args.classes)
     except CLIError:
-        _class_integers(args.classes[:1])
+        _read_classes(args.classes[:1])
         _check_genus(args.genus)
         raise
-    r = _top_intersect_ints(args.genus, factors)
+    r = _top_intersect_ints(args.genus, _factors(*run))
     # Only the JSON record shows the inputs; text output skips rendering them.
-    inputs = {"classes": [_class_text(*f) for f in factors]} if args.format == "json" else {}
+    inputs = {"classes": _class_texts(*run)} if args.format == "json" else {}
     return _value(scale, args.genus, r, **inputs)
 
 

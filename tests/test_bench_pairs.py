@@ -1,0 +1,128 @@
+"""The statistics of ``scripts/bench_pairs.py``, on canned run results.
+
+No benchmark runs here: the paired runs take minutes.  These check the
+medians and quartiles, the pairs won, the verdict on each metric's bound,
+the gain rule, and the counting of failed runs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_script()
+metric_summary = bench_pairs.metric_summary
+
+
+def seeds(values):
+    return dict(enumerate(values, start=1))
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([1, 2, 3, 4, 5]) == (2, 3, 4)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_clear_gain_higher_is_better():
+    base = seeds([100, 101, 102, 103, 104, 105, 106, 107, 108, 109])
+    change = seeds([112, 113, 114, 115, 116, 117, 118, 119, 120, 121])
+    s = metric_summary(base, change, "higher", 0.1)
+    assert (s["pairs"], s["won"], s["lost"], s["tied"]) == (10, 10, 0, 0)
+    assert s["base"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
+    assert s["change"]["median"] == 116.5
+    assert s["relative_change"] == pytest.approx(12 / 104.5)
+    assert s["verdict"] == "inside"
+    assert s["median_gap_exceeds_base_iqr"] and s["gain_shown"]
+
+
+def test_lower_is_better_and_outside_the_bound():
+    # A latency 30% higher is a loss of every pair, outside a 0.2 bound.
+    base = seeds([1.0, 1.01, 0.99, 1.0, 1.02, 0.98])
+    change = {seed: 1.3 * value for seed, value in base.items()}
+    s = metric_summary(base, change, "lower", 0.2)
+    assert (s["won"], s["lost"]) == (0, 6)
+    assert s["relative_change"] == pytest.approx(0.3)
+    assert s["verdict"] == "outside"
+    assert not s["gain_shown"]
+    # 15% higher is inside the same bound.
+    change = {seed: 1.15 * value for seed, value in base.items()}
+    assert metric_summary(base, change, "lower", 0.2)["verdict"] == "inside"
+
+
+def test_nine_of_ten_pairs_and_the_iqr_rule():
+    base = seeds([100.0] * 10)
+    change = seeds([110.0] * 9 + [90.0])
+    s = metric_summary(base, change, "higher", 0.1)
+    assert (s["won"], s["lost"]) == (9, 1)
+    assert s["gain_shown"]
+    # Eight of ten is not enough, whatever the medians say.
+    change = seeds([110.0] * 8 + [90.0, 90.0])
+    assert not metric_summary(base, change, "higher", 0.1)["gain_shown"]
+    # Ties count for neither side.
+    change = seeds([110.0] * 9 + [100.0])
+    s = metric_summary(base, change, "higher", 0.1)
+    assert (s["won"], s["tied"], s["gain_shown"]) == (9, 1, True)
+
+
+def test_gain_must_exceed_the_base_spread():
+    # Every pair won, but by less than the base's quartiles lie apart.
+    base = seeds([90.0, 95.0, 100.0, 105.0, 110.0])
+    change = {seed: value + 1 for seed, value in base.items()}
+    s = metric_summary(base, change, "higher", 0.5)
+    assert s["won"] == 5
+    assert not s["median_gap_exceeds_base_iqr"]
+    assert not s["gain_shown"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    base = seeds([80.0, 100.0, 120.0, 90.0, 110.0])
+    change = seeds([82.0, 99.0, 118.0, 91.0, 112.0])
+    assert metric_summary(base, change, "higher", 0.1)["verdict"] == "unresolved"
+    # Unless every change run is better than every base run.
+    change = seeds([130.0, 131.0, 132.0, 133.0, 134.0])
+    assert metric_summary(base, change, "higher", 0.1)["verdict"] == "inside"
+
+
+def test_a_failed_run_counts_as_a_pair_not_won():
+    base = seeds([100.0] * 10)
+    change = seeds([120.0] * 10)
+    del change[3]  # that run gave no result
+    s = metric_summary(base, change, "higher", 0.1)
+    assert (s["pairs"], s["won"]) == (10, 9)
+    assert s["gain_shown"]
+    del change[4]
+    assert not metric_summary(base, change, "higher", 0.1)["gain_shown"]
+    assert metric_summary(base, {}, "higher", 0.1)["verdict"] == "no runs"
+
+
+def run(workload, seed, side, ops_per_s, failed=0, correct=True):
+    result = {"correct": correct, "attempted": 100, "failed": failed,
+              "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"}}}
+    return {"workload": workload, "seed": seed, "side": side, "exit": 0, "result": result}
+
+
+def test_summarize_counts_runs_and_failures():
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.1}]
+    runs = [run("w", 1, "base", 100.0), run("w", 1, "change", 110.0, failed=2),
+            run("w", 2, "change", 111.0), run("w", 2, "base", 101.0, correct=False),
+            {"workload": "w", "seed": 3, "side": "base", "exit": 1, "result": None},
+            run("w", 3, "change", 112.0)]
+    summary = bench_pairs.summarize(runs, end_to_end)["w"]
+    assert summary["base"] == {"runs": 3, "runs_failed": 1, "incorrect": 1,
+                               "ops_attempted": 200, "ops_failed": 0}
+    assert summary["change"] == {"runs": 3, "runs_failed": 0, "incorrect": 0,
+                                 "ops_attempted": 300, "ops_failed": 2}
+    ops = summary["metrics"]["ops_per_s"]
+    assert (ops["pairs"], ops["won"], ops["lost"]) == (3, 2, 0)
+    assert ops["base"]["median"] == 100.5 and ops["change"]["median"] == 111.0

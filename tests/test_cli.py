@@ -356,34 +356,53 @@ class TestAudit:
         assert rendered == []
 
 
-@pytest.mark.parametrize("fmt,renders", [("text", 0), ("json", 6)])
+@pytest.mark.parametrize("fmt,renders", [("text", 0), ("json", 11)])
 def test_intersect_renders_classes_for_json_only(capsys, monkeypatch, fmt, renders):
     # The literals go straight to integers: no format builds a class, and
-    # only the JSON record renders the g+1 inputs, in lowest terms.
+    # only the JSON record renders the g+1 inputs, in lowest terms.  Half
+    # of these 24 parts repeat an earlier one, so each of the 11 distinct
+    # parts is rendered once.
     built, rendered = [], []
 
     def build(cls, *args, original=NSClass.__init__):
         built.append(args)
         original(cls, *args)
 
-    def render(*ints, original=cli._class_text):
+    def render(*ints, original=cli._ratio_text):
         rendered.append(ints)
         return original(*ints)
 
     monkeypatch.setattr(NSClass, "__init__", build)
-    monkeypatch.setattr(cli, "_class_text", render)
-    classes = ["2/4,+1,-0", "0,1,0", "0,1,-1", "2,1,1", "0/7,06/6,0", "-3/9,1,1/1"]
-    code, out, _ = run_cli(capsys, "intersect", "-g", "5", "--format", fmt, "--", *classes)
+    monkeypatch.setattr(cli, "_ratio_text", render)
+    classes = ["2/4,+1,-0", "0,1,0", "0,1,-1", "2,1,1", "0/7,06/6,0", "-3/9,1,1/1",
+               "0,1,0", "0,1,0"]
+    code, out, _ = run_cli(capsys, "intersect", "-g", "7", "--format", fmt, "--", *classes)
     assert code == 0
     assert (built, len(rendered)) == ([], renders)
-    reduced = ["1/2,1,0", "0,1,0", "0,1,-1", "2,1,1", "0,1,0", "-1/3,1,1"]
-    value = str(top_intersect([NSClass(5, *map(Fraction, c.split(","))) for c in reduced]))
+    reduced = ["1/2,1,0", "0,1,0", "0,1,-1", "2,1,1", "0,1,0", "-1/3,1,1", "0,1,0", "0,1,0"]
+    value = str(top_intersect([NSClass(7, *map(Fraction, c.split(","))) for c in reduced]))
     if fmt == "json":
         record = json.loads(out)
         assert record["classes"] == [f"({text})" for text in reduced]
         assert record["value"] == value
     else:
         assert out.startswith(f"{value} (~")
+
+
+def test_intersect_renders_each_part_when_few_repeat(capsys, monkeypatch):
+    # 7 of these 18 parts repeat, under half: a lookup would cost more than
+    # the parses and texts it saves, so each part is rendered on its own.
+    rendered = []
+
+    def render(*ints, original=cli._ratio_text):
+        rendered.append(ints)
+        return original(*ints)
+
+    monkeypatch.setattr(cli, "_ratio_text", render)
+    classes = ["2/4,+1,-0", "0,1,0", "0,1,-1", "2,1,1", "0/7,06/6,0", "-3/9,1,1/1"]
+    code, out, _ = run_cli(capsys, "intersect", "-g", "5", "--format", "json", "--", *classes)
+    assert (code, len(rendered)) == (0, 18)
+    assert json.loads(out)["classes"][0] == "(1/2,1,0)"
 
 
 # Parts of intersect's class literals: -0, signs, leading zeros, unreduced
@@ -432,6 +451,12 @@ def intersect_cases(draw):
 @example((3, ["2/4,+1,-0", "0,2/2,0", "0,1,0", "0,1,0"], "json"))
 @example((1, ["1,1,1\n1,1,1"], "text"))  # one token, not g+1 literals
 @example((2, ["1,1,1\n1,1,1", "0,1,0"], "json"))
+# Runs whose parts mostly repeat, read once per distinct part: past the
+# recurrence's 64-factor leaf then a bad literal, a part that is bad in two
+# literals, and distinct texts of equal value.
+@example((70, ["0,1,0"] * 70 + ["0,1/0,0"], "json"))
+@example((3, ["1,1,1", "2,1/0,1", "1,1,1", "1/+2,1/0,1"], "text"))
+@example((3, ["2/4,+1,1", "1/2,01,1", "1,2/4,01", "+1,1/2,1"], "json"))
 def test_intersect_matches_reference(case):
     # Exit status, stdout and stderr of intersect equal those of a reference
     # that builds each class by the split parse and calls top_intersect.
@@ -477,6 +502,9 @@ def literal_runs(draw):
 @example(["1,1,1", "1,1,1/2/3"])
 @example(["1,1,1", "/2,1,1"])
 @example(["1,1,1", "1,1+2,1"])
+@example(["0,1,0"] * 70 + ["0,1/0,0"])  # parts that mostly repeat, then a bad literal
+@example(["1,1,1", "2,1/0,1", "1,1,1", "1/+2,1/0,1"])  # literal 2's diagnostic, not 4's
+@example(["2/4,+1,1", "1/2,01,1", "1,2/4,01", "+1,1/2,1"])  # each text's own integers
 def test_run_reader_matches_per_literal(texts):
     # One pass over the run gives each literal's integers as written, or
     # exactly the diagnostic of the first literal that the split route
@@ -498,11 +526,11 @@ def test_every_class_literal_goes_through_the_reader(capsys, monkeypatch):
     # read again, for the genus check.
     read = []
 
-    def reader(texts, original=cli._class_integers):
+    def reader(texts, original=cli._read_classes):
         read.append(list(texts))
         return original(texts)
 
-    monkeypatch.setattr(cli, "_class_integers", reader)
+    monkeypatch.setattr(cli, "_read_classes", reader)
     good = ["1,1,1", "2/4,1,-1", "0,1,0"]
     assert run_cli(capsys, "intersect", "-g", "2", *good)[0] == 0
     assert read == [good]

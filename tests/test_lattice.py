@@ -1,5 +1,6 @@
 """Lattice arithmetic, the monomial table, and the intersection engine."""
 
+import json
 import random
 import sys
 import time
@@ -276,23 +277,35 @@ class TestTopIntersect:
         assert _recurrence(factors) == (s10 - 2 * s02, scale)
         assert _recurrence(tuple(factors)) == (s10 - 2 * s02, scale)
 
-    def test_intersect_at_genus_50000_within_time(self, capsys):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_intersect_at_genus_50000_within_time(self, capsys, fmt):
         # intersect on 50,001 small literals: the product tree takes ~0.5 s
         # of CPU time, where a fold one factor at a time took ~4 s.  Every b
         # is nonzero, so the value over g! is B (sum a_i/b_i - ((sum u_i)^2 -
         # sum u_i^2)), with B the product of the b_i and u_i = c_i/b_i; each
         # sum is taken over the distinct (a, b) or (b, c) with their counts.
+        # JSON also lists the 50,001 input classes in lowest terms.
         g, rng = 50_000, random.Random(50_000)
         small = [f"{n}/{d}" for n in range(-9, 10) for d in range(1, 10)]
         bs = ["3/2", "-6/4", "5", "2/7", "9/9", "-1"]
         parts = [(rng.choice(small), rng.choice(bs), rng.choice(small)) for _ in range(g + 1)]
         start = time.process_time()
-        status = cli.main(["intersect", "-g", str(g), "--", *map(",".join, parts)])
+        status = cli.main(["intersect", "-g", str(g), "--format", fmt, "--",
+                           *map(",".join, parts)])
         elapsed = time.process_time() - start
         out, err = capsys.readouterr()
         assert (status, err) == (0, "")
         assert elapsed < 2.0, f"took {elapsed:.2f} s of CPU time"
 
+        if fmt == "json":
+            record = json.loads(out)
+            assert len(record["classes"]) == g + 1
+            for i in (0, 1, 777, g):
+                texts = ",".join(str(Fraction(x)) for x in parts[i])
+                assert record["classes"][i] == f"({texts})"
+            value = record["value"]
+        else:
+            value = out.partition(" (~")[0]
         B = prod(Fraction(b) ** n for b, n in Counter(b for _, b, _ in parts).items())
         sa = sum(n * Fraction(a) / Fraction(b)
                  for (a, b), n in Counter((a, b) for a, b, _ in parts).items())
@@ -300,7 +313,7 @@ class TestTopIntersect:
               for (b, c), n in Counter((b, c) for _, b, c in parts).items()]
         su, su2 = sum(n * u for n, u in us), sum(n * u * u for n, u in us)
         expected = factorial(g) * B * (sa - (su * su - su2))
-        num, _, den = out.partition(" (~")[0].partition("/")
+        num, _, den = value.partition("/")
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
