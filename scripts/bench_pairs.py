@@ -21,7 +21,9 @@ from ``BENCHMARK.json`` and the verdict on it, and whether a gain is shown:
 the change wins at least nine tenths of the pairs and its median is better
 by more than the distance between the base's quartiles.  A run that exits
 nonzero, or prints no result, is kept with the tail of its stderr and
-counted; no seed is run again.  Standard library only; run from anywhere.
+counted, and runs once more on the same seed and side; the second record is
+marked ``"rerun": true``, and the statistics read it.  Standard library
+only; run from anywhere.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ def metric_summary(base: dict, change: dict, better: str, bound: float) -> dict:
 
 
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Per workload: run and failure counts, and ``metric_summary`` of each
-    end-to-end metric of ``BENCHMARK.json``."""
+    """Per workload: run, failure and rerun counts, and ``metric_summary``
+    of each end-to-end metric of ``BENCHMARK.json``.  A seed's failed run
+    gave no result, so its rerun is the run that the metrics read."""
     out = {}
     for workload in sorted({run["workload"] for run in runs}):
         mine = [run for run in runs if run["workload"] == workload]
@@ -108,6 +111,7 @@ def summarize(runs: list, end_to_end: list) -> dict:
             entry[side] = {
                 "runs": len(ran),
                 "runs_failed": len(ran) - len(ok),
+                "reruns": sum(run["rerun"] for run in ran),
                 "incorrect": sum(not run["result"]["correct"] for run in ok),
                 "ops_attempted": sum(run["result"]["attempted"] for run in ok),
                 "ops_failed": sum(run["result"]["failed"] for run in ok),
@@ -193,12 +197,16 @@ def main(argv: list | None = None) -> int:
             for seed in range(args.first_seed, args.first_seed + args.pairs):
                 order = ("base", "change") if seed % 2 else ("change", "base")
                 for side in order:
-                    run = run_once(sides[side], workload, seed, args.seconds)
-                    runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "first": side == order[0], **run})
-                    value = (run["result"] or {}).get("metrics", {}).get("ops_per_s", {})
-                    print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
-                          f"ops_per_s {value.get('value', float('nan')):.1f}", flush=True)
+                    for rerun in (False, True):
+                        run = run_once(sides[side], workload, seed, args.seconds)
+                        runs.append({"workload": workload, "seed": seed, "side": side,
+                                     "first": side == order[0], "rerun": rerun, **run})
+                        value = (run["result"] or {}).get("metrics", {}).get("ops_per_s", {})
+                        label = f"{workload} seed {seed} {side}{' rerun' * rerun}"
+                        print(f"{label}: exit {run['exit']}, "
+                              f"ops_per_s {value.get('value', float('nan')):.1f}", flush=True)
+                        if run["result"] is not None:
+                            break
     record = {
         "label": args.label,
         "python": platform.python_version(),

@@ -103,6 +103,9 @@ MUTANTS = [
      "_decimal_product(mid, hi)", "_decimal_product(mid + 1, hi)",
      "tests/test_factored.py"),
     ("src/curvejac/cli.py",
+     "(hi - lo) * hi.bit_length() <= 1000:", "(hi - lo) * hi.bit_length() <= 10**9:",
+     "tests/test_factored.py::test_audit_exact_at_genus_10_5"),
+    ("src/curvejac/cli.py",
      '"mean": e1,', '"mean": h,',
      "tests/test_cli.py::test_golden_output"),
     ("src/curvejac/cli.py",

@@ -17,6 +17,8 @@ them.
 * ``split_parse_rational`` / ``split_parse_class`` - the command line's
   literal parsers as one match per component after a split at commas.
 * ``half_even_decimal`` - the six-place decimal annotation by an int divmod.
+* ``residue`` and ``factorial_mod`` - a decimal text and g! modulo a prime,
+  in time linear in their size, for output too long to convert to an int.
 * ``reference_intersect`` - the ``intersect`` command's exit status, stdout
   and stderr, from ``split_parse_class`` and ``top_intersect``.
 * ``stdlib_json_line`` - a JSON output line as the standard library's
@@ -290,6 +292,30 @@ def half_even_decimal(x: Fraction) -> str:
     sign = "-" if quo < 0 else ""
     whole, frac = divmod(abs(quo), 10**6)
     return f"{sign}{whole}.{frac:06d}"
+
+
+def residue(digits: str, p: int) -> int:
+    """The integer that ``digits`` (an optional sign, then ASCII digits)
+    writes, modulo p.  Horner's rule over chunks of at most 4,000 digits,
+    each below the default int/str digit limit."""
+    sign = -1 if digits.startswith("-") else 1
+    if digits.startswith(("+", "-")):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {digits[:20]!r}")
+    r = 0
+    for start in range(0, len(digits), 4000):
+        chunk = digits[start:start + 4000]
+        r = (r * pow(10, len(chunk), p) + int(chunk)) % p
+    return sign * r % p
+
+
+def factorial_mod(g: int, p: int) -> int:
+    """g! modulo p, one small multiply per factor."""
+    r = 1
+    for k in range(2, g + 1):
+        r = r * k % p
+    return r
 
 
 def reference_intersect(genus: int, literals: list, fmt: str) -> tuple:

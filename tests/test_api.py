@@ -78,15 +78,27 @@ def test_package_binds_only_its_names():
     assert sorted(public) == PACKAGE_NAMES
 
 
-def test_headline_script_output_pinned():
-    # scripts/reproduce_headline.py reads zhang_audit, cone_minimum and
-    # height_point; its output is pinned byte for byte, as CI diffs it.
+def run_headline(*argv):
+    """(exit status, stdout, stderr) of scripts/reproduce_headline.py."""
     root = Path(__file__).parents[1]
     src = str(Path(curvejac.__file__).parents[1])
     result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_headline.py"),
-         "--g-min", "2", "--g-max", "6", "--witnesses", "2"],
+        [sys.executable, str(root / "scripts" / "reproduce_headline.py"), *argv],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
-    expected = (root / "tests" / "golden" / "reproduce_headline_2_6.txt").read_text()
-    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_headline_script_output_pinned():
+    # scripts/reproduce_headline.py reads zhang_audit, cone_minimum and
+    # height_point; its output is pinned byte for byte.
+    expected = (Path(__file__).parent / "golden" / "reproduce_headline_2_6.txt").read_text()
+    assert run_headline("--g-min", "2", "--g-max", "6", "--witnesses", "2") == (0, expected, "")
+
+
+def test_headline_script_refuses_genus_below_2():
+    # argparse's usage, then the range error, and exit status 2.
+    status, out, err = run_headline("--g-min", "1")
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: reproduce_headline.py")
+    assert err.endswith("error: --g-min must be at least 2, got 1\n")

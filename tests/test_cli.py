@@ -1308,6 +1308,12 @@ def test_import_leaves_heavy_modules_out():
     assert json.loads(line)["genus"] == 2
 
 
+def test_text_audit_leaves_heavy_modules_out():
+    added, output, after = import_probe("audit", "-g", "2")
+    assert (added, after) == ("[]", "[]")
+    assert output[1] == "e1 = 3/2 (~1.500000)"
+
+
 def test_json_table_leaves_json_out():
     added, output, after = import_probe("table", "2", "4", "--format", "json")
     assert (added, after) == ("[]", "[]")

@@ -9,13 +9,17 @@ denominator.  Both are checked here against g! * r formed with
 is checked against an int ``divmod``.  The tree's leaves carry their
 trailing zeros in the exponent, so every command that prints g! is checked
 at genera where g! has many of them, for the exact digits with no exponent.
+At genus 10^5, where converting the output to an int is too slow, ``audit``
+is checked by residues modulo two primes.
 """
 
 import contextlib
 import io
 import json
+import random
 import re
 import sys
+import time
 from fractions import Fraction
 from math import factorial, perm
 
@@ -32,7 +36,7 @@ from curvejac.lattice import (NSClass, alpha1, pair_theta_power, pair_theta_powe
 from curvejac.minima import (MinimaReport, ZhangAudit, cone_minimum, cone_minimum_coeff,
                              witness_sequence, zhang_audit, zhang_audit_coeff)
 
-from oracles import half_even_decimal
+from oracles import factorial_mod, half_even_decimal, residue
 
 genera = st.integers(min_value=2, max_value=2000)
 rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
@@ -311,3 +315,105 @@ def test_no_exponent_at_trailing_zeros(g):
         assert {key: record[key] for key in fields} == fields, argv
         tokens = set(text.replace("(~", " ").replace(")", " ").replace(",", " ").split())
         assert set(fields.values()) <= tokens, argv
+
+
+# Mersenne primes past any genus the tests use, so g! is a unit modulo each.
+MODULI = (2**61 - 1, 2**89 - 1)
+
+
+def check_scaled(text, gf, r, p):
+    """The exact text N or N/D is g! * r, given gf = g! mod p: N b == g! a D
+    (mod p) for r = a/b."""
+    num, _, den = text.partition("/")
+    assert residue(num, p) * r.denominator % p == gf * r.numerator * residue(den or "1", p) % p
+
+
+def check_annotation(text, decimal, p):
+    """``decimal`` is the six-place half-even rounding of the exact text
+    N or N/D, whose denominator D is small: with A the decimal's digits
+    without the point, s = N 10^6 - A D, lifted from its residue into
+    (-p/2, p/2), has |2s| <= D, and on a tie A is even."""
+    assert re.fullmatch(r"-?\d+\.\d{6}", decimal), decimal
+    num, _, den = text.partition("/")
+    D = int(den or "1")
+    s = (residue(num, p) * 10**6 - residue(decimal.replace(".", ""), p) * D) % p
+    s = s - p if 2 * s > p else s
+    assert 2 * abs(s) <= D, decimal[-20:]
+    if 2 * abs(s) == D:
+        assert decimal[-1] in "02468"
+
+
+@pytest.mark.parametrize("g", [99_991, 100_000])
+def test_audit_exact_at_genus_10_5(g):
+    # The paper's closed forms at a prime genus, where e1 and the margin
+    # have denominator g and their annotations take decimal_str's division,
+    # and at 100,000, where every value is an integer.  g! has ~456,500
+    # digits here: one conversion of it from binary takes seconds, which
+    # the CPU-time bound refuses.
+    out = io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(out):
+        status = main(["audit", "-g", str(g), "--format", "json"])
+    elapsed = time.process_time() - start
+    assert status == 0
+    assert elapsed < 2.0, f"took {elapsed:.2f} s of CPU time"
+    record = json.loads(out.getvalue())
+    assert ("/" in record["e1"]) == (g == 99_991)
+    e1, h = Fraction(g * g - 1, g * g), Fraction(g - 1, g)
+    for p in MODULI:
+        gf = factorial_mod(g, p)
+        for key, r in [("e1", e1), ("e2", e1), ("mean", e1), ("h", h), ("margin", e1 - h)]:
+            check_scaled(record[key], gf, r, p)
+        check_annotation(record["e1"], record["e1_dec"], p)
+        check_annotation(record["h"], record["h_dec"], p)
+
+
+class TestResidueOracle:
+    @pytest.mark.parametrize("n", [0, 7, -7, 10**4000, -(3**20000), factorial(5000)],
+                             ids=["0", "7", "-7", "10^4000", "-3^20000", "5000!"])
+    def test_matches_int(self, n):
+        with no_digit_limit():
+            text = str(n)
+        assert [residue(text, p) for p in MODULI] == [n % p for p in MODULI]
+        assert residue("+" + text.lstrip("-"), MODULI[0]) == abs(n) % MODULI[0]
+
+    @pytest.mark.parametrize("text", ["", "-", "1_0", " 1", "1.5", "\u0661", "--1"])
+    def test_refuses_what_is_not_a_decimal_integer(self, text):
+        with pytest.raises(ValueError):
+            residue(text, MODULI[0])
+
+    def test_factorial_mod(self):
+        assert [factorial_mod(g, 10**9 + 7) for g in (0, 1, 2, 10, 2000)] == [
+            factorial(g) % (10**9 + 7) for g in (0, 1, 2, 10, 2000)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 10**5 - 1), st.integers(1, 9))
+    def test_one_changed_digit_is_caught(self, seed, position, shift):
+        # A digit moved by k at place j moves the value by k 10^j, which no
+        # prime past 10 divides, so either modulus alone catches it.
+        digits = "".join(random.Random(seed).choices("0123456789", k=10**5))
+        old = int(digits[position])
+        changed = digits[:position] + str((old + shift) % 10) + digits[position + 1:]
+        place = 10**5 - 1 - position
+        for p in MODULI:
+            moved = (residue(changed, p) - residue(digits, p)) % p
+            assert moved != 0
+            assert moved == ((old + shift) % 10 - old) * pow(10, place, p) % p
+
+    @pytest.mark.parametrize("g", [4999, 5000])
+    def test_checks_agree_with_int_conversion(self, g):
+        # The residue checks accept what the int route accepts at a genus
+        # where both run, and refuse an annotation one unit off.
+        record = run_json("audit", "-g", str(g), "--format", "json")
+        e1 = factorial(g) * Fraction(g * g - 1, g * g)
+        with no_digit_limit():
+            assert record["e1"] == str(e1) and record["e1_dec"] == half_even_decimal(e1)
+        gf = factorial_mod(g, MODULI[0])
+        check_scaled(record["e1"], gf, Fraction(g * g - 1, g * g), MODULI[0])
+        check_annotation(record["e1"], record["e1_dec"], MODULI[0])
+        whole, frac = record["e1_dec"].split(".")
+        off = f"{whole}.{int(frac) ^ 1:06d}"  # the last digit moved by one
+        with pytest.raises(AssertionError):
+            check_annotation(record["e1"], off, MODULI[0])
+        with pytest.raises(AssertionError):
+            check_scaled(record["e1"], gf, Fraction(g * g - 1, g * g) + 1, MODULI[0])
