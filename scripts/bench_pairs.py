@@ -22,8 +22,10 @@ the change wins at least nine tenths of the pairs and its median is better
 by more than the distance between the base's quartiles.  A run that exits
 nonzero, or prints no result, is kept with the tail of its stderr and
 counted, and runs once more on the same seed and side; the second record is
-marked ``"rerun": true``, and the statistics read it.  Standard library
-only; run from anywhere.
+marked ``"rerun": true``, and the statistics read it.  The script exits 1,
+after writing the file, when any run failed, any output was incorrect or
+any operation failed, on either side of any workload; else 0.  Standard
+library only; run from anywhere.
 """
 
 from __future__ import annotations
@@ -223,7 +225,11 @@ def main(argv: list | None = None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
-    return 0
+    bad = [f"{workload} {side}" for workload, entry in record["summary"].items()
+           for side in ("base", "change")
+           if entry[side]["runs_failed"] or entry[side]["incorrect"] or entry[side]["ops_failed"]]
+    print("failed runs, incorrect outputs or failed operations:", ", ".join(bad) or "none")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

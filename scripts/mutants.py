@@ -81,7 +81,7 @@ MUTANTS = [
      "is not Region.OUTSIDE", "is Region.BOUNDARY",
      "tests/test_kernels.py::test_classify_matches_defect"),
     ("src/curvejac/cli.py",
-     'if double > den or (double == den and digits[-1] in "13579"):',
+     "if double > den or (double == den and _EXACT.remainder(quo, 2)):",
      "if double >= den:",
      "tests/test_cli.py::TestDecimalAnnotation"),
     ("src/curvejac/cli.py",
@@ -90,6 +90,16 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      "_EXACT.divide_int(self.gf, d)", "_EXACT.divide(self.gf, d)",
      "tests/test_factored.py::TestFactoredText"),
+    # The kept q is not reset on a carry or a rebuild of g!.
+    ("src/curvejac/cli.py",
+     "self.q = 0  # a kept division", "pass  # a kept division",
+     "tests/test_factored.py::TestFactoredText::test_one_writer_at_any_genera"),
+    ("src/curvejac/cli.py",
+     "self.d // k * r.numerator", "self.d * r.numerator",
+     "tests/test_factored.py::TestFactoredText::test_shared_denominator"),
+    ("src/curvejac/cli.py",
+     "if q != self.q:", "if True:",
+     "tests/test_factored.py::test_one_division_of_g_per_record"),
     ("src/curvejac/cli.py",
      '".000000" if den == 1', '".000000" if den >= 1',
      "tests/test_factored.py::TestFactoredText::test_one_writer_at_any_genera"),

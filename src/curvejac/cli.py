@@ -30,7 +30,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      Inexact, InvalidOperation, Rounded)
 from fractions import Fraction
 from functools import cache
-from math import gcd, perm
+from math import gcd, lcm, perm
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -213,10 +213,9 @@ def decimal_str(num: Decimal, den: Decimal) -> str:
     """
     quo, rem = _EXACT.divmod(_EXACT.scaleb(num.copy_abs(), 6), den)
     double = _EXACT.multiply(rem, 2)
-    digits = str(quo)
-    if double > den or (double == den and digits[-1] in "13579"):
-        digits = str(_EXACT.add(quo, 1))
-    digits = digits.rjust(7, "0")
+    if double > den or (double == den and _EXACT.remainder(quo, 2)):
+        quo = _EXACT.add(quo, 1)
+    digits = str(quo).rjust(7, "0")
     sign = "-" if num < 0 and digits.strip("0") else ""
     return f"{sign}{digits[:-6]}.{digits[-6:]}"
 
@@ -230,37 +229,53 @@ class _Scale:
     as ``table``'s rows ask.  ``gf`` keeps g!'s trailing zeros in its
     exponent; its readers (the carry's multiply, ``remainder`` and
     ``divide_int``) are exact on it, and ``divide_int`` returns exponent 0,
-    so no printed value shows an exponent.  Both the exact text and the
+    so no printed value shows an exponent.  The values of one record share
+    one remainder and one division of g! (``pair``'s q), so an audit row
+    reads g!'s digits five times, not nine.  Both the exact text and the
     annotation are formatted from the pair (``printed``), so no g!-sized int
     is converted."""
 
     genus = gf = None
+    q = 0  # the common denominator whose division of g! is kept, 0 for none
 
-    def pair(self, g: int, r: Fraction) -> tuple:
+    def pair(self, g: int, r: Fraction, q: int = 0) -> tuple:
         """g! * r as (numerator, denominator) in lowest terms, two exact
         integral ``Decimal``s.
 
         A genus that ``math.factorial`` would refuse gets its diagnostic
-        before any work on g!.  g! p/q in lowest terms has numerator
-        (g!/d) p, d = gcd(g!, q), and d is gcd(g! mod q, q), so no binary g!
-        is needed.
+        before any work on g!.  For r = p/b in lowest terms and ``q`` a
+        multiple of b (b itself when 0), d = gcd(g!, q) is gcd(g! mod q, q),
+        so no binary g! is needed.  d and g!/d are kept for the genus: the
+        values of a record, given their common multiple, share one remainder
+        and one division of g!.  As b divides q, k = gcd(d, b) is
+        gcd(g!, b), so g! r in lowest terms has numerator (g!/d) (d/k) p,
+        one more pass over g!'s digits, and denominator b/k, divided out of
+        q in decimal, so no denominator is converted twice.
         """
-        if self.genus == g - 1:
-            self.genus, self.gf = g, _EXACT.multiply(self.gf, g)
-        elif self.genus != g:
-            if g > sys.maxsize:
+        if self.genus != g:
+            if self.genus == g - 1:
+                self.genus, self.gf = g, _EXACT.multiply(self.gf, g)
+            elif g > sys.maxsize:
                 raise OverflowError(f"factorial() argument should not exceed {sys.maxsize}")
-            self.genus, self.gf = g, _decimal_product(0, g)
-        q, q_dec = r.denominator, Decimal(r.denominator)
-        d = gcd(int(_EXACT.remainder(self.gf, q_dec)), q)
-        return (_EXACT.multiply(_EXACT.divide_int(self.gf, d), r.numerator),
-                _EXACT.divide_int(q_dec, d))
+            else:
+                self.genus, self.gf = g, _decimal_product(0, g)
+            self.q = 0  # a kept division is of the old g!
+        b = r.denominator
+        q = q or b
+        if q != self.q:
+            q_dec = Decimal(q)
+            d = gcd(int(_EXACT.remainder(self.gf, q_dec)), q)
+            self.q, self.q_dec, self.d = q, q_dec, d
+            self.part = _EXACT.divide_int(self.gf, d)
+        k = gcd(self.d, b)
+        return (_EXACT.multiply(self.part, self.d // k * r.numerator),
+                _EXACT.divide_int(self.q_dec, q // b * k))
 
-    def printed(self, g: int, r: Fraction) -> tuple:
-        """The exact text and the six-place annotation of g! * r.  An
-        integral value's annotation is its text plus '.000000', so its
-        digits are formatted once."""
-        num, den = self.pair(g, r)
+    def printed(self, g: int, r: Fraction, q: int = 0) -> tuple:
+        """The exact text and the six-place annotation of g! * r, with
+        ``pair``'s q.  An integral value's annotation is its text plus
+        '.000000', so its digits are formatted once."""
+        num, den = self.pair(g, r, q)
         text = _exact_text(num, den)
         return text, text + ".000000" if den == 1 else decimal_str(num, den)
 
@@ -538,17 +553,19 @@ def _audit_record(scale: _Scale, L: NSClass) -> dict:
     """Values of the audit of L (``zhang_audit_coeff``).
 
     ``ZhangAudit.e2`` is e1 by definition, so e2 and the mean print e1's
-    strings.
+    strings.  The three values share one division of g! (``_Scale.pair``).
     """
     g, audit = L.genus, zhang_audit_coeff(L)
-    e1, e1_dec = scale.printed(g, audit.e1)
-    h, h_dec = scale.printed(g, audit.h_curve)
+    # The margin e1 - h has a denominator that divides q.
+    q = lcm(audit.e1.denominator, audit.h_curve.denominator)
+    e1, e1_dec = scale.printed(g, audit.e1, q)
+    h, h_dec = scale.printed(g, audit.h_curve, q)
     return {
         "e1": e1,
         "e2": e1,
         "h": h,
         "mean": e1,
-        "margin": _exact_text(*scale.pair(g, audit.violation_margin)),
+        "margin": _exact_text(*scale.pair(g, audit.violation_margin, q)),
         "e1_dec": e1_dec,
         "h_dec": h_dec,
         "first_inequality_holds": audit.first_inequality_holds,

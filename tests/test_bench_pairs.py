@@ -154,18 +154,20 @@ def test_summarize_reads_the_rerun_of_a_failed_run():
     assert ops["base"]["median"] == 100.0 and ops["change"]["median"] == 110.5
 
 
-def test_a_failed_run_runs_once_more(monkeypatch, tmp_path):
-    # main reruns a failed run once, on the same seed and side, and marks
-    # the second record; a run that gives a result is not run again.
-    outcomes = iter([None, 100.0, None, None, 101.0, 102.0])
+def fake_main(monkeypatch, tmp_path, outcomes):
+    """Run ``main`` with ``run_once`` faked: each outcome is None (a run
+    that gave no result), an ops_per_s value, or a (value, correct, failed)
+    triple.  Returns main's exit status and the (side, seed) of each run."""
+    outcomes = iter(outcomes)
     calls = []
 
     def fake_run_once(side_dir, workload, seed, seconds):
         calls.append((side_dir.name, seed))
-        value = next(outcomes)
-        if value is None:
+        outcome = next(outcomes)
+        if outcome is None:
             return {"exit": 1, "result": None, "stderr_tail": ["ZeroDivisionError"]}
-        result = {"correct": True, "attempted": 10, "failed": 0,
+        value, correct, failed = outcome if isinstance(outcome, tuple) else (outcome, True, 0)
+        result = {"correct": correct, "attempted": 10, "failed": failed,
                   "metrics": {m: {"value": value} for m in
                               ("ops_per_s", "p50_ms", "p90_ms", "peak_rss_mb", "setup_s")}}
         return {"exit": 0, "result": result, "stderr_tail": []}
@@ -176,8 +178,17 @@ def test_a_failed_run_runs_once_more(monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench_pairs, "git",
                         lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
-    assert bench_pairs.main(["--base", "HEAD", "--label", "t", "--pairs", "2",
-                             "--workloads", "small_calls"]) == 0
+    status = bench_pairs.main(["--base", "HEAD", "--label", "t", "--pairs", "2",
+                               "--workloads", "small_calls"])
+    return status, calls
+
+
+def test_a_failed_run_runs_once_more(monkeypatch, tmp_path):
+    # main reruns a failed run once, on the same seed and side, and marks
+    # the second record; a run that gives a result is not run again.  A
+    # failed run makes main exit 1, after it writes the file.
+    status, calls = fake_main(monkeypatch, tmp_path, [None, 100.0, None, None, 101.0, 102.0])
+    assert status == 1
     # Seed 1 runs base then change, seed 2 change then base.
     assert calls == [("base", 1), ("base", 1), ("change", 1), ("change", 1),
                      ("change", 2), ("base", 2)]
@@ -188,3 +199,13 @@ def test_a_failed_run_runs_once_more(monkeypatch, tmp_path):
     summary = record["summary"]["small_calls"]
     assert (summary["base"]["runs_failed"], summary["base"]["reruns"]) == (1, 1)
     assert (summary["change"]["runs_failed"], summary["change"]["reruns"]) == (2, 1)
+
+
+@pytest.mark.parametrize("outcome, status", [
+    (103.0, 0), ((103.0, False, 0), 1), ((103.0, True, 1), 1), (None, 1)])
+def test_exit_status_says_whether_every_run_was_clean(monkeypatch, tmp_path, outcome, status):
+    # The last run (seed 2, base) is clean, incorrect, has a failed
+    # operation, or fails on both tries; only the clean one exits 0.
+    outcomes = [100.0, 101.0, 102.0, outcome] + [None] * (outcome is None)
+    assert fake_main(monkeypatch, tmp_path, outcomes)[0] == status
+    assert (tmp_path / "BENCH_t.json").exists()

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, lcm, perm
 from pathlib import Path
 from unittest import mock
 
@@ -298,10 +298,12 @@ class TestAudit:
     )
     def test_factorial_converted_once(self, capsys, monkeypatch, argv, g_min):
         # The ints the command hands to Decimal are g!, once, as the one
-        # leaf of its tree (genus <= 100), and the denominator of each
-        # distinct value printed, to reduce it against g!: e1 = e2 = mean,
-        # h, then the margin.  No text is parsed back.  An integral value's
-        # annotation is its exact text plus '.000000', without
+        # leaf of its tree (genus <= 100), and for each record the common
+        # denominator q of its values (e1 = e2 = mean, h and the margin),
+        # once: g! is divided by gcd(g!, q) once per record, and each
+        # value's reduced denominator is q divided in decimal, with no
+        # conversion of its own.  No text is parsed back.  An integral
+        # value's annotation is its exact text plus '.000000', without
         # ``decimal_str``; only a value with a denominator other than 1 is
         # handed to it, its numerator once, with the denominator.
         converted, handed = [], []
@@ -323,7 +325,7 @@ class TestAudit:
         genera = [record.get("genus", record.get("g")) for record in records]
         audits = [zhang_audit_coeff(standard_polarization(g)) for g in genera]
         assert converted == [factorial(g_min)] + [
-            r.denominator for a in audits for r in (a.e1, a.h_curve, a.violation_margin)
+            lcm(a.e1.denominator, a.h_curve.denominator) for a in audits
         ]
         values = [(record[key], record[key + "_dec"]) for record in records for key in ("e1", "h")]
         assert handed == [value for value, _ in values if "/" in value]

@@ -10,7 +10,8 @@ is checked against an int ``divmod``.  The tree's leaves carry their
 trailing zeros in the exponent, so every command that prints g! is checked
 at genera where g! has many of them, for the exact digits with no exponent.
 At genus 10^5, where converting the output to an int is too slow, ``audit``
-is checked by residues modulo two primes.
+and the rows of a two-row ``table`` are checked by residues modulo two
+primes.
 """
 
 import contextlib
@@ -21,13 +22,14 @@ import re
 import sys
 import time
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, lcm, perm
 
 import hypothesis.strategies as st
 import pytest
 import sympy
 from hypothesis import example, given, settings
 
+from curvejac import cli
 from curvejac.cli import _decimal_product, _exact_text, _Scale, decimal_str, main
 from curvejac.heights import (PointClass, height_curve, height_curve_coeff, height_point,
                               height_point_coeff, standard_polarization)
@@ -86,6 +88,13 @@ def multipliers(draw, g):
     return Fraction(p, q)
 
 
+@st.composite
+def records(draw):
+    """A genus and three multipliers at it, as the values of one record."""
+    g = draw(genera)
+    return g, [draw(multipliers(g)) for _ in range(3)]
+
+
 def nef_class(g, m, n, s, t):
     """A nef class with A > 0 (m > 0): a pullback plus s alpha1 + t theta2."""
     return pullback_theta(g, m, n) + s * alpha1(g) + t * theta2(g)
@@ -128,15 +137,41 @@ class TestFactoredText:
     def test_one_writer_at_any_genera(self):
         # A command's one writer asked for genera in any order: again at the
         # same genus, one genus up (the carried g!), a jump up, a jump down.
+        # A shared q (third entry, 0 for none) is interleaved with plain
+        # calls, and asked for again after a carry and after a jump, where
+        # the division kept for it is of the old g!.
         scale = _Scale()
-        for g, r in [(5, Fraction(1)), (5, Fraction(-7, 4)), (6, Fraction(1, 2003)),
-                     (7, Fraction(3)), (7, Fraction(3)), (12, Fraction(-5, 11)),
-                     (3, Fraction(1, 6)), (4, Fraction(0)), (2000, Fraction(1, 3)),
-                     (2001, Fraction(-1, 2)), (2, Fraction(7))]:
-            value = scale.pair(g, r)
+        for g, r, q in [(5, Fraction(1), 0), (5, Fraction(-7, 4), 12),
+                        (5, Fraction(1, 3), 12), (5, Fraction(-7, 4), 0),
+                        (5, Fraction(5, 6), 12), (6, Fraction(1, 2003), 0),
+                        (7, Fraction(3), 0), (7, Fraction(3), 0), (7, Fraction(-1, 4), 44),
+                        (8, Fraction(3, 11), 44), (8, Fraction(0), 44),
+                        (12, Fraction(-5, 11), 0), (3, Fraction(1, 6), 6),
+                        (3, Fraction(1, 2), 6), (4, Fraction(0), 0), (2000, Fraction(1, 3), 6),
+                        (2001, Fraction(-1, 2), 6), (2001, Fraction(-1, 2), 0),
+                        (2, Fraction(7, 6), 6), (2, Fraction(7), 0)]:
+            value = scale.pair(g, r, q)
             with no_digit_limit():
                 assert _exact_text(*value) == expanded(g, r)
-            assert scale.printed(g, r) == (_exact_text(*value), decimal_str(*value))
+            assert scale.printed(g, r, q) == (_exact_text(*value), decimal_str(*value))
+
+    @settings(max_examples=80, deadline=None)
+    @given(record=records())
+    @example(record=(7, [Fraction(0), Fraction(-7, 4), Fraction(3, 11)]))
+    @example(record=(12, [Fraction(-5, 10**4000 + 1), Fraction(1, 36), Fraction(0)]))
+    def test_shared_denominator(self, record):
+        # The values of one record share one division of g!, by a common
+        # multiple q of their denominators: each is what a writer of its own
+        # makes of it, and g! * r.  Zero, either sign, a q that divides g!,
+        # a prime q > g and a huge q each meet that division differently.
+        g, rs = record
+        q = lcm(*(r.denominator for r in rs))
+        scale = _Scale()
+        for r in rs:
+            value = scale.pair(g, r, q)
+            assert list(map(str, value)) == list(map(str, _Scale().pair(g, r)))
+            with no_digit_limit():
+                assert _exact_text(*value) == expanded(g, r)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 1990), st.integers(0, 10))
@@ -298,6 +333,45 @@ def printing_commands(g):
     ]
 
 
+class PassCounter:
+    """Stands in for the CLI's exact context and records the name of each
+    of its operations whose first operand has at least ``digits`` digits."""
+
+    def __init__(self, context, digits):
+        self.context, self.digits, self.calls = context, digits, []
+
+    def __getattr__(self, name):
+        method = getattr(self.context, name)
+
+        def counted(first, *rest):
+            if first.adjusted() + 1 >= self.digits:
+                self.calls.append(name)
+            return method(first, *rest)
+
+        return counted
+
+
+RECORD_PASSES = ["remainder", "divide_int", "multiply", "multiply", "multiply"]
+
+
+@pytest.mark.parametrize("argv,passes", [
+    (["audit", "-g", "1500"], RECORD_PASSES),
+    (["table", "1500", "1501"], [*RECORD_PASSES, "multiply", *RECORD_PASSES]),
+], ids=["audit", "table"])
+def test_one_division_of_g_per_record(monkeypatch, argv, passes):
+    # An audit record's three values, e1, h and the margin, share one
+    # remainder and one division of g!, and each takes one multiply of the
+    # quotient: five passes over g!'s digits, and a table's carry one more
+    # between rows.  Both genera are composite, so every value is integral
+    # and no annotation divides.  The quotient g!/d is a few digits shorter
+    # than g!; the halves that build g! have about half its digits.
+    counter = PassCounter(cli._EXACT, 0.9 * len(str(factorial(1500))))
+    monkeypatch.setattr(cli, "_EXACT", counter)
+    text = run_text(*argv, "--format", "json")
+    assert counter.calls == passes
+    assert "/" not in text
+
+
 # A Decimal's exponent as ``str`` writes it ('1.2E+2'); 'VIOLATED' is not one.
 EXPONENT = re.compile(r"E[+-]\d")
 
@@ -343,22 +417,23 @@ def check_annotation(text, decimal, p):
         assert decimal[-1] in "02468"
 
 
-@pytest.mark.parametrize("g", [99_991, 100_000])
-def test_audit_exact_at_genus_10_5(g):
-    # The paper's closed forms at a prime genus, where e1 and the margin
-    # have denominator g and their annotations take decimal_str's division,
-    # and at 100,000, where every value is an integer.  g! has ~456,500
-    # digits here: one conversion of it from binary takes seconds, which
-    # the CPU-time bound refuses.
+def run_timed(*argv):
+    """The text ``main`` writes for ``argv``, which must exit 0 within 2 s
+    of CPU time.  g! has ~456,500 digits at genus 10^5: one conversion of
+    it from binary takes seconds, which the bound refuses."""
     out = io.StringIO()
     start = time.process_time()
     with contextlib.redirect_stdout(out):
-        status = main(["audit", "-g", str(g), "--format", "json"])
+        status = main(list(argv))
     elapsed = time.process_time() - start
     assert status == 0
     assert elapsed < 2.0, f"took {elapsed:.2f} s of CPU time"
-    record = json.loads(out.getvalue())
-    assert ("/" in record["e1"]) == (g == 99_991)
+    return out.getvalue()
+
+
+def check_audit_values(record, g):
+    """The audit values of the standard polarization at genus g, each
+    against its closed form modulo both primes, the annotations exactly."""
     e1, h = Fraction(g * g - 1, g * g), Fraction(g - 1, g)
     for p in MODULI:
         gf = factorial_mod(g, p)
@@ -366,6 +441,32 @@ def test_audit_exact_at_genus_10_5(g):
             check_scaled(record[key], gf, r, p)
         check_annotation(record["e1"], record["e1_dec"], p)
         check_annotation(record["h"], record["h_dec"], p)
+
+
+@pytest.mark.parametrize("g", [99_991, 100_000])
+def test_audit_exact_at_genus_10_5(g):
+    # The paper's closed forms at a prime genus, where e1 and the margin
+    # have denominator g and their annotations take decimal_str's division,
+    # and at 100,000, where every value is an integer.
+    record = json.loads(run_timed("audit", "-g", str(g), "--format", "json"))
+    assert ("/" in record["e1"]) == (g == 99_991)
+    check_audit_values(record, g)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_table_exact_at_genus_10_5(fmt):
+    # Two rows across the carry: the second multiplies the first's g! by
+    # 100,000, and each row's values share one division of its g!.  The
+    # text table is read back by its header; its cells hold no spaces.
+    out = run_timed("table", "99999", "100000", "--format", fmt)
+    if fmt == "json":
+        rows = json.loads(out)
+    else:
+        header, *lines = out.splitlines()
+        rows = [dict(zip(header.split(), line.split())) for line in lines]
+    assert [int(row["g"]) for row in rows] == [99_999, 100_000]
+    for row in rows:
+        check_audit_values(row, int(row["g"]))
 
 
 class TestResidueOracle:
