@@ -172,19 +172,26 @@ MUTANTS = [
      "if argv and argv[0] in _COMMANDS else None", "if False else None",
      "tests/test_cli.py::test_import_leaves_heavy_modules_out"),
     ("src/curvejac/cli.py",
-     "(run if dashed else", "(True if dashed else",
+     "if not run or lead", "if lead",
      "tests/test_cli.py::TestPlainReader"),
     ("src/curvejac/cli.py",
-     'options["dest"] in given or ', "",
+     "dest in given or ", "",
      "tests/test_cli.py::TestPlainReader"),
     ("src/curvejac/cli.py",
      'required = {o["dest"] for o in flags.values() if o.get("required")}', "required = set()",
      "tests/test_cli.py::TestPlainReader"),
     ("src/curvejac/cli.py",
-     "found = dict(defaults)", "found = defaults",
+     "defaults.copy()", "defaults",
      "tests/test_cli.py::TestPlainReader::test_calls_do_not_share_namespaces"),
     ("src/curvejac/cli.py",
-     'if value not in options.get("choices", [value]):', "if False:",
+     "value not in choices", "False",
+     "tests/test_cli.py::TestPlainReader"),
+    ("src/curvejac/cli.py",
+     "if not flag.startswith(\"--\"):  # '-g=3'", "if False:  # '-g=3'",
+     "tests/test_cli.py::TestPlainReader"),
+    # A flag with no value at the end of the line reads past it.
+    ("src/curvejac/cli.py",
+     "elif i + 1 < end:", "elif i < end:",
      "tests/test_cli.py::TestPlainReader"),
     ("src/curvejac/cli.py",
      "f'\"{k}\": {_json_text(v)}'", "f'\"{k}\":{_json_text(v)}'",

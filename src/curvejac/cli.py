@@ -625,13 +625,14 @@ def _table(args: SimpleNamespace, scale: _Scale) -> tuple:
 
 def _is_value(token: str) -> bool:
     """Whether ``token`` is not option-like: argparse reads it as a value."""
-    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
+    return token[:1] != "-" or _NEGATIVE_NUMBER.match(token) is not None
 
 
 def _typed(options: dict, text: str):
     """``text`` through an argument's type and choices; ValueError if refused."""
-    value = options.get("type", str)(text)
-    if value not in options.get("choices", [value]):
+    kind, choices = options.get("type"), options.get("choices")
+    value = text if kind is None else kind(text)
+    if choices is not None and value not in choices:
         raise ValueError(text)
     return value
 
@@ -646,31 +647,43 @@ def _read_plain(name: str, argv: list) -> Optional[SimpleNamespace]:
     follows a single '--' with tokens after it (``table``'s optional bounds
     only in a run that opens the line), each value of its type and choices.
     Any other line, -h, abbreviations, '-g3' and every diagnostic included,
-    is left to ``build_parser``'s parser.
+    is left to ``build_parser``'s parser.  One pass, left to right: each
+    token is tested for option-likeness once and each flag looked up once.
     """
     flags, positionals, defaults, required, optional_run = _PLAIN[name]
-    found = dict(defaults)
-    lead = next((i for i, token in enumerate(argv) if not _is_value(token)), len(argv))
-    i, given = lead, set()
+    found, given, end = defaults.copy(), set(), len(argv)
+    lead = 0
+    while lead < end and _is_value(argv[lead]):
+        lead += 1
+    run, i = argv[:lead], lead
     try:
-        while i < len(argv) and argv[i] != "--" and not _is_value(argv[i]):
+        while i < end:  # argv[i] is option-like
+            if argv[i] == "--":
+                run = argv[i + 1:]
+                if not run or lead or optional_run or "--" in run:
+                    return None
+                break
             flag, eq, value = argv[i].partition("=")
-            if not eq and i + 1 < len(argv):
-                value = argv[i + 1]
             options = flags.get(flag)
-            if (options is None or options["dest"] in given or not value
-                    or not _is_value(value) or eq and not flag.startswith("--")):
+            if options is None:
                 return None
-            given.add(options["dest"])
-            found[options["dest"]] = _typed(options, value)
-            i += 1 if eq else 2
-        dashed = argv[i:i + 1] == ["--"]
-        run = argv[i + dashed:]
-        if "--" in run or not (run if dashed else all(map(_is_value, run))):
-            return None
-        if run and (lead or optional_run):
-            return None
-        run = run or argv[:lead]
+            if eq:
+                if not flag.startswith("--"):  # '-g=3'
+                    return None
+                i += 1
+            elif i + 1 < end:
+                value = argv[i + 1]
+                i += 2
+            dest = options["dest"]
+            if dest in given or not value or not _is_value(value):
+                return None
+            given.add(dest)
+            found[dest] = _typed(options, value)
+            if i < end and _is_value(argv[i]):  # the run after the options
+                if lead or optional_run or not all(map(_is_value, argv[i + 1:])):
+                    return None
+                run = argv[i:]
+                break
         for dest, options in positionals:
             if run and options.get("nargs") == "+":
                 # '+' runs take no type, as argparse returns them.

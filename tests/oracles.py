@@ -24,6 +24,10 @@ them.
 * ``stdlib_json_line`` - a JSON output line as the standard library's
   encoder writes it; ``bad_record_strings`` - the string values of a record
   that the CLI's JSON writer, which escapes nothing, may not hold.
+* ``reference_read_plain`` - the plain-line reader as a first scan for the
+  leading run, then a loop over the options, then a scan of the trailing
+  run, with its own ``reference_is_value`` and ``reference_typed``; the
+  command line's one-pass ``_read_plain`` must give the same result.
 """
 
 import json
@@ -33,9 +37,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
+from types import SimpleNamespace
 from typing import Iterator, Optional
 
-from curvejac.cli import CLIError
+from curvejac.cli import _NEGATIVE_NUMBER, _PLAIN, CLIError
 from curvejac.cones import classify
 from curvejac.lattice import (
     POINCARE_SQUARE_COEFF,
@@ -357,3 +362,59 @@ def bad_record_strings(value) -> list:
     if isinstance(value, list):
         return [s for v in value for s in bad_record_strings(v)]
     return [value] if isinstance(value, str) and not _RECORD_STRING.fullmatch(value) else []
+
+
+def reference_is_value(token: str) -> bool:
+    """Whether ``token`` is not option-like: argparse reads it as a value."""
+    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
+
+
+def reference_typed(options: dict, text: str):
+    """``text`` through an argument's type and choices; ValueError if refused."""
+    value = options.get("type", str)(text)
+    if value not in options.get("choices", [value]):
+        raise ValueError(text)
+    return value
+
+
+def reference_read_plain(name: str, argv: list) -> Optional[SimpleNamespace]:
+    """``cli._read_plain``'s result for ``[name, *argv]``: the full parser's
+    namespace for a plain line, else None, read from the same specs."""
+    flags, positionals, defaults, required, optional_run = _PLAIN[name]
+    found = dict(defaults)
+    lead = next((i for i, token in enumerate(argv) if not reference_is_value(token)), len(argv))
+    i, given = lead, set()
+    try:
+        while i < len(argv) and argv[i] != "--" and not reference_is_value(argv[i]):
+            flag, eq, value = argv[i].partition("=")
+            if not eq and i + 1 < len(argv):
+                value = argv[i + 1]
+            options = flags.get(flag)
+            if (options is None or options["dest"] in given or not value
+                    or not reference_is_value(value) or eq and not flag.startswith("--")):
+                return None
+            given.add(options["dest"])
+            found[options["dest"]] = reference_typed(options, value)
+            i += 1 if eq else 2
+        dashed = argv[i:i + 1] == ["--"]
+        run = argv[i + dashed:]
+        if "--" in run or not (run if dashed else all(map(reference_is_value, run))):
+            return None
+        if run and (lead or optional_run):
+            return None
+        run = run or argv[:lead]
+        for dest, options in positionals:
+            if run and options.get("nargs") == "+":
+                # '+' runs take no type, as argparse returns them.
+                found[dest], run = run, []
+            elif run:
+                found[dest], run = reference_typed(options, run[0]), run[1:]
+            elif options.get("nargs") == "?":
+                found[dest] = options["default"]
+            else:
+                return None
+    except ValueError:
+        return None
+    if run or not given >= required:
+        return None
+    return SimpleNamespace(**found)

@@ -24,7 +24,8 @@ from curvejac.lattice import NSClass, top_intersect
 from curvejac.minima import ZhangAudit, zhang_audit, zhang_audit_coeff
 
 from oracles import (bad_record_strings, half_even_decimal, reference_intersect,
-                     split_parse_class, split_parse_rational, stdlib_json_line)
+                     reference_read_plain, split_parse_class, split_parse_rational,
+                     stdlib_json_line)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1078,6 +1079,45 @@ def draw_plain_reader_argv(data):
     return argv
 
 
+# Lines that ``_read_plain`` reads, each to argparse's namespace.
+PLAIN_LINES = [
+    ["audit", "-g", "2"],
+    ["audit", "--genus=12", "--bundle", "8,1,2", "--format", "json"],
+    ["classify", "-g", "3", "-a", "1", "--b=2/3", "--c=-1/2", "--format=json"],
+    ["pullback", "-g", "3", "-m", "-1/2", "--n", "5"],
+    ["pair", "-g", "2", "1,1,1", "-1,1,0"],
+    ["pair", "1,1,1", "2,1,1", "-g", "2"],
+    ["intersect", "-g", "2", "--format", "json", "--", "1,1,1", "-x", "0,1,0"],
+    ["height", "-g", "2", "-L", "8,1,2", "32,1,4"],
+    ["witness", "--genus", "3", "--index=2"],
+    ["table"],
+    ["table", "--format", "csv"],
+    ["table", "2"],
+    ["table", "2", "6", "--format", "csv"],
+]
+
+# Lines that ``_read_plain`` leaves to argparse.
+DEFERRED_LINES = [
+    ["audit", "-g", "2", "--"],  # argparse: "unrecognized arguments: --"
+    ["audit", "-g", "2", "--", "--"],
+    ["intersect", "-g", "2", "--", "1,1,1", "--", "0,1,0"],
+    # argparse 3.11 gives g_min and g_max their defaults before the
+    # option, then refuses 2 and 4.
+    ["table", "--format", "csv", "2", "4"],
+    ["table", "--", "2", "4"],
+    ["audit", "-g", "3", "-g", "4"],  # argparse: the last one wins
+    ["audit", "-g", "3", "--genus=4"],
+    ["intersect", "a", "b", "-g", "2", "c"],
+    ["pair", "-g", "2", "1,1,1", "--format", "json", "2,1,1"],
+    ["audit", "-g=3"], ["audit", "-g3"], ["audit", "--genus="], ["audit", "--gen", "3"],
+    ["audit", "-h"], ["audit", "-g", "2", "--help"], ["audit", "-g", "-x"],
+    ["audit", "-g", "2", "-L", ""], ["audit", "-g"], ["audit"],
+    ["table", "--format", "xml"], ["audit", "-g", "1_0"], ["table", "2", "3", "4"],
+    ["pair", "-g", "2", "1,1,1"], ["intersect", "-g", "2"], ["curve-height", "-g", "2", "x"],
+    ["audit", "-g", "2", "-L"],  # a flag with no value at the end
+]
+
+
 class TestPlainReader:
     """``_read_plain`` reads a plain command line to the namespace that
     argparse returns for it, and leaves every other line to argparse."""
@@ -1091,43 +1131,28 @@ class TestPlainReader:
             if plain is not None:
                 assert vars(plain) == command_namespace(argv)
 
-    @pytest.mark.parametrize("argv", [
-        ["audit", "-g", "2"],
-        ["audit", "--genus=12", "--bundle", "8,1,2", "--format", "json"],
-        ["classify", "-g", "3", "-a", "1", "--b=2/3", "--c=-1/2", "--format=json"],
-        ["pullback", "-g", "3", "-m", "-1/2", "--n", "5"],
-        ["pair", "-g", "2", "1,1,1", "-1,1,0"],
-        ["pair", "1,1,1", "2,1,1", "-g", "2"],
-        ["intersect", "-g", "2", "--format", "json", "--", "1,1,1", "-x", "0,1,0"],
-        ["height", "-g", "2", "-L", "8,1,2", "32,1,4"],
-        ["witness", "--genus", "3", "--index=2"],
-        ["table"],
-        ["table", "--format", "csv"],
-        ["table", "2"],
-        ["table", "2", "6", "--format", "csv"],
-    ])
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_reference_reader(self, data):
+        # The one-pass reader accepts exactly the lines that the reference
+        # reader of ``tests/oracles.py`` accepts, each to an equal namespace:
+        # drawn lines, and the lines that the tests below list.
+        if data.draw(st.booleans()):
+            argv = data.draw(st.sampled_from(PLAIN_LINES + DEFERRED_LINES))
+        else:
+            argv = draw_plain_reader_argv(data)
+        if argv and argv[0] in cli._COMMANDS:
+            plain = cli._read_plain(argv[0], argv[1:])
+            reference = reference_read_plain(argv[0], argv[1:])
+            assert (plain is None) == (reference is None)
+            assert plain is None or vars(plain) == vars(reference)
+
+    @pytest.mark.parametrize("argv", PLAIN_LINES)
     def test_reads_plain_lines(self, argv):
         plain = cli._read_plain(argv[0], argv[1:])
         assert plain is not None and vars(plain) == command_namespace(argv)
 
-    @pytest.mark.parametrize("argv", [
-        ["audit", "-g", "2", "--"],  # argparse: "unrecognized arguments: --"
-        ["audit", "-g", "2", "--", "--"],
-        ["intersect", "-g", "2", "--", "1,1,1", "--", "0,1,0"],
-        # argparse 3.11 gives g_min and g_max their defaults before the
-        # option, then refuses 2 and 4.
-        ["table", "--format", "csv", "2", "4"],
-        ["table", "--", "2", "4"],
-        ["audit", "-g", "3", "-g", "4"],  # argparse: the last one wins
-        ["audit", "-g", "3", "--genus=4"],
-        ["intersect", "a", "b", "-g", "2", "c"],
-        ["pair", "-g", "2", "1,1,1", "--format", "json", "2,1,1"],
-        ["audit", "-g=3"], ["audit", "-g3"], ["audit", "--genus="], ["audit", "--gen", "3"],
-        ["audit", "-h"], ["audit", "-g", "2", "--help"], ["audit", "-g", "-x"],
-        ["audit", "-g", "2", "-L", ""], ["audit", "-g"], ["audit"],
-        ["table", "--format", "xml"], ["audit", "-g", "1_0"], ["table", "2", "3", "4"],
-        ["pair", "-g", "2", "1,1,1"], ["intersect", "-g", "2"], ["curve-height", "-g", "2", "x"],
-    ])
+    @pytest.mark.parametrize("argv", DEFERRED_LINES)
     def test_defers_to_argparse(self, argv):
         assert cli._read_plain(argv[0], argv[1:]) is None
 

@@ -9,9 +9,9 @@ denominator.  Both are checked here against g! * r formed with
 is checked against an int ``divmod``.  The tree's leaves carry their
 trailing zeros in the exponent, so every command that prints g! is checked
 at genera where g! has many of them, for the exact digits with no exponent.
-At genus 10^5, where converting the output to an int is too slow, ``audit``
-and the rows of a two-row ``table`` are checked by residues modulo two
-primes.
+At genus 10^5, where converting the output to an int is too slow, ``audit``,
+``minima``, ``curve-height``, ``witness`` and the rows of a two-row
+``table`` are checked by residues modulo two primes.
 """
 
 import contextlib
@@ -38,7 +38,8 @@ from curvejac.lattice import (NSClass, alpha1, pair_theta_power, pair_theta_powe
 from curvejac.minima import (MinimaReport, ZhangAudit, cone_minimum, cone_minimum_coeff,
                              witness_sequence, zhang_audit, zhang_audit_coeff)
 
-from oracles import factorial_mod, half_even_decimal, residue
+from oracles import (cone_minimum_closed, factorial_mod, half_even_decimal,
+                     height_curve_closed, residue)
 
 genera = st.integers(min_value=2, max_value=2000)
 rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
@@ -467,6 +468,45 @@ def test_table_exact_at_genus_10_5(fmt):
     assert [int(row["g"]) for row in rows] == [99_999, 100_000]
     for row in rows:
         check_audit_values(row, int(row["g"]))
+
+
+# The text output of each single-value command, read back into the fields
+# of its JSON record.
+TEXT_FIELDS = {
+    "minima": re.compile(r"infimum (?P<infimum>\S+) \(~(?P<infimum_dec>\S+)\)\n"
+                         r"t_star (?P<t_star>\S+), s_star (?P<s_star>\S+)\n"
+                         r"attained by witness (?P<witness>\S+), degree \S+\n"),
+    "curve-height": re.compile(r"curve height (?P<height>\S+) \(~(?P<height_dec>\S+)\)\n"),
+    "witness": re.compile(r"(?P<class>\S+), degree (?P<degree>\S+), height (?P<height>\S+)\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("g", [99_991, 100_000])
+@pytest.mark.parametrize("argv", [["minima"], ["curve-height"], ["witness", "-n", "1"]],
+                         ids=["minima", "curve-height", "witness"])
+def test_single_values_exact_at_genus_10_5(argv, g, fmt):
+    # The standard polarization's minimum and curve height against their
+    # closed forms, the annotations exactly; the first witness, (g^3, 1, g),
+    # attains the minimum, so its height is the infimum.
+    out = run_timed(argv[0], "-g", str(g), *argv[1:], "--format", fmt)
+    record = json.loads(out) if fmt == "json" else TEXT_FIELDS[argv[0]].fullmatch(out).groupdict()
+    L = standard_polarization(g)
+    t_star, s_star, infimum = cone_minimum_closed(L)
+    witness = f"({g ** 3},1,{g})"
+    key, r, annotation, small = {
+        "minima": ("infimum", infimum, "infimum_dec",
+                   {"t_star": str(t_star), "s_star": str(s_star), "witness": witness}),
+        "curve-height": ("height", height_curve_closed(L), "height_dec", {}),
+        "witness": ("height", infimum, None, {"class": witness, "degree": str(g ** 3)}),
+    }[argv[0]]
+    assert {name: record[name] for name in small} == small
+    # At the prime genus the infimum is not an integer; the curve height is.
+    assert ("/" in record[key]) == (g == 99_991 and r == infimum)
+    for p in MODULI:
+        check_scaled(record[key], factorial_mod(g, p), r, p)
+        if annotation:
+            check_annotation(record[key], record[annotation], p)
 
 
 class TestResidueOracle:

@@ -9,14 +9,17 @@ value in it must need no escape.  ``run.py`` itself exits 0 whatever its
 operations do, and its ``call`` catches only ``Exception``; so a
 ``BaseException`` out of ``main``, a check that raises anything but
 ``CheckError``, or a failed set-up probe ends a benchmark run with a nonzero
-status.  One short run of ``run.py`` in a subprocess must exit 0 and report
-every output correct.  ``run.py`` writes its result under its own directory,
-so that run is made from a copy of ``src/`` and ``benchmark/``, and the
-checkout's results are left as they are.  The benchmark's modules are imported
+status.  Every operation line must be read by ``cli._read_plain``, not left
+to argparse: the benchmark times the plain reader.  One short run of
+``run.py`` in a subprocess must exit 0 and report every output correct.
+``run.py`` writes its result under its own directory, so that run is made
+from a copy of ``src/`` and ``benchmark/``, and the checkout's results are
+left as they are.  The benchmark's modules are imported
 from ``benchmark/`` and only read.
 """
 
 import contextlib
+import functools
 import io
 import json
 import shutil
@@ -36,6 +39,10 @@ from oracles import bad_record_strings, stdlib_json_line  # noqa: E402
 from workloads import WORKLOADS, make_ops  # noqa: E402
 
 
+# Each workload's operations at a seed, generated once for the tests here.
+workload_ops = functools.cache(make_ops)
+
+
 @contextlib.contextmanager
 def default_digit_limit():
     saved = sys.get_int_max_str_digits()
@@ -50,7 +57,7 @@ def default_digit_limit():
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_every_op_exits_zero_and_checks(workload, seed):
     with default_digit_limit():
-        for op in make_ops(workload, seed):
+        for op in workload_ops(workload, seed):
             out, err = io.StringIO(), io.StringIO()
             try:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -65,6 +72,21 @@ def test_every_op_exits_zero_and_checks(workload, seed):
             if op.fmt == "json":  # the CLI's writer, which escapes nothing
                 assert stdlib_json_line(out.getvalue()) == out.getvalue(), list(op.argv)
                 assert bad_record_strings(json.loads(out.getvalue())) == [], list(op.argv)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_op_line_is_plain(workload):
+    # A reader that left the benchmark's lines to argparse would still agree
+    # with argparse on every line it read; each line here must be read, and
+    # at seed 1 to the namespace that argparse gives it.
+    parser = cli.build_parser()
+    for seed in range(1, 11):
+        for op in workload_ops(workload, seed):
+            argv = list(op.argv)
+            plain = cli._read_plain(argv[0], argv[1:])
+            assert plain is not None, argv
+            if seed == 1:
+                assert vars(plain) == vars(parser.parse_args(argv)), argv
 
 
 def results(directory: Path) -> dict:
