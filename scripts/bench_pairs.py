@@ -18,14 +18,14 @@ the CPU count, both revisions, every run's metrics, and, for each workload
 and end-to-end metric, each side's median and quartiles, the relative
 change of the medians, the pairs won, lost and tied, the metric's bound
 from ``BENCHMARK.json`` and the verdict on it, and whether a gain is shown:
-the change wins at least nine tenths of the pairs and its median is better
-by more than the distance between the base's quartiles.  A run that exits
-nonzero, or prints no result, is kept with the tail of its stderr and
-counted, and runs once more on the same seed and side; the second record is
-marked ``"rerun": true``, and the statistics read it.  The script exits 1,
-after writing the file, when any run failed, any output was incorrect or
-any operation failed, on either side of any workload; else 0.  Standard
-library only; run from anywhere.
+at least ten pairs ran, the change wins at least nine tenths of them and
+its median is better by more than the distance between the base's
+quartiles.  A run that exits nonzero, or prints no result, is kept with the
+tail of its stderr and counted, and runs once more on the same seed and
+side; the second record is marked ``"rerun": true``, and the statistics
+read it.  The script exits 1, after writing the file, when any run failed,
+any output was incorrect or any operation failed, on either side of any
+workload; else 0.  Standard library only; run from anywhere.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Fewer pairs show no gain: with one pair the base's quartiles coincide, so
+# a single win would read as one.
+MIN_PAIRS = 10
 
 
 def quartiles(values: list) -> tuple:
@@ -95,7 +98,8 @@ def metric_summary(base: dict, change: dict, better: str, bound: float) -> dict:
         "relative_change": relative,
         "verdict": verdict,
         "median_gap_exceeds_base_iqr": gap_exceeds_iqr,
-        "gain_shown": 10 * summary["won"] >= 9 * summary["pairs"] and gap_exceeds_iqr,
+        "gain_shown": (summary["pairs"] >= MIN_PAIRS and gap_exceeds_iqr
+                       and 10 * summary["won"] >= 9 * summary["pairs"]),
     }
 
 

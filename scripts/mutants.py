@@ -129,8 +129,11 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      'raise CLIError(message.replace("\\n", "\\\\n"))', "raise CLIError(message)",
      "tests/test_cli.py::TestErrorPaths"),
+    ("src/curvejac/lattice.py",
+     '(?:/(\\d+))?", re.ASCII)', '(?:/(\\d+))?")',
+     "tests/test_cli.py::TestParsing::test_string_grammar_matches_split_parse"),
     ("src/curvejac/cli.py",
-     '(?:/({_DENOMINATOR}))?", re.ASCII)', '(?:/({_DENOMINATOR}))?")',
+     "_INTEGER_RE = re.compile(_NUMERATOR, re.ASCII)", "_INTEGER_RE = re.compile(_NUMERATOR)",
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/cli.py",
      '"/+" not in run and ', "",
@@ -154,11 +157,15 @@ MUTANTS = [
      "if all(ints[1::2]):", "if True:",
      "tests/test_cli.py::test_run_reader_matches_per_literal"),
     ("src/curvejac/cli.py",
-     'if not _RATIONAL_RE.fullmatch(text) or "/" in text:', 'if "/" in text:',
+     "if not _INTEGER_RE.fullmatch(text):", "if False:",
      "tests/test_cli.py::TestErrorPaths"),
-    ("src/curvejac/cli.py",
-     "    if den == 0:\n", "    if False:\n",
-     "tests/test_cli.py::TestParsing"),
+    ("src/curvejac/lattice.py",
+     "        if den == 0:\n", "        if False:\n",
+     "tests/test_cli.py::TestParsing::test_string_grammar_matches_split_parse"),
+    # A string goes to Fraction(str), which reads '1.5', '1e3' and ' 1/2 '.
+    ("src/curvejac/lattice.py",
+     "if isinstance(value, str):", "if False:",
+     "tests/test_cli.py::TestParsing::test_string_grammar_matches_split_parse"),
     ("src/curvejac/cli.py",
      "d = gcd(num, den)", "d = 1",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),

@@ -9,6 +9,8 @@ that holds it:
 - ``main`` runs one command, picks the format and prints; exit statuses.
 - ``_read_plain`` reads a plain command line without argparse;
   ``build_parser``'s parser reads every other line.
+- The lattice's ``as_fraction`` reads every rational 'p' or 'p/q';
+  ``_ascii_int`` reads integer arguments as its numerators.
 - ``_read_classes`` is the one reader of class literals 'a,b,c';
   ``_factors`` and ``_class_texts`` give what it read as the recurrence's
   integers and as lowest-terms class texts.
@@ -36,18 +38,16 @@ from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
 from .heights import PointClass, height_curve_coeff, height_point_coeff, standard_polarization
-from .lattice import (MIN_GENUS, NSClass, _check_genus, _top_intersect_ints, _triple_text,
-                      pair_theta_power_coeff, pullback_theta)
+from .lattice import (_NUMERATOR, MIN_GENUS, NSClass, _check_genus, _top_intersect_ints,
+                      _triple_text, as_fraction, pair_theta_power_coeff, pullback_theta)
 from .minima import cone_minimum_coeff, witness_sequence, zhang_audit_coeff
 
 __all__ = ["main"]
 
 DEFAULT_TABLE_RANGE = (2, 12)
 
-# ASCII digits only: \d and int() would also take other scripts' digits.
-_NUMERATOR, _DENOMINATOR = r"[+-]?\d+", r"\d+"
-# Groups: numerator, then denominator (None without '/q').
-_RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/({_DENOMINATOR}))?", re.ASCII)
+# An integer argument: a rational's numerator (``lattice._NUMERATOR``).
+_INTEGER_RE = re.compile(_NUMERATOR, re.ASCII)
 # A class literal's shape: three parts of ASCII digits, signs and slashes.
 # ``_read_classes`` checks the rest of a part's grammar without a regex.
 _BARE_CLASS = ",".join(["[0-9+/-]+"] * 3)
@@ -57,17 +57,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 class CLIError(Exception):
     """User-facing error: one-line diagnostic, nonzero exit."""
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' with optional leading sign, no whitespace."""
-    match = _RATIONAL_RE.fullmatch(text)
-    if match is None:
-        raise CLIError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
-    num, den = map(int, match.groups("1"))
-    if den == 0:
-        raise CLIError(f"zero denominator in rational literal {text!r}")
-    return Fraction(num, den)
 
 
 @cache
@@ -120,7 +109,7 @@ def _read_classes(texts: list) -> tuple:
         if text.count(",") != 2:
             raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
         for part in text.split(","):
-            parse_rational(part)
+            as_fraction(part)
 
 
 def _factors(parts: list, keys, ints: list) -> list:
@@ -141,11 +130,8 @@ def _class_integers(texts: list) -> list:
 
 
 def parse_class(text: str, genus: int) -> NSClass:
-    """Parse a class literal 'a,b,c' of rational components.
-
-    The literal's integers and diagnostics are ``_class_integers``'; the
-    class is built from three ``Fraction``s, each reduced by its gcd.
-    """
+    """The class of a literal 'a,b,c' from ``_class_integers``' integers, or
+    its diagnostic; each component is reduced by its gcd."""
     [(an, ad, bn, bd, cn, cd)] = _class_integers([text])
     return NSClass(genus, Fraction(an, ad), Fraction(bn, bd), Fraction(cn, cd))
 
@@ -169,8 +155,8 @@ def _class_texts(parts: list, keys, ints: list) -> list:
 
 
 def _ascii_int(text: str) -> int:
-    # A rational literal with no '/q'; int() would also take '1_0' and ' 3'.
-    if not _RATIONAL_RE.fullmatch(text) or "/" in text:
+    # int() alone would also take '1_0', ' 3' and other scripts' digits.
+    if not _INTEGER_RE.fullmatch(text):
         raise ValueError(text)  # argparse words it as "invalid int value"
     return int(text)
 
@@ -346,7 +332,8 @@ def _bundle_from(args: SimpleNamespace) -> NSClass:
 
 
 def _class_from_coeffs(args: SimpleNamespace) -> NSClass:
-    return NSClass(args.genus, *map(parse_rational, (args.a, args.b, args.c)))
+    # Each coefficient is read before NSClass checks the genus.
+    return NSClass(args.genus, *map(as_fraction, (args.a, args.b, args.c)))
 
 
 def _arg(*flags: str, **options) -> tuple:
@@ -440,7 +427,7 @@ def _intersect(args: SimpleNamespace, scale: _Scale) -> tuple:
     # the first in that order is reported.
     try:
         run = _read_classes(args.classes)
-    except CLIError:
+    except (CLIError, ValueError):
         _read_classes(args.classes[:1])
         _check_genus(args.genus)
         raise
@@ -454,7 +441,7 @@ def _intersect(args: SimpleNamespace, scale: _Scale) -> tuple:
           _arg("-m", "--m", dest="m", required=True, metavar="RAT"),
           _arg("-n", "--n", dest="n", required=True, metavar="RAT"))
 def _pullback(args: SimpleNamespace, scale: _Scale) -> tuple:
-    m, n = parse_rational(args.m), parse_rational(args.n)
+    m, n = as_fraction(args.m), as_fraction(args.n)
     cls = pullback_theta(args.genus, m, n)
     record = {
         "genus": args.genus,

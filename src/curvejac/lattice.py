@@ -30,6 +30,7 @@ itself, so ``pair_theta_power_coeff`` runs it on its two classes alone, in
 O(1) integer operations.
 """
 
+import re
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Sequence, Union
@@ -56,6 +57,11 @@ MIN_GENUS = 2
 
 RationalLike = Union[int, str, Fraction]
 
+# A rational's text, for the library and the command line: 'p' or 'p/q' in
+# ASCII digits (\d alone takes any script's), only the numerator signed.
+_NUMERATOR = r"[+-]?\d+"
+_RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/(\d+))?", re.ASCII)
+
 # Self-intersection coefficient of the universal class against theta powers:
 # Q^2 . theta2^(g-1) = -2 g!.  The -2 is pinned by vanishing of the (g+1)st
 # power of every pullback class (g m^2, n^2, m n), checked symbolically in
@@ -67,17 +73,24 @@ POINCARE_SQUARE_COEFF = -2
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an exact rational input to ``Fraction``.
 
-    Accepts ints, ``Fraction``s and strings like ``"3/4"``.  Floats are
-    refused: a float's binary expansion is almost never the rational the
-    caller meant, and this module promises exactness.  A plain ``Fraction``
-    is immutable and comes back as it is; a subclass is converted.
+    Accepts ints, ``Fraction``s and strings 'p' or 'p/q' (``_RATIONAL_RE``);
+    another string raises ``ValueError`` after one match, linear in its length.
+    Floats are refused: a float's binary expansion is almost never the
+    rational the caller meant, and this module promises exactness.  A plain
+    ``Fraction`` is immutable and comes back as it is; a subclass is converted.
     """
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        match = _RATIONAL_RE.fullmatch(value)
+        if match is None:
+            raise ValueError(f"malformed rational literal {value!r} (want 'p' or 'p/q')")
+        num, den = map(int, match.groups("1"))
+        if den == 0:
+            raise ValueError(f"zero denominator in rational literal {value!r}")
+        return Fraction(num, den)
     if isinstance(value, float):
-        raise TypeError(
-            "inexact float rejected; pass an int, Fraction, or 'p/q' string"
-        )
+        raise TypeError("inexact float rejected; pass an int, Fraction, or 'p/q' string")
     return Fraction(value)
 
 

@@ -10,12 +10,16 @@ them.
 * ``fold_state`` - the engine's truncated product as one plain fold over the
   factors, the route that its product tree must match integer for integer.
 * ``pair_theta_power_closed`` - the closed form of the theta-power pairing.
+* ``repeated_intersect_coeff`` - the top intersection of g+1 copies of one
+  class, divided by g!, in closed form.
 * ``grid_oracle`` - a brute-force minimum of the cone-slice objective.
 * ``defect``, ``cone_minimum_closed``, ``height_point_closed``,
   ``height_curve_closed`` and ``audit_closed`` - the cone, minimum, height
   and audit kernels as ``Fraction`` formulas on the coefficients.
-* ``split_parse_rational`` / ``split_parse_class`` - the command line's
-  literal parsers as one match per component after a split at commas.
+* ``split_parse_rational`` / ``split_parse_class`` - ``as_fraction``'s
+  string grammar by a match and a split at '/', and the command line's
+  class literal reader as one such parse per component after a split at
+  commas.
 * ``half_even_decimal`` - the six-place decimal annotation by an int divmod.
 * ``residue`` and ``factorial_mod`` - a decimal text and g! modulo a prime,
   in time linear in their size, for output too long to convert to an int.
@@ -189,6 +193,15 @@ def defect(x: NSClass) -> Fraction:
     return x.a * x.b - x.genus * x.c * x.c
 
 
+def repeated_intersect_coeff(x: NSClass) -> Fraction:
+    """``top_intersect_coeff`` of g+1 copies of x = (a, b, c):
+    (g+1) b^(g-1) (ab - g c^2).  Of (b theta2 + a alpha1 + c Q)^(g+1), only
+    (g+1) a b^g alpha1 theta2^g and C(g+1, 2) c^2 b^(g-1) Q^2 theta2^(g-1)
+    meet the two nonzero monomials."""
+    g = x.genus
+    return (g + 1) * x.b ** (g - 1) * defect(x)
+
+
 def cone_minimum_closed(L: NSClass) -> tuple[Fraction, Fraction, Fraction]:
     """(t*, s*, infimum / g!) of ``cone_minimum`` for a nef L:
     t* = C / (g A), or 0 when A = 0, s* = g t*^2 and B - A s*."""
@@ -268,13 +281,14 @@ _SPLIT_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 def split_parse_rational(text: str) -> Fraction:
-    """``cli.parse_rational`` by a match, a split at '/' and ``int``s."""
+    """``lattice.as_fraction`` of a string by a match, a split at '/' and
+    ``int``s."""
     if not _SPLIT_RATIONAL_RE.fullmatch(text):
-        raise CLIError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
+        raise ValueError(f"malformed rational literal {text!r} (want 'p' or 'p/q')")
     num, _, den = text.partition("/")
     if den:
         if int(den) == 0:
-            raise CLIError(f"zero denominator in rational literal {text!r}")
+            raise ValueError(f"zero denominator in rational literal {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(num))
 

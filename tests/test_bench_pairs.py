@@ -76,6 +76,18 @@ def test_nine_of_ten_pairs_and_the_iqr_rule():
     assert (s["won"], s["tied"], s["gain_shown"]) == (9, 1, True)
 
 
+def test_fewer_than_ten_pairs_show_no_gain():
+    # One pair has quartiles that coincide, so its single win once read as
+    # a shown gain; nine pairs, all won by a wide margin, are still too few.
+    s = metric_summary(seeds([100.0]), seeds([120.0]), "higher", 0.1)
+    assert (s["pairs"], s["won"], s["median_gap_exceeds_base_iqr"]) == (1, 1, True)
+    assert not s["gain_shown"]
+    base = seeds([100.0 + i for i in range(9)])
+    s = metric_summary(base, {seed: v + 50 for seed, v in base.items()}, "higher", 0.1)
+    assert (s["pairs"], s["won"], s["median_gap_exceeds_base_iqr"]) == (9, 9, True)
+    assert not s["gain_shown"]
+
+
 def test_gain_must_exceed_the_base_spread():
     # Every pair won, but by less than the base's quartiles lie apart.
     base = seeds([90.0, 95.0, 100.0, 105.0, 110.0])

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from curvejac import cli, heights, lattice, minima
-from curvejac.cli import CLIError, decimal_str, main, parse_class, parse_rational
+from curvejac.cli import CLIError, decimal_str, main, parse_class
 from curvejac.heights import standard_polarization
-from curvejac.lattice import NSClass, top_intersect
+from curvejac.lattice import NSClass, as_fraction, top_intersect
 from curvejac.minima import ZhangAudit, zhang_audit, zhang_audit_coeff
 
 from oracles import (bad_record_strings, half_even_decimal, reference_intersect,
@@ -59,6 +59,26 @@ CLASS_LITERALS = st.sampled_from([3, 3, 3, 1, 2, 4, 5]).flatmap(
     lambda n: st.lists(LITERAL_PART, min_size=n, max_size=n)).map(",".join)
 
 
+# One character of a rational literal inserted, deleted or replaced: the
+# grammar's characters, and the decimal point, exponents, whitespace,
+# underscores and other scripts' digits that ``Fraction(str)`` also reads.
+EDIT_CHARS = st.sampled_from([*"0123456789+-/.eE _\n", "\u0663", "\uff12"])
+
+
+@st.composite
+def edited_parts(draw):
+    """A well-formed rational literal with one character edited."""
+    text = draw(WELL_FORMED_PART)
+    i = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    new = "" if edit == "delete" else draw(EDIT_CHARS)
+    return text[:i] + new + text[i + (edit != "insert"):]
+
+
+# Texts outside the rational grammar, most of which ``Fraction(str)`` reads.
+OUTSIDE_GRAMMAR = ["1.5", "1e3", " 1/2 ", "1_000", "\u0663", "1/\u0663", "1/0", "1E-2", ".5", "inf"]
+
+
 def parse_outcome(parse, *args):
     """What ``parse(*args)`` returns, or the type and text of what it raises."""
     try:
@@ -74,20 +94,23 @@ def written_integers(text):
 
 
 class TestParsing:
+    # The command line reads every rational with ``lattice.as_fraction``,
+    # which raises ValueError; ``main`` prints it as a diagnostic.
     def test_rational_literals(self):
-        assert parse_rational("3/2") == Fraction(3, 2)
-        assert parse_rational("-3/2") == Fraction(-3, 2)
-        assert parse_rational("+7") == 7
-        assert parse_rational("4/6") == Fraction(2, 3)
+        assert as_fraction("3/2") == Fraction(3, 2)
+        assert as_fraction("-3/2") == Fraction(-3, 2)
+        assert as_fraction("+7") == 7
+        assert as_fraction("4/6") == Fraction(2, 3)
 
     @pytest.mark.parametrize(
         "bad",
         ["", "1/0", "1.5", "1 /2", "a", "1/-2", "--3", "1\n", "3/4\n",
-         "\u0661", "\uff12", "1/\u0663"],  # Arabic-Indic 1, fullwidth 2, 1/(Arabic-Indic 3)
+         "\u0661", "\uff12", "1/\u0663",  # Arabic-Indic 1, fullwidth 2, 1/(Arabic-Indic 3)
+         "1e3", " 1/2 ", "1_000", "1e10000000"],
     )
     def test_malformed_rationals(self, bad):
-        with pytest.raises(CLIError):
-            parse_rational(bad)
+        with pytest.raises(ValueError):
+            as_fraction(bad)
 
     def test_class_literals(self):
         cls = parse_class("2,1,1", 2)
@@ -99,7 +122,15 @@ class TestParsing:
 
     @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=977))
     def test_round_trip(self, x):
-        assert parse_rational(str(x)) == x
+        assert as_fraction(str(x)) == x
+
+    @settings(max_examples=400, deadline=None)
+    @given(WELL_FORMED_PART | edited_parts() | st.sampled_from(OUTSIDE_GRAMMAR))
+    def test_string_grammar_matches_split_parse(self, text):
+        # A string is read in the grammar, to the split route's Fraction,
+        # or refused with its exact diagnostic: one grammar for the library
+        # and the command line.
+        assert parse_outcome(as_fraction, text) == parse_outcome(split_parse_rational, text)
 
     @settings(max_examples=600, deadline=None)
     @given(CLASS_LITERALS)
@@ -123,7 +154,7 @@ class TestParsing:
         else:
             assert ints == split
         for part in text.split(","):
-            assert parse_outcome(parse_rational, part) == parse_outcome(split_parse_rational, part)
+            assert parse_outcome(as_fraction, part) == parse_outcome(split_parse_rational, part)
 
 
 def annotation(x: Fraction) -> str:
@@ -1258,7 +1289,7 @@ class TestLargeGenus:
             code, out, err = run_cli(capsys, "pair", "-g", "2", f"{big},0,0", "0,1,0")
             # Outside main the interpreter's limit still holds.
             with pytest.raises(ValueError):
-                parse_rational(big)
+                as_fraction(big)
         assert (code, err) == (0, "")
         with digit_limit(0):
             assert out.split()[0] == str(2 * int(big))

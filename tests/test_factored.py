@@ -10,8 +10,9 @@ is checked against an int ``divmod``.  The tree's leaves carry their
 trailing zeros in the exponent, so every command that prints g! is checked
 at genera where g! has many of them, for the exact digits with no exponent.
 At genus 10^5, where converting the output to an int is too slow, ``audit``,
-``minima``, ``curve-height``, ``witness`` and the rows of a two-row
-``table`` are checked by residues modulo two primes.
+``minima``, ``curve-height``, ``witness``, ``height``, ``pair``,
+``intersect`` and the rows of a two-row ``table`` are checked by residues
+modulo two primes.
 """
 
 import contextlib
@@ -39,7 +40,8 @@ from curvejac.minima import (MinimaReport, ZhangAudit, cone_minimum, cone_minimu
                              witness_sequence, zhang_audit, zhang_audit_coeff)
 
 from oracles import (cone_minimum_closed, factorial_mod, half_even_decimal,
-                     height_curve_closed, residue)
+                     height_curve_closed, height_point_closed, pair_theta_power_closed,
+                     repeated_intersect_coeff, residue)
 
 genera = st.integers(min_value=2, max_value=2000)
 rationals = st.fractions(min_value=-15, max_value=15, max_denominator=10)
@@ -507,6 +509,63 @@ def test_single_values_exact_at_genus_10_5(argv, g, fmt):
         check_scaled(record[key], factorial_mod(g, p), r, p)
         if annotation:
             check_annotation(record[key], record[annotation], p)
+
+
+# A pseudo-effective point class whose b has a prime denominator past 10^5,
+# which g! does not cancel, so its height and its pairing print a fraction
+# and take ``decimal_str``'s division at both genera.
+POINT = (Fraction(3, 2), Fraction(100_001, 100_003), Fraction(1, 1000))
+POINT_TEXT = "(3/2,100001/100003,1/1000)"
+# The text output of a command that prints one value, read back into the
+# fields of its JSON record.
+VALUE_FIELDS = {
+    "height": re.compile(r"height (?P<height>\S+) \(~(?P<height_dec>\S+)\), degree (?P<degree>\S+)\n"),
+    "pair": re.compile(r"(?P<value>\S+) \(~(?P<decimal>\S+)\)\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("g", [99_991, 100_000])
+@pytest.mark.parametrize("command", ["height", "pair"])
+def test_pairings_exact_at_genus_10_5(command, g, fmt):
+    # The point's height against the standard polarization, and its pairing
+    # with (1,1,1), against the closed forms; the annotations exactly.
+    x, L = NSClass(g, *POINT), standard_polarization(g)
+    if command == "height":
+        argv, key, annotation = [POINT_TEXT[1:-1]], "height", "height_dec"
+        small = {"degree": "3/2", "point": POINT_TEXT, "bundle": f"({g},1,1)"}
+        r, gfs = height_point_closed(L, x), [factorial_mod(g, p) for p in MODULI]
+    else:
+        argv, key, annotation = ["1,1,1", POINT_TEXT[1:-1]], "value", "decimal"
+        small = {"x": "(1,1,1)", "y": POINT_TEXT}
+        # The closed pairing holds its g! factor, so it is r against 1.
+        r, gfs = pair_theta_power_closed(NSClass(g, 1, 1, 1), x), [1, 1]
+    out = run_timed(command, "-g", str(g), *argv, "--format", fmt)
+    record = json.loads(out) if fmt == "json" else VALUE_FIELDS[command].fullmatch(out).groupdict()
+    if fmt == "text":  # of these, the text shows only the degree
+        small = {name: small[name] for name in small.keys() & record.keys()}
+    assert {name: record[name] for name in small} == small
+    assert "/" in record[key]
+    for p, gf in zip(MODULI, gfs):
+        check_scaled(record[key], gf, r, p)
+        check_annotation(record[key], record[annotation], p)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("g", [99_991, 100_000])
+def test_repeated_intersect_exact_at_genus_10_5(g, fmt):
+    # g+1 copies of one literal against the closed form; the JSON record
+    # lists every input class.
+    out = run_timed("intersect", "-g", str(g), *["1,2,1"] * (g + 1), "--format", fmt)
+    if fmt == "json":
+        record = json.loads(out)
+        assert record["classes"] == ["(1,2,1)"] * (g + 1)
+    else:
+        record = VALUE_FIELDS["pair"].fullmatch(out).groupdict()
+    r = repeated_intersect_coeff(NSClass(g, 1, 2, 1))
+    for p in MODULI:
+        check_scaled(record["value"], factorial_mod(g, p), r, p)
+        check_annotation(record["value"], record["decimal"], p)
 
 
 class TestResidueOracle:

@@ -26,6 +26,7 @@ from curvejac.lattice import (
     restrict_to_C_fiber,
     theta2,
     top_intersect,
+    top_intersect_coeff,
     zero_class,
 )
 
@@ -35,6 +36,7 @@ from oracles import (
     monomial_table,
     naive_top_intersect,
     pair_theta_power_closed,
+    repeated_intersect_coeff,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -65,6 +67,14 @@ class TestRationalRepresentation:
 
         x = as_fraction(Tagged(3, 4))
         assert type(x) is Fraction and x == Fraction(3, 4)
+
+    def test_exponent_string_refused_in_bounded_time(self):
+        # Fraction("1e10000000") builds a 33-million-bit numerator from ten
+        # characters, for seconds; the grammar refuses it after one match.
+        start = time.process_time()
+        with pytest.raises(ValueError, match="malformed rational literal '1e10000000'"):
+            NSClass(2, "1e10000000", 1, 0)
+        assert time.process_time() - start < 0.01
 
 
 class TestNSClass:
@@ -195,6 +205,14 @@ class TestTopIntersect:
     def test_genus_mismatch_rejected(self):
         with pytest.raises(ValueError):
             top_intersect([theta2(2), theta2(2), theta2(3)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), rationals, rationals, rationals)
+    def test_repeated_class_closed_form(self, g, a, b, c):
+        # g+1 copies of one class against the closed form that the
+        # command line's genus-10^5 intersect runs are checked against.
+        x = NSClass(g, a, b, c)
+        assert top_intersect_coeff([x] * (g + 1)) == repeated_intersect_coeff(x)
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_matches_naive_expansion(self, g):
