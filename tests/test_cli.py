@@ -23,6 +23,8 @@ from curvejac.heights import standard_polarization
 from curvejac.lattice import NSClass, as_fraction, top_intersect
 from curvejac.minima import ZhangAudit, zhang_audit, zhang_audit_coeff
 
+from cli_lines import (DEFERRED_LINES, GOLDEN_ARGV, GOLDEN_ERRORS, PLAIN_LINES, edited_line,
+                       spelled_line)
 from oracles import (bad_record_strings, half_even_decimal, reference_intersect,
                      reference_read_plain, split_parse_class, split_parse_rational,
                      stdlib_json_line)
@@ -865,45 +867,9 @@ class TestErrorPaths:
         assert run_cli(capsys, "audit", "-g", "+003") == expected
 
 
-# A valid command line per command; the fuzz test edits them at random.
-FUZZ_BASE = {
-    "classify": ["-g", "2", "-a", "1", "-b", "1", "-c", "-1/2"],
-    "pair": ["-g", "2", "1,1,1", "-1,1,0"],
-    "intersect": ["-g", "2", "1,1,1", "2,1,1", "0,1,0"],
-    "pullback": ["-g", "3", "-m", "2", "-n", "-5/3"],
-    "decompose": ["-g", "2", "-a", "3", "-b", "1", "-c", "1"],
-    "height": ["-g", "2", "-L", "8,1,2", "32,1,4"],
-    "curve-height": ["-g", "5"],
-    "minima": ["-g", "2", "-L", "8,1,2"],
-    "witness": ["-g", "3", "-n", "2"],
-    "audit": ["-g", "4"],
-    "table": ["2", "6"],
-}
-# Genus and table bounds stay at or below 30 so every run is quick.
-FUZZ_TOKENS = st.sampled_from([
-    *FUZZ_BASE, "nonsense", "-g", "--genus", "-a", "-b", "-c", "--c=-1/2", "-m",
-    "-n", "--index", "-L", "--bundle", "--format", "--format=csv", "--format=json",
-    "text", "json", "csv", "--", "-h", "-x", "0", "1", "2", "3", "12", "30", "-1",
-    "-2", "1/2", "-1/2", "1/0", "1.5", "a", "", "0,0,0", "1,1,1", "2,1,1", "8,1,2",
-    "-1,1,0", "0,1,0", "1,1", "1,1,1,1", "1/0,1,1", "1,-1/2,1", "1_0", " 3", "3\n",
-    "+3", "007", "1_0,1,1",
-])
-
-
 def draw_argv(data):
-    """A command line from ``FUZZ_BASE`` after up to three random edits."""
-    command = data.draw(st.sampled_from(sorted(FUZZ_BASE)))
-    argv = [command, *FUZZ_BASE[command]]
-    for _ in range(data.draw(st.integers(0, 3))):
-        i = data.draw(st.integers(0, len(argv) - 1))
-        edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
-        if edit == "delete":
-            del argv[i]
-        else:
-            argv[i:i + (edit == "replace")] = [data.draw(FUZZ_TOKENS)]
-        if not argv:
-            break
-    return argv
+    """``cli_lines.edited_line`` drawn by hypothesis."""
+    return edited_line(lambda seq: data.draw(st.sampled_from(seq)))
 
 
 def outcome(run, argv):
@@ -1088,65 +1054,9 @@ def command_namespace(argv):
     return vars(cli.build_parser().parse_args(argv))
 
 
-# Spellings that only argparse reads: a bare or trailing '--', a short flag
-# with its value attached, an empty '=' value, an abbreviation, help, and
-# values that are option-like or empty.
-ARGPARSE_ONLY_TOKENS = st.sampled_from(
-    ["--", "-g=3", "-g3", "--genus=", "--gen", "-h", "x y", "-x y", "-", ""])
-
-
 def draw_plain_reader_argv(data):
-    """``draw_argv``, then maybe a trailing '--', a token that only argparse
-    reads, or a repeated token pair (such as a flag and its value)."""
-    argv = draw_argv(data)
-    edit = data.draw(st.sampled_from(["none", "dashes", "token", "repeat"]))
-    if edit == "dashes":
-        argv.append("--")
-    elif edit == "token":
-        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(ARGPARSE_ONLY_TOKENS))
-    elif edit == "repeat" and len(argv) > 1:
-        i = data.draw(st.integers(1, len(argv) - 1))
-        argv[len(argv):] = argv[i:i + 2]
-    return argv
-
-
-# Lines that ``_read_plain`` reads, each to argparse's namespace.
-PLAIN_LINES = [
-    ["audit", "-g", "2"],
-    ["audit", "--genus=12", "--bundle", "8,1,2", "--format", "json"],
-    ["classify", "-g", "3", "-a", "1", "--b=2/3", "--c=-1/2", "--format=json"],
-    ["pullback", "-g", "3", "-m", "-1/2", "--n", "5"],
-    ["pair", "-g", "2", "1,1,1", "-1,1,0"],
-    ["pair", "1,1,1", "2,1,1", "-g", "2"],
-    ["intersect", "-g", "2", "--format", "json", "--", "1,1,1", "-x", "0,1,0"],
-    ["height", "-g", "2", "-L", "8,1,2", "32,1,4"],
-    ["witness", "--genus", "3", "--index=2"],
-    ["table"],
-    ["table", "--format", "csv"],
-    ["table", "2"],
-    ["table", "2", "6", "--format", "csv"],
-]
-
-# Lines that ``_read_plain`` leaves to argparse.
-DEFERRED_LINES = [
-    ["audit", "-g", "2", "--"],  # argparse: "unrecognized arguments: --"
-    ["audit", "-g", "2", "--", "--"],
-    ["intersect", "-g", "2", "--", "1,1,1", "--", "0,1,0"],
-    # argparse 3.11 gives g_min and g_max their defaults before the
-    # option, then refuses 2 and 4.
-    ["table", "--format", "csv", "2", "4"],
-    ["table", "--", "2", "4"],
-    ["audit", "-g", "3", "-g", "4"],  # argparse: the last one wins
-    ["audit", "-g", "3", "--genus=4"],
-    ["intersect", "a", "b", "-g", "2", "c"],
-    ["pair", "-g", "2", "1,1,1", "--format", "json", "2,1,1"],
-    ["audit", "-g=3"], ["audit", "-g3"], ["audit", "--genus="], ["audit", "--gen", "3"],
-    ["audit", "-h"], ["audit", "-g", "2", "--help"], ["audit", "-g", "-x"],
-    ["audit", "-g", "2", "-L", ""], ["audit", "-g"], ["audit"],
-    ["table", "--format", "xml"], ["audit", "-g", "1_0"], ["table", "2", "3", "4"],
-    ["pair", "-g", "2", "1,1,1"], ["intersect", "-g", "2"], ["curve-height", "-g", "2", "x"],
-    ["audit", "-g", "2", "-L"],  # a flag with no value at the end
-]
+    """``cli_lines.spelled_line`` drawn by hypothesis."""
+    return spelled_line(lambda seq: data.draw(st.sampled_from(seq)))
 
 
 class TestPlainReader:
@@ -1417,51 +1327,15 @@ def unattained_audit(L):
     return ZhangAudit(audit.e1, audit.h_curve, -audit.violation_margin)
 
 
-# Golden stdout: name -> (argv, patches of cli globals).  Each runs in text
-# and JSON; golden/cli/<name>.txt and <name>.json hold the bytes.  Together
-# they reach every text branch of every command.
-GOLDEN_RUNS = {
-    "classify_interior": (["classify", "-g", "2", "-a", "3", "-b", "1", "-c", "1"], {}),
-    "classify_boundary": (["classify", "-g", "2", "-a", "2", "-b", "1", "-c", "1"], {}),
-    "classify_apex": (["classify", "-g", "2", "-a", "0", "-b", "0", "-c", "0"], {}),
-    "classify_outside": (["classify", "-g", "2", "-a", "1", "-b", "1", "-c", "1"], {}),
-    "pair": (["pair", "-g", "3", "1/2,1,-1", "2,1,1"], {}),
-    "intersect": (["intersect", "-g", "2", "2,1,1", "2,1,1", "0,1,0"], {}),
-    "pullback": (["pullback", "-g", "3", "-m", "2", "-n", "-5/3"], {}),
-    "decompose": (["decompose", "-g", "2", "-a", "3", "-b", "1", "-c", "1"], {}),
-    "decompose_degenerate": (["decompose", "-g", "2", "-a", "5", "-b", "0", "-c", "0"], {}),
-    "height": (["height", "-g", "2", "-L", "8,1,2", "32,1,4"], {}),
-    "curve_height": (["curve-height", "-g", "5"], {}),
-    "minima": (["minima", "-g", "2", "-L", "8,1,2"], {}),
-    "witness": (["witness", "-g", "3", "-n", "2"], {}),
-    "audit": (["audit", "-g", "4"], {}),
-    "audit_bundle": (["audit", "-g", "2", "-L", "1,1,0"], {}),
-    "audit_flags": (["audit", "-g", "3"], {"zhang_audit_coeff": unattained_audit}),
-    "table_2_6": (["table", "2", "6"], {}),
-}
-
-# Golden diagnostics: name -> argv, exiting 2 with golden/cli/<name>.stderr
-# on stderr and nothing on stdout.  The first eight are TestErrorPaths'; its
-# unknown command is left out, as argparse words that message differently
-# across patch releases (3.13.13 drops the quotes around the choices).
-GOLDEN_ERRORS = {
-    "error_genus_one": ["classify", "-g", "1", "-a", "1", "-b", "0", "-c", "0"],
-    "error_short_class": ["pair", "-g", "2", "1,1", "2,1,1"],
-    "error_zero_denominator": ["pair", "-g", "2", "1,1,1/0", "2,1,1"],
-    "error_point_not_positive": ["height", "-g", "2", "0,1,0"],
-    "error_minima_not_nef": ["minima", "-g", "2", "-L", "1,1,1"],
-    "error_witness_index": ["witness", "-g", "2", "-n", "0"],
-    "error_curve_height_degree": ["curve-height", "-g", "2", "-L", "0,1,0"],
-    "error_audit_csv": ["audit", "-g", "2", "--format", "csv"],
-    "error_short_class_csv": ["pair", "-g", "2", "1,1", "2,1,1", "--format", "csv"],
-    "error_table_reversed": ["table", "5", "3"],
-    "error_table_genus_one": ["table", "1", "4"],
-}
+# Patches of cli globals for a golden run of ``cli_lines.GOLDEN_ARGV``.
+# Each runs in text and JSON; golden/cli/<name>.txt and <name>.json hold the
+# bytes.  Together they reach every text branch of every command.
+GOLDEN_PATCHES = {"audit_flags": {"zhang_audit_coeff": unattained_audit}}
 
 GOLDEN_CASES = {
     **{
-        f"{name}.{ext}": (argv + flags, patches)
-        for name, (argv, patches) in GOLDEN_RUNS.items()
+        f"{name}.{ext}": (argv + flags, GOLDEN_PATCHES.get(name, {}))
+        for name, argv in GOLDEN_ARGV.items()
         for ext, flags in (("txt", []), ("json", ["--format", "json"]))
     },
     **{f"{name}.stderr": (argv, {}) for name, argv in GOLDEN_ERRORS.items()},
