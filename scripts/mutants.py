@@ -122,12 +122,13 @@ MUTANTS = [
      "except (CLIError, ValueError, OverflowError) as err:",
      "except (CLIError, ValueError) as err:",
      "tests/test_cli.py::TestErrorPaths"),
+    # An unknown command is looked up instead of refused.
     ("src/curvejac/cli.py",
-     '    parser = _parser_class()(\n        prog="curvejac",',
-     '    parser = __import__("argparse").ArgumentParser(\n        prog="curvejac",',
+     "name = _typed(_COMMAND, argv[i])", "name = argv[i]",
      "tests/test_cli.py::TestErrorPaths"),
+    # A diagnostic that echoes a newline takes two lines.
     ("src/curvejac/cli.py",
-     'raise CLIError(message.replace("\\n", "\\\\n"))', "raise CLIError(message)",
+     'str(err).replace("\\n", "\\\\n")', "str(err)",
      "tests/test_cli.py::TestErrorPaths"),
     ("src/curvejac/lattice.py",
      '(?:/(\\d+))?", re.ASCII)', '(?:/(\\d+))?")',
@@ -175,31 +176,41 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      'if args.format == "json" else {}', "if args.format else {}",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),
+    # A '--' before the command is read as an option of the program.
     ("src/curvejac/cli.py",
-     "if argv and argv[0] in _COMMANDS else None", "if False else None",
-     "tests/test_cli.py::test_import_leaves_heavy_modules_out"),
+     'while i < len(argv) and argv[i] != "--" and', "while i < len(argv) and",
+     "tests/test_cli_corpus.py"),
+    # No separator: options are read after a '--'.
     ("src/curvejac/cli.py",
-     "if not run or lead", "if lead",
-     "tests/test_cli.py::TestPlainReader"),
+     'cut = argv.index("--") if "--" in argv else len(argv)', "cut = len(argv)",
+     "tests/test_cli.py::TestPlainReader::test_reads_plain_lines"),
+    # The first of a repeated option wins.
     ("src/curvejac/cli.py",
-     "dest in given or ", "",
-     "tests/test_cli.py::TestPlainReader"),
+     'found[spec[1]["dest"]] = _typed(spec, value)',
+     'found[spec[1]["dest"]] = found[spec[1]["dest"]] or _typed(spec, value)',
+     "tests/test_cli.py::TestPlainReader::test_repeated_flag_reaches_argparse"),
+    # A missing positional is not refused.
     ("src/curvejac/cli.py",
-     'required = {o["dest"] for o in flags.values() if o.get("required")}', "required = set()",
-     "tests/test_cli.py::TestPlainReader"),
+     'if o.get("required", "dest" not in o and o.get("nargs") != "?")', 'if o.get("required")',
+     "tests/test_cli.py::TestPlainReader::test_table_is_the_parser_grammar"),
+    # An abbreviation with several matches takes the first.
+    ("src/curvejac/cli.py",
+     "if len(matches) > 1:", "if len(matches) > 9:",
+     "tests/test_cli_corpus.py"),
     ("src/curvejac/cli.py",
      "defaults.copy()", "defaults",
      "tests/test_cli.py::TestPlainReader::test_calls_do_not_share_namespaces"),
     ("src/curvejac/cli.py",
      "value not in choices", "False",
-     "tests/test_cli.py::TestPlainReader"),
+     "tests/test_cli.py::test_golden_output"),
+    # A value attached with '=' is dropped: '--genus=12' takes the next token.
     ("src/curvejac/cli.py",
-     "if not flag.startswith(\"--\"):  # '-g=3'", "if False:  # '-g=3'",
-     "tests/test_cli.py::TestPlainReader"),
+     "return head, tail if eq else None", "return head, None",
+     "tests/test_cli.py::TestPlainReader::test_reads_plain_lines"),
     # A flag with no value at the end of the line reads past it.
     ("src/curvejac/cli.py",
-     "elif i + 1 < end:", "elif i < end:",
-     "tests/test_cli.py::TestPlainReader"),
+     'if i == len(argv) or argv[i][:1] == "-"', 'if argv[i][:1] == "-"',
+     "tests/test_cli.py::test_golden_output"),
     ("src/curvejac/cli.py",
      "f'\"{k}\": {_json_text(v)}'", "f'\"{k}\":{_json_text(v)}'",
      "tests/test_cli.py::test_golden_output"),
@@ -209,9 +220,10 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      "        sys.stdout.flush()  # a reader", "        pass  # a reader",
      "tests/test_cli.py::test_reader_gone_leaves_stderr_empty"),
+    # '-h' chained with a flag's letter is refused instead of giving help.
     ("src/curvejac/cli.py",
-     "            sys.stdout.flush()\n            super().exit", "            super().exit",
-     "tests/test_cli.py::test_reader_gone_leaves_stderr_empty"),
+     'if flag[1] == "-" or "-" + value[:1] not in flags:', "if True:",
+     "tests/test_cli_corpus.py"),
 ]
 
 

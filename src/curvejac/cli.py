@@ -7,8 +7,8 @@ compute function in ``_COMMANDS`` that turns parsed arguments into a record
 that holds it:
 
 - ``main`` runs one command, picks the format and prints; exit statuses.
-- ``_read_plain`` reads a plain command line without argparse;
-  ``build_parser``'s parser reads every other line.
+- ``_read_line`` reads every line as Python 3.11's standard option parser
+  does ("the 3.11 parser"), from ``_COMMANDS``; ``_help`` writes help.
 - The lattice's ``as_fraction`` reads every rational 'p' or 'p/q';
   ``_ascii_int`` reads integer arguments as its numerators.
 - ``_read_classes`` is the one reader of class literals 'a,b,c';
@@ -51,7 +51,7 @@ _INTEGER_RE = re.compile(_NUMERATOR, re.ASCII)
 # A class literal's shape: three parts of ASCII digits, signs and slashes.
 # ``_read_classes`` checks the rest of a part's grammar without a regex.
 _BARE_CLASS = ",".join(["[0-9+/-]+"] * 3)
-# A value, not an option, to argparse and ``_read_plain``: no option starts with a digit.
+# A value, not an option, as the 3.11 parser reads it: no option starts with a digit.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
@@ -157,11 +157,8 @@ def _class_texts(parts: list, keys, ints: list) -> list:
 def _ascii_int(text: str) -> int:
     # int() alone would also take '1_0', ' 3' and other scripts' digits.
     if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(text)  # argparse words it as "invalid int value"
+        raise ValueError(text)  # ``_typed`` words it as "invalid int value"
     return int(text)
-
-
-_ascii_int.__name__ = "int"  # argparse names the type in its diagnostic
 
 
 # Every step of the g! route and of ``decimal_str`` is exact at any length;
@@ -266,34 +263,6 @@ class _Scale:
         return text, text + ".000000" if den == 1 else decimal_str(num, den)
 
 
-@cache
-def _parser_class() -> type:
-    """``_Parser``, argparse's parser with the CLI's diagnostics; defined,
-    and argparse imported, on first use, so a plain line loads neither."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            # argparse takes only '-<digits>' and '-<decimal>' for negative
-            # numbers and any other leading '-' for an option, which would
-            # swallow '-1/2' and '-1,1,0'.
-            self._negative_number_matcher = _NEGATIVE_NUMBER
-
-        # argparse's default error handler prints usage plus the message;
-        # fold everything into the single-line diagnostic channel instead.
-        # argparse echoes some tokens as they are ("unrecognized arguments: 3\n").
-        def error(self, message: str):  # noqa: D102
-            raise CLIError(message.replace("\n", "\\n"))
-
-        # After -h: a reader of the help that has gone is met in ``main``.
-        def exit(self, status: int = 0, message: Optional[str] = None):  # noqa: D102
-            sys.stdout.flush()
-            super().exit(status, message)
-
-    return _Parser
-
-
 def _json_text(value) -> str:
     """``json.dumps(value)``'s exact text, default settings, for the types a
     record holds: ``dict`` with ``str`` keys, ``list``, ``str``, ``bool`` and
@@ -351,28 +320,42 @@ _BUNDLE = _arg("-L", "--bundle", dest="bundle", metavar="CLASS", default=None,
                help="polarizing class 'a,b,c' (default: standard polarization)")
 _FORMAT = _arg("--format", dest="format", choices=("text", "csv", "json"), default="text",
                help="output format (csv is table-only)")
+_HELP = _arg("-h", "--help", help="show this help message and exit")
+_PROGRAM_FLAGS = {"-h": _HELP, "--help": _HELP}
 
 # name -> (help, compute, arguments before --format), filled in --help order
 # by ``_command``.  Each compute maps parsed arguments to (record, text lines),
-# writing every g!-sized value through the ``_Scale`` it is handed.
+# writing every g!-sized value through the ``_Scale`` it is handed.  From the
+# same specs, ``_GRAMMAR`` holds what ``_read_line`` reads a command with.
 _COMMANDS: dict = {}
-# name -> what ``_read_plain`` reads a line of that command with: flag ->
-# options, the positionals, the namespace's defaults, the required flags'
-# dests and whether a positional is optional; derived from the command's
-# entry of ``_COMMANDS`` by ``_command``.
-_PLAIN: dict = {}
+_GRAMMAR: dict = {}
+_COMMAND = _arg("command", choices=_GRAMMAR)
+
+
+def _name(spec: tuple) -> str:
+    """An argument's name in a diagnostic: '-g/--genus', 'CLASS', 'g_min'."""
+    return "/".join(spec[0]) if spec[0][0][0] == "-" else spec[1].get("metavar", spec[0][0])
 
 
 def _command(name: str, help_text: str, *arguments: tuple):
     def register(compute):
         _COMMANDS[name] = (help_text, compute, arguments)
-        flags = {flag: o for names, o in [*arguments, _FORMAT] if "dest" in o for flag in names}
-        positionals = [(names[0], o) for names, o in arguments if "dest" not in o]
-        defaults = {o["dest"]: o.get("default") for o in flags.values()}
+        flags = {flag: spec for spec in [_HELP, *arguments, _FORMAT] if spec[0][0][0] == "-"
+                 for flag in spec[0]}
+        positionals = [spec for spec in arguments if spec[0][0][0] != "-"]
+        # Each positional with the 3.11 parser's pattern of the strings that it and
+        # those after it take, longest first: 'A' for a value, '-' for '--'.  It is
+        # compiled (and cached by ``re``) on first use, as most lines have no positional.
+        nargs = [{None: "(-*A-*)", "?": "(-*A?-*)", "+": "(-*A[A-]*)"}[o.get("nargs")]
+                 for _, o in positionals]
+        positionals = [(spec, "|".join("".join(nargs[k:n]) for n in range(len(nargs), k, -1)))
+                       for k, spec in enumerate(positionals)]
+        defaults = {o.get("dest", names[0]): o.get("default") for names, o in [*arguments, _FORMAT]}
         defaults.update(compute=compute, command=name)
-        required = {o["dest"] for o in flags.values() if o.get("required")}
-        optional_run = any(o.get("nargs") == "?" for _, o in positionals)
-        _PLAIN[name] = (flags, positionals, defaults, required, optional_run)
+        # Required: an option so declared, and a positional not '?'.
+        required = [(o.get("dest", names[0]), _name((names, o))) for names, o in arguments
+                    if o.get("required", "dest" not in o and o.get("nargs") != "?")]
+        _GRAMMAR[name] = (flags, positionals, defaults, required)
         return compute
 
     return register
@@ -610,111 +593,151 @@ def _table(args: SimpleNamespace, scale: _Scale) -> tuple:
     ]
 
 
-def _is_value(token: str) -> bool:
-    """Whether ``token`` is not option-like: argparse reads it as a value."""
-    return token[:1] != "-" or _NEGATIVE_NUMBER.match(token) is not None
-
-
-def _typed(options: dict, text: str):
-    """``text`` through an argument's type and choices; ValueError if refused."""
-    kind, choices = options.get("type"), options.get("choices")
-    value = text if kind is None else kind(text)
+def _typed(spec: tuple, text: str):
+    """``text`` through an argument's type and choices, or the 3.11 parser's diagnostic."""
+    kind, choices = spec[1].get("type"), spec[1].get("choices")
+    try:
+        value = text if kind is None else kind(text)
+    except ValueError:
+        raise CLIError(f"argument {_name(spec)}: invalid int value: {text!r}")
     if choices is not None and value not in choices:
-        raise ValueError(text)
+        choices = ", ".join(map(repr, choices))
+        raise CLIError(f"argument {_name(spec)}: invalid choice: {text!r} (choose from {choices})")
     return value
 
 
-def _read_plain(name: str, argv: list) -> Optional[SimpleNamespace]:
-    """The full parser's namespace for a plain line ``[name, *argv]``, read
-    from the same specs (``_PLAIN``); else None.  It imports no argparse.
+def _option(token: str, flags: dict) -> Optional[tuple]:
+    """The 3.11 parser's reading of ``token`` with a parser's ``flags``: None
+    for a value ('-', '-1/2', 'x y'), else (flag, attached value or None), flag
+    '' for no match.  '--gen' abbreviates; '-g3', '-g=3' and '--gen=3' attach."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, tail = token.partition("=")
+    if head in flags:
+        return head, tail if eq else None
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(head)]
+        if len(matches) > 1:
+            raise CLIError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], tail if eq else None
+    elif token[:2] in flags:
+        return token[:2], token[2:]
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else ("", None)
 
-    Plain: options spelled exactly as declared ('-g V', '--genus V' or
-    '--genus=V', V non-empty and not option-like), each at most once, and
-    one run of positionals that opens the line, follows every option, or
-    follows a single '--' with tokens after it (``table``'s optional bounds
-    only in a run that opens the line), each value of its type and choices.
-    Any other line, -h, abbreviations, '-g3' and every diagnostic included,
-    is left to ``build_parser``'s parser.  One pass, left to right: each
-    token is tested for option-likeness once and each flag looked up once.
-    """
-    flags, positionals, defaults, required, optional_run = _PLAIN[name]
-    found, given, end = defaults.copy(), set(), len(argv)
-    lead = 0
-    while lead < end and _is_value(argv[lead]):
-        lead += 1
-    run, i = argv[:lead], lead
+
+def _read_option(flags: dict, argv: list, i: int, flag: str, value) -> tuple:
+    """(spec, value, next index) of an option read by ``_option``, ``argv[i]``
+    after it; as in the 3.11 parser, '-h' chains letters ('-hg 3')."""
+    while value is not None and flags[flag] is _HELP:
+        if flag[1] == "-" or "-" + value[:1] not in flags:
+            raise CLIError(f"argument -h/--help: ignored explicit argument {value!r}")
+        flag, value = "-" + value[0], value[1:] or None
+    spec = flags[flag]
+    if spec is _HELP or value is not None:
+        return spec, value, i
+    if i == len(argv) or argv[i][:1] == "-" and (argv[i] == "--" or _option(argv[i], flags)):
+        raise CLIError(f"argument {_name(spec)}: expected one argument")
+    return spec, argv[i], i + 1
+
+
+def _take(pending: list, run: list, found: dict) -> list:
+    """What is left of a run of values after the longest prefix of ``pending``
+    that matches takes its strings, as in the 3.11 parser, and leaves ``pending``."""
+    # 'A' for each value, '-' for the separator: the first '--', as a later one is a value
+    k = run.index("--") if "--" in run else len(run)
+    pattern = "A" * k + "-" * (k < len(run)) + "A" * (len(run) - k - 1)
+    match = pending and re.match(pending[0][1], pattern)
+    counts = [len(group) for group in match.groups() if group is not None] if match else []
+    for (spec, _), count in zip(pending, counts):
+        strings, run = run[:count], run[count:]
+        if "--" in strings:
+            strings.remove("--")
+        if spec[1].get("nargs") == "+":  # a '+' argument takes no type
+            found[spec[0][0]] = strings
+        elif strings:  # else '?' keeps its default, and a lone '--' leaves one missing
+            found[spec[0][0]] = _typed(spec, strings[0])
+    del pending[:len(counts)]
+    return run
+
+
+def _read_line(argv: list):
+    """A line's namespace as the 3.11 parser reads it with the specs of ``_COMMANDS``
+    (for help, one that computes ``_help``), or its diagnostic; one pass over a plain line."""
+    extras, i = [], 0
+    while i < len(argv) and argv[i] != "--" and (kind := _option(argv[i], _PROGRAM_FLAGS)):
+        if kind[0]:
+            _read_option(_PROGRAM_FLAGS, argv, i + 1, *kind)
+            return SimpleNamespace(command=None, format="text", compute=_help)
+        extras.append(argv[i])
+        i += 1
+    if i == len(argv) or argv[i] == "--" and i + 1 == len(argv):
+        raise CLIError("the following arguments are required: command")
+    name = _typed(_COMMAND, argv[i])
+    flags, positionals, defaults, required = _GRAMMAR[name]
+    argv = argv[i + 1:]
+    cut = argv.index("--") if "--" in argv else len(argv)  # only values after it
+    found, pending, run, i = defaults.copy(), positionals.copy(), [], 0
     try:
-        while i < end:  # argv[i] is option-like
-            if argv[i] == "--":
-                run = argv[i + 1:]
-                if not run or lead or optional_run or "--" in run:
-                    return None
-                break
-            flag, eq, value = argv[i].partition("=")
-            options = flags.get(flag)
-            if options is None:
-                return None
-            if eq:
-                if not flag.startswith("--"):  # '-g=3'
-                    return None
-                i += 1
-            elif i + 1 < end:
-                value = argv[i + 1]
-                i += 2
-            dest = options["dest"]
-            if dest in given or not value or not _is_value(value):
-                return None
-            given.add(dest)
-            found[dest] = _typed(options, value)
-            if i < end and _is_value(argv[i]):  # the run after the options
-                if lead or optional_run or not all(map(_is_value, argv[i + 1:])):
-                    return None
-                run = argv[i:]
-                break
-        for dest, options in positionals:
-            if run and options.get("nargs") == "+":
-                # '+' runs take no type, as argparse returns them.
-                found[dest], run = run, []
-            elif run:
-                found[dest], run = _typed(options, run[0]), run[1:]
-            elif options.get("nargs") == "?":
-                found[dest] = options["default"]
+        while i < cut:
+            token, i = argv[i], i + 1
+            if token[:1] == "-" and (kind := _option(token, flags)):
+                if run:
+                    extras += _take(pending, run, found)
+                    run = []
+                if not kind[0]:  # an unknown option
+                    extras.append(token)
+                    continue
+                spec, value, i = _read_option(flags, argv, i, *kind)
+                if kind[0] in _PROGRAM_FLAGS:  # help, maybe chained ('-hg 3')
+                    return SimpleNamespace(command=name, format="text", compute=_help)
+                found[spec[1]["dest"]] = _typed(spec, value)
             else:
-                return None
-    except ValueError:
-        return None
-    if run or not given >= required:
-        return None
+                run.append(token)
+        if run or cut < len(argv):
+            extras += _take(pending, run + argv[cut:], found)
+    finally:  # the 3.11 parser reads every option first: an ambiguous one is refused first
+        for token in argv[i:cut]:
+            _option(token, flags)
+    missing = [name for dest, name in required if found[dest] is None]  # each has default None
+    if missing:
+        raise CLIError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise CLIError(f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**found)
 
 
-def build_parser():
-    """Parser with every subcommand, its arguments and ``--format``; each
-    subcommand's defaults name its compute function.
-
-    ``main`` uses it for every command line that ``_read_plain`` leaves:
-    help, abbreviations, attached values and every usage diagnostic.  The
-    first call imports argparse.
-    """
-    parser = _parser_class()(
-        prog="curvejac",
-        description="Exact Neron-Severi calculator for a curve times its Jacobian.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, compute, arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flags, options in [*arguments, _FORMAT]:
-            command.add_argument(*flags, **options)
-        command.set_defaults(compute=compute)
-    return parser
+def _help(args: SimpleNamespace, scale: _Scale) -> tuple:
+    """No record and the help lines of ``args.command``, or of the program:
+    fixed text from ``_COMMANDS``, the same at every terminal width."""
+    if args.command is None:
+        rows = [(command, entry[0]) for command, entry in _COMMANDS.items()]
+        head = ["usage: curvejac [-h] command ...", "",
+                "Exact Neron-Severi calculator for a curve times its Jacobian.", "", "commands:"]
+    else:
+        about, _, arguments = _COMMANDS[args.command]
+        words, rows = ["[-h]"], []
+        for flags, o in sorted([*arguments, _FORMAT], key=lambda spec: spec[0][0][0] != "-"):
+            value = _name((flags, o))
+            if flags[0][0] != "-":  # a positional, after the options as the 3.11 parser puts it
+                words.append({"?": f"[{value}]", "+": f"{value} [{value} ...]"}.get(
+                    o.get("nargs"), value))
+                rows.append((value, o.get("help", "")))
+                continue
+            value = "{%s}" % ",".join(o["choices"]) if "choices" in o else o.get(
+                "metavar", o["dest"].upper())
+            words.append(f"{flags[0]} {value}" if o.get("required") else f"[{flags[0]} {value}]")
+            rows.append((f"{', '.join(flags)} {value}", o.get("help", "")))
+        head = [f"usage: curvejac {args.command} {' '.join(words)}", "", about, "", "arguments:"]
+    return None, head + [f"  {invocation:<20}  {text}".rstrip() for invocation, text in rows]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; return its exit status: 0, 2 after a diagnostic, or 1
     with nothing more written when stdout's reader has gone (``| head -1``).
 
-    ``_read_plain`` reads a plain command line and ``build_parser``'s parser
-    any other; ``--format json`` writes the record with ``_json_text``.
+    ``_read_line`` reads the line, help included; ``--format json`` writes
+    the record with ``_json_text``.
     Every result is computed before anything is printed, so an error never
     leaves partial output.  Output is exact at every genus: CPython's digit
     limit on int/str conversion is lifted while the command runs, so input
@@ -729,9 +752,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _read_plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
-        if args is None:
-            args = build_parser().parse_args(argv)
+        args = _read_line(argv)
         if args.format == "csv" and args.command != "table":
             raise CLIError("csv output is only available for the 'table' command")
         record, lines = args.compute(args, _Scale())
@@ -741,7 +762,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()  # a reader that has gone is met here, not at exit
         return 0
     except (CLIError, ValueError, OverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # One line: a diagnostic may echo a token as it is ("unrecognized arguments: 3\n").
+        print("error:", str(err).replace("\n", "\\n"), file=sys.stderr)
         return 2
     except BrokenPipeError:
         # As the Python docs' note on SIGPIPE does: fd 1 goes to devnull,

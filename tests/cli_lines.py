@@ -114,8 +114,6 @@ DEFERRED_LINES = [
     ["audit", "-g", "2", "--"],  # "unrecognized arguments: --"
     ["audit", "-g", "2", "--", "--"],
     ["intersect", "-g", "2", "--", "1,1,1", "--", "0,1,0"],
-    # argparse 3.11 gives g_min and g_max their defaults before the
-    # option, then refuses 2 and 4.
     ["table", "--format", "csv", "2", "4"],
     ["table", "--", "2", "4"],
     ["audit", "-g", "3", "-g", "4"],  # the last one wins
@@ -128,6 +126,12 @@ DEFERRED_LINES = [
     ["table", "--format", "xml"], ["audit", "-g", "1_0"], ["table", "2", "3", "4"],
     ["pair", "-g", "2", "1,1,1"], ["intersect", "-g", "2"], ["curve-height", "-g", "2", "x"],
     ["audit", "-g", "2", "-L"],  # a flag with no value at the end
+    # '-h' chained with a letter: help, or an error when no flag has it.
+    ["audit", "-hg", "3"], ["classify", "-hx"], ["audit", "-hg"],
+    ["audit", "--help=x"], ["audit", "--=3"], ["audit", "-g", "x", "--=3"],
+    ["-g", "3", "audit"], ["-x", "audit", "-g", "2"],  # options before the command
+    ["audit", "-g", "2", "-L", "-"], ["audit", "-g", "2", "-L", "x y"],  # '-', a space
+    ["pair", "-g", "2", "1,1,1", "2,1,1", "--"], ["table", "2", "--", "3", "--"],
 ]
 
 # name -> argv of golden/cli/<name>.txt; <name>.json adds '--format json'.
@@ -152,9 +156,8 @@ GOLDEN_ARGV = {
 }
 
 # Golden diagnostics: name -> argv, exiting 2 with golden/cli/<name>.stderr
-# on stderr and nothing on stdout.  The first eight are TestErrorPaths'; its
-# unknown command is left out, as argparse words that message differently
-# across patch releases (3.13.13 drops the quotes around the choices).
+# on stderr and nothing on stdout.  The first eight are TestErrorPaths'; the
+# usage errors at the end are worded as argparse 3.11 words them.
 GOLDEN_ERRORS = {
     "error_genus_one": ["classify", "-g", "1", "-a", "1", "-b", "0", "-c", "0"],
     "error_short_class": ["pair", "-g", "2", "1,1", "2,1,1"],
@@ -167,6 +170,12 @@ GOLDEN_ERRORS = {
     "error_short_class_csv": ["pair", "-g", "2", "1,1", "2,1,1", "--format", "csv"],
     "error_table_reversed": ["table", "5", "3"],
     "error_table_genus_one": ["table", "1", "4"],
+    "error_unknown_command": ["nonsense"],
+    "error_format_choice": ["audit", "-g", "2", "--format", "xml"],
+    "error_genus_missing": ["audit"],
+    "error_genus_no_value": ["audit", "-g"],
+    "error_genus_not_int": ["audit", "-g", "x"],
+    "error_unrecognized": ["audit", "-g", "2", "x"],
 }
 
 CORPUS_SIZE = 3000
@@ -193,10 +202,7 @@ def corpus_record(argv: list):
     or None when it prints help (exit 0, stdout opening with 'usage:')."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main(list(argv))
-        except SystemExit as exit:  # help, where argparse prints it
-            status = exit.code
+        status = main(list(argv))
     if status == 0 and out.getvalue().startswith("usage:"):
         return None
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]

@@ -28,12 +28,15 @@ them.
 * ``stdlib_json_line`` - a JSON output line as the standard library's
   encoder writes it; ``bad_record_strings`` - the string values of a record
   that the CLI's JSON writer, which escapes nothing, may not hold.
-* ``reference_read_plain`` - the plain-line reader as a first scan for the
-  leading run, then a loop over the options, then a scan of the trailing
-  run, with its own ``reference_is_value`` and ``reference_typed``; the
-  command line's one-pass ``_read_plain`` must give the same result.
+* ``eager_parser`` and ``argparse_reading`` - argparse's parser of every
+  command, built from the command line's specs, and its reading of a line:
+  the grammar and diagnostics that ``cli._read_line`` keeps, as argparse
+  3.11 has them.
 """
 
+import argparse
+import contextlib
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -41,10 +44,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
-from types import SimpleNamespace
 from typing import Iterator, Optional
 
-from curvejac.cli import _NEGATIVE_NUMBER, _PLAIN, CLIError
+from curvejac.cli import _COMMANDS, _FORMAT, _NEGATIVE_NUMBER, CLIError, _ascii_int
 from curvejac.cones import classify
 from curvejac.lattice import (
     POINCARE_SQUARE_COEFF,
@@ -378,57 +380,54 @@ def bad_record_strings(value) -> list:
     return [value] if isinstance(value, str) and not _RECORD_STRING.fullmatch(value) else []
 
 
-def reference_is_value(token: str) -> bool:
-    """Whether ``token`` is not option-like: argparse reads it as a value."""
-    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
+def _oracle_int(text: str) -> int:
+    return _ascii_int(text)
 
 
-def reference_typed(options: dict, text: str):
-    """``text`` through an argument's type and choices; ValueError if refused."""
-    value = options.get("type", str)(text)
-    if value not in options.get("choices", [value]):
-        raise ValueError(text)
-    return value
+_oracle_int.__name__ = "int"  # argparse names the type in its diagnostic
 
 
-def reference_read_plain(name: str, argv: list) -> Optional[SimpleNamespace]:
-    """``cli._read_plain``'s result for ``[name, *argv]``: the full parser's
-    namespace for a plain line, else None, read from the same specs."""
-    flags, positionals, defaults, required, optional_run = _PLAIN[name]
-    found = dict(defaults)
-    lead = next((i for i, token in enumerate(argv) if not reference_is_value(token)), len(argv))
-    i, given = lead, set()
+class ArgparseParser(argparse.ArgumentParser):
+    """argparse's parser as the command line's oracle: negative numbers as
+    the reader takes them, and each usage error raised as ``CLIError``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes only '-<digits>' and '-<decimal>' for negative
+        # numbers and any other leading '-' for an option, which would
+        # swallow '-1/2' and '-1,1,0'.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message: str):  # noqa: D102
+        raise CLIError(message)
+
+
+def eager_parser() -> ArgparseParser:
+    """argparse's parser of every command in ``cli._COMMANDS``, with each
+    command's arguments and ``--format``, built from the same specs."""
+    parser = ArgparseParser(prog="curvejac",
+                            description="Exact Neron-Severi calculator for a curve times its Jacobian.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, compute, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in [*arguments, _FORMAT]:
+            if "type" in options:
+                options = {**options, "type": _oracle_int}
+            command.add_argument(*flags, **options)
+        command.set_defaults(compute=compute)
+    return parser
+
+
+def argparse_reading(argv: list) -> tuple:
+    """How argparse on the running interpreter reads ``argv`` with
+    ``eager_parser``: ('namespace', its dict), ('help', the command whose
+    help it prints, None for the program's), or ('error', its message)."""
+    out = io.StringIO()
     try:
-        while i < len(argv) and argv[i] != "--" and not reference_is_value(argv[i]):
-            flag, eq, value = argv[i].partition("=")
-            if not eq and i + 1 < len(argv):
-                value = argv[i + 1]
-            options = flags.get(flag)
-            if (options is None or options["dest"] in given or not value
-                    or not reference_is_value(value) or eq and not flag.startswith("--")):
-                return None
-            given.add(options["dest"])
-            found[options["dest"]] = reference_typed(options, value)
-            i += 1 if eq else 2
-        dashed = argv[i:i + 1] == ["--"]
-        run = argv[i + dashed:]
-        if "--" in run or not (run if dashed else all(map(reference_is_value, run))):
-            return None
-        if run and (lead or optional_run):
-            return None
-        run = run or argv[:lead]
-        for dest, options in positionals:
-            if run and options.get("nargs") == "+":
-                # '+' runs take no type, as argparse returns them.
-                found[dest], run = run, []
-            elif run:
-                found[dest], run = reference_typed(options, run[0]), run[1:]
-            elif options.get("nargs") == "?":
-                found[dest] = options["default"]
-            else:
-                return None
-    except ValueError:
-        return None
-    if run or not given >= required:
-        return None
-    return SimpleNamespace(**found)
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(eager_parser().parse_args(argv))
+    except CLIError as err:
+        return "error", str(err)
+    except SystemExit:  # after help
+        command = out.getvalue().split()[2]
+        return "help", command if command in _COMMANDS else None

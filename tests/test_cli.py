@@ -11,7 +11,6 @@ from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial, lcm, perm
 from pathlib import Path
-from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -25,8 +24,8 @@ from curvejac.minima import ZhangAudit, zhang_audit, zhang_audit_coeff
 
 from cli_lines import (DEFERRED_LINES, GOLDEN_ARGV, GOLDEN_ERRORS, PLAIN_LINES, edited_line,
                        spelled_line)
-from oracles import (bad_record_strings, half_even_decimal, reference_intersect,
-                     reference_read_plain, split_parse_class, split_parse_rational,
+from oracles import (argparse_reading, bad_record_strings, eager_parser, half_even_decimal,
+                     reference_intersect, split_parse_class, split_parse_rational,
                      stdlib_json_line)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -873,13 +872,10 @@ def draw_argv(data):
 
 
 def outcome(run, argv):
-    """(exit, stdout, stderr) of ``run(argv)``; -h exits through SystemExit."""
+    """(exit, stdout, stderr) of ``run(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exit:  # argparse's -h prints help and exits 0
-            code = exit.code
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -899,20 +895,37 @@ def test_fuzz_argv_one_outcome(data):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def full_parser_main(argv):
-    """``main`` with every command line parsed by ``build_parser``'s full
-    parser, never by ``_read_plain``."""
-    with mock.patch.object(cli, "_read_plain", return_value=None):
-        return main(argv)
+def help_text(command):
+    """The golden help of ``command``, or of the program when None."""
+    return (GOLDEN / "cli" / (f"help_{command}.txt" if command else "help.txt")).read_text()
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_fuzz_argv_full_parser_agrees(data):
-    """Reading plain lines with ``_read_plain`` changes no exit status and no
-    byte of stdout or stderr."""
-    argv = draw_argv(data)
-    assert outcome(main, argv) == outcome(full_parser_main, argv)
+ON_311 = sys.version_info[:2] == (3, 11)
+# The oracle is argparse 3.11: other releases read some lines differently.
+argparse_311 = pytest.mark.skipif(not ON_311, reason="the oracle is argparse 3.11")
+
+
+def assert_argparse_reading(argv):
+    """``main`` reads ``argv`` as argparse 3.11's parser of every command does
+    (``oracles.argparse_reading``): to the same namespace, to help for the
+    same command, or to a refusal, exit 2 with argparse's diagnostic.
+
+    argparse 3.11 drops a second '--' from a positional's strings, and a
+    single positional left with none gets an empty list, on which the
+    command fails with a traceback.  The reader counts such a positional
+    missing; on a line with two '--' only the form of a refusal is compared.
+    """
+    kind, reading = argparse_reading(argv)
+    if kind == "namespace" and [] not in reading.values():
+        assert vars(cli._read_line(argv)) == reading
+        return
+    code, out, err = outcome(main, argv)
+    if kind == "help":
+        assert (code, out, err) == (0, help_text(reading), "")
+        return
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    if kind == "error" and argv.count("--") < 2:
+        assert err == "error: " + reading.replace("\n", "\\n") + "\n"
 
 
 class TestRepeatedCalls:
@@ -930,51 +943,17 @@ class TestRepeatedCalls:
         assert run_cli(capsys, *argv) == fresh
 
 
-def eager_parser():
-    """The CLI parser with every subcommand and its arguments, built here as
-    a reference, independently of ``cli``'s own construction."""
-    full = cli.build_parser()
-    parser_class = cli._parser_class()
-    parser = parser_class(prog=full.prog, description=full.description)
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="command", parser_class=parser_class
-    )
-    for name, (help_text, compute, arguments) in cli._COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flags, options in [*arguments, cli._FORMAT]:
-            command.add_argument(*flags, **options)
-        command.set_defaults(compute=compute)
-    return parser
-
-
-def eager_outcome(argv):
-    """(stdout, stderr) of the eager parser on argv, as main reports them."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
-            eager_parser().parse_args(argv)
-        except CLIError as err:
-            return out.getvalue(), f"error: {err}\n"
-        except SystemExit:
-            pass
-    return out.getvalue(), ""
-
-
 class TestLazyParser:
-    """A plain command line builds no parser, any other builds the full
-    parser once; help and diagnostics match a parser built here with every
-    subcommand.  Compared on the running interpreter, since help layout
-    differs between Python releases."""
+    """Help and usage errors come from the one reader, which builds no
+    argparse parser: help is its golden text, given where argparse's full
+    parser gives help, and each diagnostic is worded as argparse 3.11 words
+    it."""
 
     @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
     def test_help_matches_eager(self, capsys, command):
         argv = ["-h"] if command is None else [command, "-h"]
-        with pytest.raises(SystemExit) as exit:
-            main(argv)
-        captured = capsys.readouterr()
-        assert exit.value.code == 0
-        assert (captured.out, captured.err) == eager_outcome(argv)
-        assert captured.out.startswith("usage: curvejac")
+        assert run_cli(capsys, *argv) == (0, help_text(command), "")
+        assert argparse_reading(argv) == ("help", command)
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_diagnostics_match_eager(self, capsys, command):
@@ -983,63 +962,28 @@ class TestLazyParser:
             cases.append([command])  # -g missing
         for argv in cases:
             code, out, err = run_cli(capsys, *argv)
-            assert code == 2
-            assert (out, err) == eager_outcome(argv)
+            assert (code, out, err.count("\n")) == (2, "", 1)
+            if ON_311:
+                assert err == f"error: {argparse_reading(argv)[1]}\n"
 
     @pytest.mark.parametrize(
-        "argv,parsers",
-        [(None, 12), (["audit", "-g", "2"], 0), (["audit", "-h"], 12),
-         (["audit", "-g", "2", "--"], 12), (["nonsense"], 12), (["-h"], 12)],
-        ids=["build_parser", "audit", "audit-help", "audit-deferred", "nonsense", "help"],
+        "argv",
+        [["audit", "-g", "2"], ["audit", "-h"], ["audit", "-g", "2", "--"], ["nonsense"], ["-h"]],
+        ids=["audit", "audit-help", "audit-deferred", "nonsense", "help"],
     )
-    def test_parsers_built(self, monkeypatch, argv, parsers):
-        # A plain line is read from the specs and builds no parser; any
-        # other line builds the full parser and every subparser once.
+    def test_parsers_built(self, monkeypatch, argv):
+        # No line builds an argparse parser, help and diagnostics included.
         built = []
-
-        def init(self, *args, original=cli._parser_class().__init__, **kwargs):
-            built.append(kwargs.get("prog"))
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cli._parser_class(), "__init__", init)
-        if argv is None:
-            cli.build_parser()
-        else:
-            outcome(main, argv)
-        assert len(built) == parsers
-
-    def test_argparse_touching_subparsers(self, monkeypatch):
-        # An argparse that uses each subparser as it adds it (say, to check
-        # its help string) changes no output.
-        argvs = [["-h"], ["audit", "-h"], ["pair", "--bogus"], ["nonsense"],
-                 ["classify", "-g", "2", "-a", "1", "-b", "1", "-c", "-1/2"],
-                 ["pair", "-g", "2", "1,1,1", "-1,1,0"], ["table", "2", "3"]]
-        expected = [outcome(main, argv) for argv in argvs]
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def touching(self, name, **kwargs):
-            parser = add_parser(self, name, **kwargs)
-            parser._get_formatter()
-            return parser
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", touching)
-        built = []
-
-        def init(self, *args, original=cli._parser_class().__init__, **kwargs):
-            built.append(kwargs.get("prog"))
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cli._parser_class(), "__init__", init)
-        assert [outcome(main, argv) for argv in argvs] == expected
-        # The three plain lines build no parser; each of the other four
-        # builds the full parser and every subparser once.
-        assert len(built) == 4 * (1 + len(cli._COMMANDS))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(args))
+        outcome(main, argv)
+        assert built == []
 
     def test_one_parser_parsed_twice(self):
-        parser = cli.build_parser()
+        # The reader keeps no state between lines.
         for argv in (["audit", "-g", "2", "-L", "8,1,2"], ["table", "2", "3"]):
-            first = parser.parse_args(argv)
-            assert parser.parse_args(argv) == first
+            first = cli._read_line(argv)
+            assert cli._read_line(argv) == first
         assert first.compute is cli._COMMANDS["table"][1]
 
     def test_unknown_command(self, capsys):
@@ -1048,10 +992,22 @@ class TestLazyParser:
         assert err.startswith("error: argument command: invalid choice: 'nonsense'")
 
 
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_same_at_every_width(columns):
+    # Help is fixed text: the terminal's width changes no byte.
+    for command in (None, "audit"):
+        argv = ["-h"] if command is None else [command, "-h"]
+        result = subprocess.run([sys.executable, "-m", "curvejac", *argv], capture_output=True,
+                                text=True, env={**os.environ, "COLUMNS": columns})
+        assert (result.returncode, result.stdout, result.stderr) == (0, help_text(command), "")
+
+
 def command_namespace(argv):
-    """``vars`` of the namespace ``build_parser``'s full parser returns for
-    ``argv``."""
-    return vars(cli.build_parser().parse_args(argv))
+    """``vars`` of the namespace that argparse's full parser returns for
+    ``argv`` (``oracles.argparse_reading``)."""
+    kind, reading = argparse_reading(argv)
+    assert kind == "namespace", reading
+    return reading
 
 
 def draw_plain_reader_argv(data):
@@ -1060,73 +1016,63 @@ def draw_plain_reader_argv(data):
 
 
 class TestPlainReader:
-    """``_read_plain`` reads a plain command line to the namespace that
-    argparse returns for it, and leaves every other line to argparse."""
+    """The one reader, ``_read_line``: plain lines to argparse's namespace on
+    every Python release, and every other spelling and each usage error as
+    argparse 3.11 reads them."""
 
-    @settings(max_examples=500, deadline=None)
+    @argparse_311
+    @settings(max_examples=2000, deadline=None)
     @given(st.data())
     def test_agrees_with_argparse(self, data):
-        argv = draw_plain_reader_argv(data)
-        if argv and argv[0] in cli._COMMANDS:
-            plain = cli._read_plain(argv[0], argv[1:])
-            if plain is not None:
-                assert vars(plain) == command_namespace(argv)
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.data())
-    def test_matches_reference_reader(self, data):
-        # The one-pass reader accepts exactly the lines that the reference
-        # reader of ``tests/oracles.py`` accepts, each to an equal namespace:
-        # drawn lines, and the lines that the tests below list.
-        if data.draw(st.booleans()):
-            argv = data.draw(st.sampled_from(PLAIN_LINES + DEFERRED_LINES))
-        else:
-            argv = draw_plain_reader_argv(data)
-        if argv and argv[0] in cli._COMMANDS:
-            plain = cli._read_plain(argv[0], argv[1:])
-            reference = reference_read_plain(argv[0], argv[1:])
-            assert (plain is None) == (reference is None)
-            assert plain is None or vars(plain) == vars(reference)
+        # Fuzzed lines from ``cli_lines.spelled_line``, which draws every
+        # spelling of ``cli_lines.SPELLINGS`` ('-hg', '-hx', '--help=x',
+        # '--=3', '-' and 'x y' as values among them), options before the
+        # command, a repeated option and a trailing '--'.
+        assert_argparse_reading(draw_plain_reader_argv(data))
 
     @pytest.mark.parametrize("argv", PLAIN_LINES)
     def test_reads_plain_lines(self, argv):
-        plain = cli._read_plain(argv[0], argv[1:])
-        assert plain is not None and vars(plain) == command_namespace(argv)
+        assert vars(cli._read_line(argv)) == command_namespace(argv)
 
+    @argparse_311
     @pytest.mark.parametrize("argv", DEFERRED_LINES)
     def test_defers_to_argparse(self, argv):
-        assert cli._read_plain(argv[0], argv[1:]) is None
+        # Lines that a reader of plain lines alone would leave to argparse.
+        assert_argparse_reading(argv)
 
     @pytest.mark.parametrize("name", list(cli._COMMANDS))
     def test_table_is_the_parser_grammar(self, name):
-        # The reader's table is derived from the same specs as the parser:
-        # the same flags and the same positionals, in order.
-        flags, positionals, defaults, required, optional_run = cli._PLAIN[name]
-        sub = next(action for action in cli.build_parser()._actions
+        # The reader's grammar comes from the same specs as the oracle's
+        # parser: the same flags in the same order (an abbreviation names
+        # its matches in it), positionals, required arguments and defaults.
+        flags, positionals, defaults, required = cli._GRAMMAR[name]
+        sub = next(action for action in eager_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)).choices[name]
-        options = {flag for action in sub._actions for flag in action.option_strings}
-        assert set(flags) == options - {"-h", "--help"}
-        assert [dest for dest, _ in positionals] == [
+        assert list(flags) == [flag for action in sub._actions for flag in action.option_strings]
+        assert [spec[0][0] for spec, _ in positionals] == [
             action.dest for action in sub._actions if not action.option_strings]
-        assert required == {action.dest for action in sub._actions
-                            if action.option_strings and action.required}
-        assert optional_run == any(action.nargs == "?" for action in sub._actions)
+        assert [name for _, name in required] == [
+            argparse._get_action_name(action) for action in sub._actions if action.required]
+        # A missing argument is one still at its default, None.
+        assert all(defaults[dest] is None for dest, _ in required)
+        assert defaults == {**{action.dest: action.default for action in sub._actions
+                               if action.dest != "help"}, "compute": sub.get_default("compute"),
+                            "command": name}
         # The reader takes a '+' run as it is, as argparse does for an
         # untyped, choice-free run.
-        assert all(not {"type", "choices"} & set(options)
-                   for _, options in positionals if options.get("nargs") == "+")
-        assert defaults["compute"] is sub.get_default("compute")
+        assert all(not {"type", "choices"} & set(spec[1])
+                   for spec, _ in positionals if spec[1].get("nargs") == "+")
 
     def test_calls_do_not_share_namespaces(self):
         # Each call starts from a copy of the command's defaults: neither a
         # line's values nor a change to a returned namespace reach the next.
-        first = cli._read_plain("table", ["5", "9", "--format", "csv"])
+        first = cli._read_line(["table", "5", "9", "--format", "csv"])
         first.g_min, first.extra = 7, 1
-        second = cli._read_plain("table", [])
+        second = cli._read_line(["table"])
         assert vars(second) == command_namespace(["table"])
-        third = cli._read_plain("audit", ["-g", "3", "-L", "1,0,0"])
+        third = cli._read_line(["audit", "-g", "3", "-L", "1,0,0"])
         third.bundle = "2,0,0"
-        fourth = cli._read_plain("audit", ["-g", "4"])
+        fourth = cli._read_line(["audit", "-g", "4"])
         assert vars(fourth) == command_namespace(["audit", "-g", "4"])
 
     def test_repeated_flag_reaches_argparse(self, capsys):
@@ -1137,6 +1083,16 @@ class TestPlainReader:
         code, out, err = run_cli(capsys, "audit", "-g", "2", "--")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["pair", "-g", "2", "--", "1,1,1", "--"], "the following arguments are required: CLASS"),
+        (["audit", "-g", "2", "--bundle=--"], "malformed class literal '--' (want 'a,b,c')"),
+        (["audit", "-g=--"], "argument -g/--genus: invalid int value: '--'"),
+    ])
+    def test_separator_as_a_value_refused(self, capsys, argv, message):
+        # argparse 3.11 drops '--' from these values and hands the command an
+        # empty list, which fails with a traceback; the reader refuses them.
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @contextlib.contextmanager
@@ -1252,10 +1208,11 @@ sys.exit(status)
 """
 
 
-def import_probe(*argv):
+def import_probe(*argv, status=0):
     """(modules the import added, the command's stdout lines, argparse,
     gettext and json if loaded after the command) of ``IMPORT_PROBE`` on
-    argv."""
+    argv, which must exit with ``status``: 0 with nothing on stderr, or 2
+    with a diagnostic."""
     # -I -S: no environment, user site or site-packages to load json first.
     src = str(Path(cli.__file__).parents[1])
     result = subprocess.run(
@@ -1263,7 +1220,8 @@ def import_probe(*argv):
         capture_output=True,
         text=True,
     )
-    assert (result.returncode, result.stderr) == (0, "")
+    assert result.returncode == status
+    assert result.stderr.startswith("error: ") if status else result.stderr == ""
     added, *output, after = result.stdout.splitlines()
     return added, output, after
 
@@ -1310,14 +1268,19 @@ def test_json_text_refuses_other_types(value):
         cli._json_text(value)
 
 
-def test_deferred_line_loads_argparse_on_demand():
-    # '-g3' is not plain: argparse is imported to read it, and the audit
-    # prints the bytes of the plain '-g 3' line.
-    plain = import_probe("audit", "-g", "3")
-    attached = import_probe("audit", "-g3")
-    assert (plain[2], attached[2]) == ("[]", "['argparse', 'gettext']")
-    assert attached[:2] == plain[:2]
-    assert plain[1][0] == "class (3,1,1), genus 3"
+@pytest.mark.parametrize("argv,status", [
+    (["audit", "-g3"], 0), (["audit", "--gen", "3"], 0), (["audit", "-h"], 0), (["-h"], 0),
+    (["nonsense"], 2),
+])
+def test_no_line_loads_argparse(argv, status):
+    # Attached values, abbreviations, help and usage errors are read
+    # without argparse or gettext; '-g3' and '--gen 3' print the bytes of
+    # the plain '-g 3' line.
+    added, output, after = import_probe(*argv, status=status)
+    assert (added, after) == ("[]", "[]")
+    if "-h" not in argv and status == 0:
+        assert output == import_probe("audit", "-g", "3")[1]
+        assert output[0] == "class (3,1,1), genus 3"
 
 
 def unattained_audit(L):
@@ -1333,6 +1296,8 @@ def unattained_audit(L):
 GOLDEN_PATCHES = {"audit_flags": {"zhang_audit_coeff": unattained_audit}}
 
 GOLDEN_CASES = {
+    **{f"help_{name}.txt" if name else "help.txt": ([name, "-h"] if name else ["-h"], {})
+       for name in [None, *cli._COMMANDS]},
     **{
         f"{name}.{ext}": (argv + flags, GOLDEN_PATCHES.get(name, {}))
         for name, argv in GOLDEN_ARGV.items()

@@ -9,8 +9,8 @@ value in it must need no escape.  ``run.py`` itself exits 0 whatever its
 operations do, and its ``call`` catches only ``Exception``; so a
 ``BaseException`` out of ``main``, a check that raises anything but
 ``CheckError``, or a failed set-up probe ends a benchmark run with a nonzero
-status.  Every operation line must be read by ``cli._read_plain``, not left
-to argparse: the benchmark times the plain reader.  One short run of
+status.  Every operation line must be read to a command's namespace, at
+seed 1 to the one argparse's full parser gives it.  One short run of
 ``run.py`` in a subprocess must exit 0 and report every output correct.
 ``run.py`` writes its result under its own directory, so that run is made
 from a copy of ``src/`` and ``benchmark/``, and the checkout's results are
@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmark"))
 
 from checks import check  # noqa: E402
-from oracles import bad_record_strings, stdlib_json_line  # noqa: E402
+from oracles import argparse_reading, bad_record_strings, stdlib_json_line  # noqa: E402
 from workloads import WORKLOADS, make_ops  # noqa: E402
 
 
@@ -76,17 +76,15 @@ def test_every_op_exits_zero_and_checks(workload, seed):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_every_op_line_is_plain(workload):
-    # A reader that left the benchmark's lines to argparse would still agree
-    # with argparse on every line it read; each line here must be read, and
-    # at seed 1 to the namespace that argparse gives it.
-    parser = cli.build_parser()
+    # Every line is a command's, not help, and at seed 1 reads to the
+    # namespace that argparse gives it.
     for seed in range(1, 11):
         for op in workload_ops(workload, seed):
             argv = list(op.argv)
-            plain = cli._read_plain(argv[0], argv[1:])
-            assert plain is not None, argv
+            namespace = cli._read_line(argv)
+            assert namespace.command == argv[0] and namespace.compute is not cli._help, argv
             if seed == 1:
-                assert vars(plain) == vars(parser.parse_args(argv)), argv
+                assert ("namespace", vars(namespace)) == argparse_reading(argv), argv
 
 
 def results(directory: Path) -> dict:
