@@ -928,6 +928,15 @@ def assert_argparse_reading(argv):
         assert err == "error: " + reading.replace("\n", "\\n") + "\n"
 
 
+@argparse_311
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_argv_full_parser_agrees(data):
+    """Fuzzed lines from ``cli_lines.edited_line`` are read as argparse's full
+    parser reads them: the same namespace, help or diagnostic."""
+    assert_argparse_reading(draw_argv(data))
+
+
 class TestRepeatedCalls:
     def test_format_does_not_carry_over(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "-g", "3", "--format", "json")
