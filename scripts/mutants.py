@@ -170,9 +170,18 @@ MUTANTS = [
     ("src/curvejac/cli.py",
      "d = gcd(num, den)", "d = 1",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),
+    # A bad run's diagnostic comes before a bad genus.
     ("src/curvejac/cli.py",
-     "        _check_genus(args.genus)\n", "",
+     "        parse_class(args.classes[0], args.genus)\n", "",
      "tests/test_cli.py::test_intersect_matches_reference"),
+    # A literal of two components reaches NSClass.
+    ("src/curvejac/cli.py",
+     'if text.count(",") != 2:', 'if text.count(",") > 2:',
+     "tests/test_cli.py::TestErrorPaths::test_lone_literal_before_genus"),
+    # NSClass gets the unread strings, so it checks the genus first.
+    ("src/curvejac/cli.py",
+     "NSClass(genus, *_components(text))", 'NSClass(genus, *text.split(","))',
+     "tests/test_cli.py::TestErrorPaths::test_lone_literal_before_genus"),
     ("src/curvejac/cli.py",
      'if args.format == "json" else {}', "if args.format else {}",
      "tests/test_cli.py::test_intersect_renders_classes_for_json_only"),

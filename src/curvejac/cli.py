@@ -11,9 +11,10 @@ that holds it:
   does ("the 3.11 parser"), from ``_COMMANDS``; ``_help`` writes help.
 - The lattice's ``as_fraction`` reads every rational 'p' or 'p/q';
   ``_ascii_int`` reads integer arguments as its numerators.
-- ``_read_classes`` is the one reader of class literals 'a,b,c';
-  ``_factors`` and ``_class_texts`` give what it read as the recurrence's
-  integers and as lowest-terms class texts.
+- ``_components`` reads a class literal 'a,b,c' with ``as_fraction``, which
+  words every literal's diagnostic.  ``_read_classes`` reads ``intersect``'s
+  run alone; ``_factors`` and ``_class_texts`` give what it read as the
+  recurrence's integers and as lowest-terms class texts.
 - ``_Scale`` is the one writer of g!-sized values, g! * r for the rationals r
   of the library's ``_coeff`` functions; no compute function handles g!.
 - ``_json_text`` writes a record as ``json.dumps`` would; the CLI imports no
@@ -38,8 +39,8 @@ from typing import Optional, Sequence
 
 from .cones import Region, classify, nef_decomposition
 from .heights import PointClass, height_curve_coeff, height_point_coeff, standard_polarization
-from .lattice import (_NUMERATOR, MIN_GENUS, NSClass, _check_genus, _top_intersect_ints,
-                      _triple_text, as_fraction, pair_theta_power_coeff, pullback_theta)
+from .lattice import (_NUMERATOR, MIN_GENUS, NSClass, _top_intersect_ints, _triple_text,
+                      as_fraction, pair_theta_power_coeff, pullback_theta)
 from .minima import cone_minimum_coeff, witness_sequence, zhang_audit_coeff
 
 __all__ = ["main"]
@@ -66,15 +67,24 @@ def _run_re() -> re.Pattern:
     return re.compile(rf"{_BARE_CLASS}(?:\n{_BARE_CLASS})*")
 
 
+def _components(text: str) -> list:
+    """The three rationals of a class literal 'a,b,c', each read by
+    ``as_fraction``, or the literal's diagnostic."""
+    if text.count(",") != 2:
+        raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
+    return list(map(as_fraction, text.split(",")))
+
+
 def _read_classes(texts: list) -> tuple:
-    """The one reader of class literals 'a,b,c': (parts, keys, ints) of
-    the run ``texts``, or the first bad literal's diagnostic.
+    """The reader of ``intersect``'s run of class literals 'a,b,c':
+    (parts, keys, ints) of the run ``texts``, or the first bad literal's
+    diagnostic (``_components``').
 
     ``parts`` lists the literals' parts in order, three per literal.
-    ``keys`` is ``parts`` itself, or the set of part texts when the run has
-    more than one literal and at least half of its parts repeat an earlier
-    one.  ``ints`` holds each key's numerator and denominator as written
-    (unreduced, an absent '/q' read as 1), in the order of ``keys``.
+    ``keys`` is ``parts`` itself, or the set of part texts when at least
+    half of the parts repeat an earlier one.  ``ints`` holds each key's
+    numerator and denominator as written (unreduced, an absent '/q' read as
+    1), in the order of ``keys``.
 
     A good run takes no per-rational regex.  One match checks the shape of
     the literals joined by newlines, and the count of parts, three per
@@ -88,8 +98,8 @@ def _read_classes(texts: list) -> tuple:
     run = "\n".join(texts)
     parts = run.replace("\n", ",").split(",")
     # Where fewer than half the parts repeat, looking each part up costs
-    # more than the parses it saves; a lone literal has too few to gain.
-    keys = set(parts) if len(texts) > 1 else parts
+    # more than the parses it saves.
+    keys = set(parts)
     if 2 * len(keys) > len(parts):
         keys = parts
     # 'p' is read as 'p/1', so the integers alternate numerator, denominator.
@@ -102,14 +112,9 @@ def _read_classes(texts: list) -> tuple:
                 return parts, keys, ints
         except ValueError:  # an empty integer, a misplaced sign, or past the digit limit
             pass
-    # Only to word the diagnostic, as a split into components does: the
-    # first bad literal's wrong comma count, else its first bad component's
-    # message.  Some literal is bad, so this raises.
+    # Only to word the diagnostic: some literal is bad, so this raises.
     for text in texts:
-        if text.count(",") != 2:
-            raise CLIError(f"malformed class literal {text!r} (want 'a,b,c')")
-        for part in text.split(","):
-            as_fraction(part)
+        _components(text)
 
 
 def _factors(parts: list, keys, ints: list) -> list:
@@ -123,17 +128,10 @@ def _factors(parts: list, keys, ints: list) -> list:
     return [a + b + c for a, b, c in zip(*[pairs] * 3)]
 
 
-def _class_integers(texts: list) -> list:
-    """The six integers of each class literal of ``texts``, as written, or
-    the first bad literal's diagnostic (``_read_classes``)."""
-    return _factors(*_read_classes(texts))
-
-
 def parse_class(text: str, genus: int) -> NSClass:
-    """The class of a literal 'a,b,c' from ``_class_integers``' integers, or
-    its diagnostic; each component is reduced by its gcd."""
-    [(an, ad, bn, bd, cn, cd)] = _class_integers([text])
-    return NSClass(genus, Fraction(an, ad), Fraction(bn, bd), Fraction(cn, cd))
+    """The class of a literal 'a,b,c' (``_components``), or its
+    diagnostic; each component is read before ``NSClass`` checks the genus."""
+    return NSClass(genus, *_components(text))
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -411,8 +409,7 @@ def _intersect(args: SimpleNamespace, scale: _Scale) -> tuple:
     try:
         run = _read_classes(args.classes)
     except (CLIError, ValueError):
-        _read_classes(args.classes[:1])
-        _check_genus(args.genus)
+        parse_class(args.classes[0], args.genus)
         raise
     r = _top_intersect_ints(args.genus, _factors(*run))
     # Only the JSON record shows the inputs; text output skips rendering them.
@@ -663,7 +660,7 @@ def _take(pending: list, run: list, found: dict) -> list:
 
 def _read_line(argv: list):
     """A line's namespace as the 3.11 parser reads it with the specs of ``_COMMANDS``
-    (for help, one that computes ``_help``), or its diagnostic; one pass over a plain line."""
+    (for help, one that computes ``_help``), or its diagnostic."""
     extras, i = [], 0
     while i < len(argv) and argv[i] != "--" and (kind := _option(argv[i], _PROGRAM_FLAGS)):
         if kind[0]:

@@ -4,7 +4,8 @@
   ``FUZZ_TOKENS`` (``edited_line``), then maybe with one of ``SPELLINGS``
   (``spelled_line``).
 * ``PLAIN_LINES`` and ``DEFERRED_LINES`` - fixed lines that every reader
-  test checks: plain lines, and lines with abbreviations, attached values,
+  test checks: plain lines (options spelled as declared, each once, and one
+  run of positionals), and lines with abbreviations, attached values,
   repeated options, separators, help and usage errors.
 * ``GOLDEN_ARGV`` and ``GOLDEN_ERRORS`` - the lines of ``golden/cli/``.
 * ``corpus_lines`` - the ~3,000 lines of the CLI corpus, drawn with
@@ -48,7 +49,7 @@ FUZZ_TOKENS = [
     "-1,1,0", "0,1,0", "1,1", "1,1,1,1", "1/0,1,1", "1,-1/2,1", "1_0", " 3", "3\n",
     "+3", "007", "1_0,1,1",
 ]
-# Spellings that a reader of plain lines alone would not read: a bare or
+# Spellings outside the plain form of ``PLAIN_LINES``: a bare or
 # trailing '--', a short flag with its value attached, an empty '=' value,
 # an abbreviation, help, values that are option-like or empty, '-h' chained
 # with a letter, an '=' value on '--help', and the ambiguous '--=3'.
@@ -91,8 +92,8 @@ def spelled_line(pick) -> list:
     return argv
 
 
-# Lines that a reader of plain lines reads: options spelled as declared,
-# each once, and one run of positionals.
+# Plain lines: options spelled as declared, each once, and one run of
+# positionals.
 PLAIN_LINES = [
     ["audit", "-g", "2"],
     ["audit", "--genus=12", "--bundle", "8,1,2", "--format", "json"],

@@ -88,6 +88,12 @@ def parse_outcome(parse, *args):
         return type(err), str(err)
 
 
+def run_integers(texts):
+    """The six integers of each literal of a run, as ``intersect``'s run
+    reader reads them, or its diagnostic."""
+    return cli._factors(*cli._read_classes(texts))
+
+
 def written_integers(text):
     """The six integers of a well-formed class literal, as written."""
     parts = [(part.split("/") + ["1"])[:2] for part in text.split(",")]
@@ -141,13 +147,13 @@ class TestParsing:
     @example("1,1,1\n")
     @example("-007/0006,+0,12345678901234567890/98765432109876543210")
     def test_matches_split_parse(self, text):
-        # The one-match parse gives the split route's class, or its exact
-        # diagnostic; each component is compared the same way.  The integer
-        # reader behind both gives the same components, as written, or the
-        # same diagnostic.
+        # parse_class gives the split route's class, or its exact
+        # diagnostic; each component is compared the same way.  The run
+        # reader, on the literal alone, gives the same components, as
+        # written, or the same diagnostic.
         split = parse_outcome(split_parse_class, text, 2)
         assert parse_outcome(parse_class, text, 2) == split
-        ints = parse_outcome(cli._class_integers, [text])
+        ints = parse_outcome(run_integers, [text])
         if isinstance(split, NSClass):
             assert ints == [written_integers(text)]
             [ints] = ints
@@ -545,7 +551,7 @@ def test_run_reader_matches_per_literal(texts):
     # exactly the diagnostic of the first literal that the split route
     # refuses.
     with digit_limit(0):
-        run = parse_outcome(cli._class_integers, texts)
+        run = parse_outcome(run_integers, texts)
         for text in texts:
             split = parse_outcome(split_parse_class, text, 2)
             if not isinstance(split, NSClass):
@@ -554,26 +560,31 @@ def test_run_reader_matches_per_literal(texts):
         assert run == [written_integers(text) for text in texts]
 
 
-def test_every_class_literal_goes_through_the_reader(capsys, monkeypatch):
-    # One reader takes every class literal: a good intersect run in one
-    # call, each other command's literals one call each.  A malformed run
-    # gets its first bad literal's diagnostic after the first literal is
-    # read again, for the genus check.
+def test_run_reader_serves_intersect_alone(capsys, monkeypatch):
+    # The run reader takes intersect's run, in one call; every other class
+    # literal is read by parse_class alone.  A malformed run gets its first
+    # bad literal's diagnostic after parse_class reads the first literal,
+    # for the genus check.
     read = []
 
     def reader(texts, original=cli._read_classes):
-        read.append(list(texts))
+        read.append(("run", list(texts)))
         return original(texts)
 
+    def parse(text, genus, original=cli.parse_class):
+        read.append(("class", text))
+        return original(text, genus)
+
     monkeypatch.setattr(cli, "_read_classes", reader)
+    monkeypatch.setattr(cli, "parse_class", parse)
     good = ["1,1,1", "2/4,1,-1", "0,1,0"]
     assert run_cli(capsys, "intersect", "-g", "2", *good)[0] == 0
-    assert read == [good]
+    assert read == [("run", good)]
     read.clear()
     bad = ["1,1,1", "2/4,1,-1", "0,1/0,0"]
     code, _, err = run_cli(capsys, "intersect", "-g", "2", *bad)
     assert (code, err) == (2, "error: zero denominator in rational literal '1/0'\n")
-    assert read == [bad, ["1,1,1"]]
+    assert read == [("run", bad), ("class", "1,1,1")]
     for argv, literals in [
         (["pair", "-g", "2", "1,1,1", "2/4,1,-1"], ["1,1,1", "2/4,1,-1"]),
         (["height", "-g", "2", "-L", "3,1,1", "1,0,0"], ["3,1,1", "1,0,0"]),
@@ -583,7 +594,7 @@ def test_every_class_literal_goes_through_the_reader(capsys, monkeypatch):
     ]:
         read.clear()
         assert run_cli(capsys, *argv)[0] == 0, argv
-        assert read == [[text] for text in literals], argv
+        assert read == [("class", text) for text in literals], argv
 
 
 class TestClassify:
@@ -763,6 +774,22 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("pair -g 1 1,1 2,1,1", "malformed class literal '1,1' (want 'a,b,c')"),
+            ("pair -g 1 1,1,1 1,1", "genus must be >= 2, got 1"),
+            ("height -g 1 -L 1,1 1,1,1", "malformed class literal '1,1' (want 'a,b,c')"),
+            ("height -g 1 -L 8,1,2 1,1", "genus must be >= 2, got 1"),
+            ("minima -g 1 -L 1,x,1", "malformed rational literal 'x' (want 'p' or 'p/q')"),
+            ("audit -g 1 -L 1,1", "malformed class literal '1,1' (want 'a,b,c')"),
+        ],
+    )
+    def test_lone_literal_before_genus(self, capsys, line, message):
+        # A lone class literal is read before its class checks the genus, so
+        # a bad literal is reported first; a good one lets the genus be.
+        assert run_cli(capsys, *line.split()) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -1046,7 +1073,7 @@ class TestPlainReader:
     @argparse_311
     @pytest.mark.parametrize("argv", DEFERRED_LINES)
     def test_defers_to_argparse(self, argv):
-        # Lines that a reader of plain lines alone would leave to argparse.
+        # Lines outside the plain form, read as the 3.11 parser reads them.
         assert_argparse_reading(argv)
 
     @pytest.mark.parametrize("name", list(cli._COMMANDS))
@@ -1238,7 +1265,7 @@ def import_probe(*argv, status=0):
 def test_import_leaves_heavy_modules_out():
     added, output, after = import_probe("audit", "-g", "2", "--format", "json")
     assert added == "[]"
-    assert after == "[]"  # a plain line builds no parser, and JSON needs no json
+    assert after == "[]"  # reading a line loads no argparse, and JSON needs no json
     [line] = output
     assert json.loads(line)["genus"] == 2
 
